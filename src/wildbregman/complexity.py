@@ -4,8 +4,8 @@ The central object is the supremum, over predictors within a Bregman ball
 around a center, of the averaged inner product between the loss gradient
 and a fixed perturbation matrix.  For the squared-Euclidean potential with
 the optimizer interior to the box, the supremum has a Cauchy-Schwarz closed
-form; otherwise a multi-start projected ascent reports a certified feasible
-lower bound.
+form; otherwise a Lagrangian dual reports a certified upper bound and its
+duality gap.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import PredictionMatrix, SignMatrix
-from .errors import RejectedInputError, UnboundedRadiusError
-from .geometry import Box, CompactSet
+from .errors import (RejectedInputError, UnboundedRadiusError,
+                     UnsupportedConfigurationError)
+from .geometry import Box, CompactSet, waterfill
 from .potentials import BregmanLoss
 
 
@@ -47,24 +48,6 @@ def _objective(loss: BregmanLoss, center: np.ndarray, U: np.ndarray,
 
 def _ball_value(loss: BregmanLoss, center: np.ndarray, U: np.ndarray) -> float:
     return float(np.mean(loss._div_raw(center, U)))
-
-
-def _radial_pullback(loss, center, U, r2, iters: int = 50) -> np.ndarray:
-    """Shrink U toward the center along the segment until L_n <= r^2."""
-    val = _ball_value(loss, center, U)
-    if val <= r2:
-        return U
-    if loss.potential.kind == "squared_l2":
-        # ball value scales as t^2 along the segment, so the pullback is exact
-        return center + math.sqrt(r2 / val) * (U - center)
-    lo_t, hi_t = 0.0, 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo_t + hi_t)
-        if _ball_value(loss, center, center + mid * (U - center)) <= r2:
-            lo_t = mid
-        else:
-            hi_t = mid
-    return center + lo_t * (U - center)
 
 
 def _sup_closed_form_sql2(cset, center, Z, r):
@@ -116,103 +99,98 @@ def _sup_box_sql2_qp(cset, center, Z, r):
     return float(np.sum(V * Z)) / n
 
 
-def _sup_dual_box(loss, cset, center, Z, r):
-    """Exact supremum over box-and-Bregman-ball for separable potentials.
+def _inner_argmax(loss, cset):
+    """Exact argmax over the set of the Lagrangian's row term at multiplier
+    lam, as a map of A = C - Z / lam, and the method name it reports.
 
-    In mirror coordinates m = grad phi(u) the objective is linear, the box
-    maps to a box, and the ball is convex, so strong duality holds.  The
-    stationary point of the Lagrangian at multiplier lam is
-    u(lam) = clip(c - z / lam, box), whose ball value is monotone in lam;
-    bisection on lam solves the program exactly.
+    On a box the row term of a separable potential is unimodal in each
+    coordinate with its peak at c - z / lam, so the argmax is the clip.  On
+    the clipped simplex, squared_l2 gives a Euclidean projection (shifted by
+    the row maximum so that a tiny lam keeps its precision) and KL gives
+    argmax sum_j (lam c_j - z_j) log u_j, the water-filling of A up to scale.
+    Any other pair raises UnsupportedConfigurationError.
     """
+    if isinstance(cset, Box):
+        return "dual_box", cset.project
+    kind = loss.potential.kind
+    if kind == "squared_l2":
+        return "dual_simplex", lambda A: cset.project(
+            A - np.max(A, axis=1, keepdims=True))
+    if kind == "clipped_simplex_kl":
+        return "dual_simplex", lambda A: waterfill(A, cset.eta0)
+    raise UnsupportedConfigurationError(
+        f"no exact ball supremum for {kind} on {type(cset).__name__}")
+
+
+def _sup_dual(loss, cset, center, Z, r):
+    """Lagrangian dual of the ball supremum, with the gap it certifies.
+
+    With B the ball value, every multiplier lam >= 0 gives the upper bound
+    q(lam) = f(U) + lam (r^2 - B(U)) at the Lagrangian's argmax U = U(lam)
+    (weak duality), and U is feasible once B(U) <= r^2, so f(U) is a lower
+    bound.  B(U(lam)) is non-increasing in lam, so bisection brackets the
+    smallest feasible lam.  Returns q, the info dict with the gap q - f(U),
+    and the primal point U.
+
+    On a box the program is convex in mirror coordinates m = grad phi(u)
+    (linear objective, box to box, convex ball), so strong duality holds.
+    KL on the clipped simplex is not convex in m; the reported gap bounds
+    how far q can lie above the supremum.
+    """
+    method, argmax = _inner_argmax(loss, cset)
     n = center.shape[0]
     r2 = r * r
 
     def at(lam):
-        return np.clip(center - Z / lam, cset.lo, cset.hi)
+        U = argmax(center - Z / lam)
+        return U, _ball_value(loss, center, U)
 
-    U0 = np.clip(np.where(Z > 0, cset.lo, np.where(Z < 0, cset.hi, center)),
-                 cset.lo, cset.hi)
-    if _ball_value(loss, center, U0) <= r2:
-        return _objective(loss, center, U0, Z)
-    lam_hi = 1.0
-    for _ in range(200):
-        if _ball_value(loss, center, at(lam_hi)) <= r2:
-            break
-        lam_hi *= 2.0
-    lam_lo = lam_hi
-    for _ in range(400):
-        lam_lo *= 0.5
-        if _ball_value(loss, center, at(lam_lo)) > r2:
-            break
-    for _ in range(100):
-        mid = 0.5 * (lam_lo + lam_hi)
-        if _ball_value(loss, center, at(mid)) > r2:
-            lam_lo = mid
-        else:
-            lam_hi = mid
-    return _objective(loss, center, at(lam_hi), Z)
-
-
-def _sup_numerical(loss, cset, center, Z, r, *, n_starts=8, max_iters=80,
-                   tol=1e-12, seed=0):
-    n = center.shape[0]
-    r2 = r * r
-    hess = loss.potential.hessian_diag
-
-    def feasible(U):
-        return _radial_pullback(loss, center, cset.project(U), r2)
-
-    # direction starts: +/- Z and the ascent gradient at the center
-    scale = cset.diameter() / max(float(np.max(np.abs(Z))), 1e-300)
-    starts = [center,
-              feasible(center - scale * Z),
-              feasible(center + scale * Z),
-              feasible(center - scale * hess(center) * Z)]
-    rng = np.random.default_rng(seed)
-    while len(starts) < n_starts:
-        D = rng.standard_normal(center.shape)
-        starts.append(feasible(center + cset.diameter() * D / np.linalg.norm(D)))
-
-    best_val, best_stationary = 0.0, True
-    for U in starts:
+    def result(lam, U, ball):
         val = _objective(loss, center, U, Z)
-        step = max(r, tol)
-        stationary = False
-        stalls = 0
-        for _ in range(max_iters):
-            G = -(1.0 / n) * hess(U) * Z
-            gn = float(np.linalg.norm(G))
-            if gn == 0.0:
-                stationary = True
-                break
-            eta, moved = step / gn, False
-            for _ in range(25):
-                U_new = feasible(U + eta * G)
-                val_new = _objective(loss, center, U_new, Z)
-                if val_new > val + 1e-14:
-                    gain = val_new - val
-                    U, val, moved = U_new, val_new, True
-                    step = min(eta * gn * 2.0, 1e3 * cset.diameter())
-                    stalls = stalls + 1 if gain <= 1e-11 * max(1.0, abs(val)) else 0
-                    break
-                eta *= 0.5
-            if not moved or stalls >= 3:
-                stationary = True
-                break
-            if step < tol * cset.diameter():
-                stationary = True
-                break
-        if val > best_val:
-            best_val, best_stationary = val, stationary
-    return best_val, best_stationary
+        q = val + lam * (r2 - ball)
+        return q, {"method": method, "gap": q - val}, U
+
+    # at a vanishing multiplier the argmax is the set's best point; the ball
+    # may not bind at all
+    lam_lo = 1e-150 * float(np.max(np.abs(Z)))
+    U, B = at(lam_lo)
+    if B <= r2:
+        return result(lam_lo, U, B)
+    # start at the squared_l2 multiplier ||Z|| / (sqrt(2n) r), double up to a
+    # feasible point, then halve down to an infeasible one
+    lam_hi = float(np.linalg.norm(Z)) / (math.sqrt(2.0 * n) * r)
+    U_hi, B_hi = at(lam_hi)
+    for _ in range(200):
+        if B_hi <= r2:
+            break
+        lam_lo, lam_hi = lam_hi, 2.0 * lam_hi
+        U_hi, B_hi = at(lam_hi)
+    while 0.5 * lam_hi > lam_lo:
+        U, B = at(0.5 * lam_hi)
+        if B > r2:
+            lam_lo = 0.5 * lam_hi
+            break
+        lam_hi, U_hi, B_hi = 0.5 * lam_hi, U, B
+    while lam_hi - lam_lo > 1e-13 * lam_hi:
+        mid = 0.5 * (lam_lo + lam_hi)
+        U, B = at(mid)
+        if B <= r2:
+            lam_hi, U_hi, B_hi = mid, U, B
+        else:
+            lam_lo = mid
+    return result(lam_hi, U_hi, B_hi)
 
 
 def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
-             Z: np.ndarray, r: float, *, n_starts: int = 8, seed: int = 0,
-             full_output: bool = False):
+             Z: np.ndarray, r: float, *, full_output: bool = False):
     """sup over {U : rows in cset, L_n(center, U) <= r^2} of the averaged
     gradient-perturbation inner product (1/n) sum <gradphi(c_i)-gradphi(u_i), z_i>.
+
+    squared_l2 on a box is solved in closed form or as a box QP; every other
+    supported (potential, set) pair by its Lagrangian dual, whose value is an
+    upper bound and whose `gap` in `full_output` bounds the distance to the
+    supremum.  A pair with no exact inner argmax raises
+    UnsupportedConfigurationError.
     """
     if r < 0:
         raise RejectedInputError("radius must be >= 0")
@@ -221,23 +199,15 @@ def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
     if Z.shape != C.shape:
         raise RejectedInputError(f"shape mismatch: {Z.shape} vs {C.shape}")
     if r == 0.0 or not np.any(Z):
-        return (0.0, {"method": "trivial", "stationary": True}) if full_output else 0.0
-    if loss.potential.kind == "squared_l2" and isinstance(cset, Box):
-        exact = _sup_closed_form_sql2(cset, C, Z, r)
-        if exact is not None:
-            out = (exact, {"method": "closed_form", "stationary": True})
-            return out if full_output else exact
-        exact = _sup_box_sql2_qp(cset, C, Z, r)
-        out = (exact, {"method": "box_qp", "stationary": True})
-        return out if full_output else exact
-    if isinstance(cset, Box):
-        exact = _sup_dual_box(loss, cset, C, Z, r)
-        out = (exact, {"method": "dual_box", "stationary": True})
-        return out if full_output else exact
-    val, stationary = _sup_numerical(loss, cset, C, Z, r, n_starts=n_starts,
-                                     seed=seed)
-    out = (val, {"method": "ascent", "stationary": stationary})
-    return out if full_output else val
+        val, info = 0.0, {"method": "trivial"}
+    elif loss.potential.kind == "squared_l2" and isinstance(cset, Box):
+        val = _sup_closed_form_sql2(cset, C, Z, r)
+        info = {"method": "closed_form"}
+        if val is None:
+            val, info = _sup_box_sql2_qp(cset, C, Z, r), {"method": "box_qp"}
+    else:
+        val, info, _ = _sup_dual(loss, cset, C, Z, r)
+    return (val, info) if full_output else val
 
 
 def wn(loss: BregmanLoss, cset: CompactSet, fhat: PredictionMatrix,

@@ -73,6 +73,34 @@ def _project_simplex(v: np.ndarray, s: float) -> np.ndarray:
     return np.clip(v - theta[:, None], 0.0, None)
 
 
+def waterfill(a: np.ndarray, eta0: float) -> np.ndarray:
+    """Rows of argmax sum_j a_j log u_j over {u_j >= eta0, sum u = 1}.
+
+    Coordinates with a_j <= 0 sit at the floor and the rest are water-filled,
+    u_j = max(eta0, a_j t), with t fixed by the sum.  A row with no positive
+    a_j has a convex objective, maximised at the vertex of its largest a_j.
+    Same sorted-threshold idiom as `_project_simplex`.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    n, d = a.shape
+    s = -np.sort(-a, axis=1)
+    css = np.cumsum(s, axis=1)
+    ks = np.arange(1, d + 1)
+    # h(k) = s_k (1 - (d - k) eta0) - eta0 css_k is non-increasing in k; the
+    # k largest coordinates are above the floor for the last k with h(k) > 0
+    cond = s * (1.0 - (d - ks) * eta0) - eta0 * css > 0
+    k = d - np.argmax(cond[:, ::-1], axis=1)
+    positive = s[:, 0] > 0
+    den = np.where(positive, css[np.arange(n), k - 1], 1.0)
+    t = (1.0 - (d - k) * eta0) / den
+    u = np.maximum(eta0, a * t[:, None])
+    if not np.all(positive):
+        rows = np.flatnonzero(~positive)
+        u[rows] = eta0
+        u[rows, np.argmax(a[rows], axis=1)] = 1.0 - (d - 1) * eta0
+    return u
+
+
 @dataclass(frozen=True)
 class ClippedSimplex:
     """Probability simplex with a floor: {p : p_j >= eta0, sum p = 1}."""

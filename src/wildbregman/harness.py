@@ -190,9 +190,7 @@ def _target_coverage(theorem: str, delta: float) -> float:
 def _build_trainer(desc: dict, loss, cset):
     kind = desc.get("kind", "saturated")
     if kind == "saturated":
-        return SaturatedTrainer(loss, cset,
-                                max_iters=desc.get("max_iters", 500),
-                                tol=desc.get("tol", 1e-12))
+        return SaturatedTrainer(loss, cset)
     if kind == "linear":
         return LinearTrainer(loss, cset,
                              max_iters=desc.get("max_iters", 500),

@@ -13,93 +13,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import FixedDesignDataset, PredictionMatrix
-from .errors import ConvergenceError, RejectedInputError
-from .geometry import Box, CompactSet
+from .errors import (ConvergenceError, RejectedInputError,
+                     UnsupportedConfigurationError)
+from .geometry import Box, CompactSet, waterfill
 from .potentials import BregmanLoss
-
-
-def _pointwise_objective(loss: BregmanLoss, y: np.ndarray, z: np.ndarray) -> float:
-    return float(loss._div_raw(y, z))
-
-
-def _minimize_pointwise(loss: BregmanLoss, cset: CompactSet, y: np.ndarray,
-                        max_iters: int, tol: float) -> np.ndarray:
-    """Minimize z -> D_phi(y, z) over the compact set for one response row.
-
-    Projected gradient with Armijo backtracking; 1-d grid refinement as a
-    fallback since the map need not be convex in its second argument.
-    """
-    p = loss.potential
-    z = cset.project(np.asarray(y, dtype=float))
-    step = 1.0 / p.beta
-    obj = _pointwise_objective(loss, y, z)
-    for _ in range(max_iters):
-        grad = p.hessian_diag(z) * (z - y)
-        eta = step
-        moved = False
-        for _ in range(40):
-            z_new = cset.project(z - eta * grad)
-            obj_new = _pointwise_objective(loss, y, z_new)
-            if obj_new <= obj - 1e-4 * np.dot(grad, (z - z_new)):
-                z, obj, moved = z_new, obj_new, True
-                break
-            eta *= 0.5
-        if not moved or np.linalg.norm(z - cset.project(z - step * grad)) <= tol * step:
-            break
-    else:
-        grad = p.hessian_diag(z) * (z - y)
-        residual = np.linalg.norm(z - cset.project(z - step * grad)) / step
-        if residual > 1e-6:
-            raise ConvergenceError(
-                "pointwise fit did not reach stationarity",
-                last_iterate=z, grad_norm=float(residual),
-            )
-    if z.shape[0] == 1 and isinstance(cset, Box):
-        z = _refine_1d(loss, cset, y, z)
-    return z
-
-def _refine_1d(loss: BregmanLoss, cset: Box, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    lo, hi = float(cset.lo[0]), float(cset.hi[0])
-    grid = np.linspace(lo, hi, 2001)[:, None]
-    vals = loss._div_raw(np.broadcast_to(y, grid.shape), grid)
-    best = grid[int(np.argmin(vals))]
-    # local refinement around the better of the PGD iterate and the grid point
-    cand = best if _pointwise_objective(loss, y, best) < _pointwise_objective(loss, y, z) else z
-    width = (hi - lo) / 2000
-    for _ in range(25):
-        trio = np.clip(np.array([cand - width, cand, cand + width]), lo, hi)
-        vals = [(_pointwise_objective(loss, y, t), tuple(t)) for t in trio]
-        cand = np.array(min(vals)[1])
-        width *= 0.5
-    return cand
 
 
 @dataclass(frozen=True)
 class SaturatedTrainer:
-    """ERM over all functions: each design row is fit independently."""
+    """ERM over all functions: each design row is fit independently.
+
+    The fit is in closed form per (potential, set) pair.  On a box,
+    d/dz D_phi(y, z) = phi''(z) (z - y) has the sign of z - y for every
+    separable potential, so the minimiser is the clamp.  On the
+    clipped simplex, squared_l2 gives the Euclidean projection and KL, where
+    D_phi(y, z) = const - sum_j y_j log z_j + sum_j z_j with sum z = 1, the
+    water-filling of y.  Any other pair raises.
+    """
 
     loss: BregmanLoss
     cset: CompactSet
-    max_iters: int = 500
-    tol: float = 1e-12
 
     @property
     def descriptor(self) -> dict:
-        return {"kind": "saturated", "max_iters": self.max_iters, "tol": self.tol}
+        return {"kind": "saturated"}
 
     def fit(self, data: FixedDesignDataset) -> PredictionMatrix:
         Y = data.responses
-        p = self.loss.potential
-        if p.kind == "squared_l2" and isinstance(self.cset, Box):
-            # minimizer of 0.5 ||y - z||^2 over a box is the clamp
+        kind = self.loss.potential.kind
+        if isinstance(self.cset, Box) or kind == "squared_l2":
             return PredictionMatrix(self.cset.project(Y))
-        out = np.empty_like(Y)
-        inside = self.cset.contains_rows(Y)
-        out[inside] = Y[inside]
-        for i in np.flatnonzero(~inside):
-            out[i] = _minimize_pointwise(self.loss, self.cset, Y[i],
-                                         self.max_iters, self.tol)
-        return PredictionMatrix(out)
+        if kind == "clipped_simplex_kl":
+            return PredictionMatrix(waterfill(Y, self.cset.eta0))
+        raise UnsupportedConfigurationError(
+            f"no closed-form saturated fit for {kind} on {type(self.cset).__name__}")
 
 
 def fit_saturated(loss: BregmanLoss, cset: CompactSet,

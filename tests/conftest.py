@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,21 @@ def sample_domain(loss, rng, size):
         return rng.uniform(eps0, 1.0 - eps0, size=(size, dom.dim))
     raw = rng.uniform(0.0, 1.0, size=(size, dom.dim))
     return dom.project(raw)
+
+
+def simplex_grid(eta0, d, N):
+    """Every point of the clipped simplex on a barycentric grid with N
+    divisions, and the largest distance from the set to the grid."""
+    mass = 1.0 - d * eta0
+    if d == 2:
+        k = np.arange(N + 1)[:, None]
+        B = np.hstack([k, N - k]) / N
+    else:
+        i, j = np.meshgrid(np.arange(N + 1), np.arange(N + 1), indexing="ij")
+        keep = i + j <= N
+        i, j = i[keep], j[keep]
+        B = np.stack([i, j, N - i - j], axis=1) / N
+    return eta0 + mass * B, mass * math.sqrt(2.0) / N
 
 
 @pytest.fixture

@@ -9,10 +9,13 @@ from wildbregman.complexity import (ball_sup, convex_class_bracket,
                                     wn, wn_tilde_oracle, zn_eps_oracle)
 from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
                                 sample_sign_matrix)
-from wildbregman.errors import RejectedInputError, UnboundedRadiusError
-from wildbregman.geometry import Box
+from wildbregman.errors import (RejectedInputError, UnboundedRadiusError,
+                               UnsupportedConfigurationError)
+from wildbregman.geometry import Box, ClippedSimplex
 from wildbregman.potentials import builtin_loss
 from wildbregman.trainers import SaturatedTrainer
+
+from conftest import simplex_grid
 
 
 def box(d, b):
@@ -65,20 +68,114 @@ def test_wn_box_constrained_below_closed_form(rng):
     assert got > 0.0
 
 
-def test_wn_box_qp_matches_long_ascent(rng):
-    from wildbregman.complexity import _sup_box_sql2_qp, _sup_numerical
+def test_wn_box_qp_matches_dual_box(rng):
+    # two exact paths for squared_l2 on a binding box: the box QP and the
+    # generic Lagrangian dual
+    from wildbregman.complexity import _sup_box_sql2_qp, _sup_dual
     loss = builtin_loss("squared_l2", 2)
     cset = box(2, 0.4)
-    for k in range(5):
+    for _ in range(5):
         C = rng.uniform(-0.4, 0.4, size=(30, 2))
         Z = rng.normal(size=(30, 2))
         r = float(rng.uniform(0.3, 1.0))
         q = _sup_box_sql2_qp(cset, C, Z, r)
-        v, _ = _sup_numerical(loss, cset, C, Z, r, seed=k, max_iters=1000,
-                              n_starts=16)
-        # ascent is a feasible lower bound; the dual QP is exact
-        assert v <= q + 1e-10
-        assert q == pytest.approx(v, rel=5e-3)
+        v, info, _ = _sup_dual(loss, cset, C, Z, r)
+        assert info["method"] == "dual_box"
+        assert q == pytest.approx(v, rel=1e-12)
+
+
+def test_dual_box_gap_certified_sqrt_bernoulli(rng):
+    # the returned weak-duality value dominates its feasible primal value
+    from wildbregman.complexity import _ball_value, _objective, _sup_dual
+    loss = builtin_loss("sqrt_bernoulli", 2, eps0=0.05)
+    for lo, hi in [(0.1, 0.9), (0.25, 0.75), (0.4, 0.6)]:
+        cset = Box(np.full(2, lo), np.full(2, hi))
+        C = rng.uniform(lo, hi, size=(200, 2))
+        Z = rng.normal(scale=0.3, size=(200, 2))
+        for r in (0.01, 0.05, 0.2):
+            q, info, U = _sup_dual(loss, cset, C, Z, r)
+            assert info["method"] == "dual_box"
+            assert np.all(cset.contains_rows(U, tol=0.0))
+            assert _ball_value(loss, C, U) <= r * r
+            assert q - info["gap"] == pytest.approx(_objective(loss, C, U, Z),
+                                                    rel=1e-12)
+            assert 0.0 <= info["gap"] <= 1e-9 * q
+
+
+def _check_dual_against_grid(loss, cset, c, z, r, G, h):
+    """n = 1: the grid maximum over the feasible set never exceeds the dual
+    value, and the dual value minus its gap (a feasible primal value) is
+    within the grid's resolution of the grid maximum.  The resolution is
+    bounded by Lipschitz constants: every feasible u has a grid point g with
+    |g - u| <= h, so f(u) <= f(g) + Lf h and B(g) <= r^2 + LB h."""
+    from wildbregman.complexity import _sup_dual
+    val, info, _ = _sup_dual(loss, cset, c, z, r)
+    assert info["method"] == "dual_simplex"
+    hmax = 1.0 / cset.eta0 if loss.potential.kind == "clipped_simplex_kl" else 1.0
+    g = loss.potential.gradient
+    f = np.sum((g(c) - g(G)) * z, axis=1)
+    B = loss._div_raw(np.broadcast_to(c, G.shape), G)
+    Lf = hmax * float(np.linalg.norm(z))
+    LB = hmax * cset.diameter()
+    grid_max = float(np.max(f[B <= r * r]))
+    grid_max_wide = float(np.max(f[B <= r * r + LB * h]))
+    assert grid_max <= val + 1e-12
+    assert val - info["gap"] <= grid_max_wide + Lf * h + 1e-12
+    assert info["gap"] >= 0.0
+    return info["gap"]
+
+
+def test_dual_simplex_brute_force_oracle():
+    rng = np.random.default_rng(77)
+    eta0 = 0.1
+    for d, N in ((2, 20000), (3, 600)):
+        cset = ClippedSimplex(eta0, d)
+        G, h = simplex_grid(eta0, d, N)
+        for loss in (builtin_loss("clipped_simplex_kl", d, eta0=eta0),
+                     builtin_loss("squared_l2", d)):
+            for _ in range(6):
+                c = cset.project(rng.dirichlet(np.ones(d)))[None, :]
+                z = rng.normal(size=(1, d))
+                r = float(rng.uniform(0.2, 0.5))
+                _check_dual_against_grid(loss, cset, c, z, r, G, h)
+
+
+def test_dual_simplex_single_row_gap_still_bounds():
+    # one KL row is not convex in mirror coordinates: the argmax jumps to a
+    # vertex at the critical multiplier, leaving a real duality gap; the
+    # returned value must still dominate every feasible grid point
+    cset = ClippedSimplex(0.1, 3)
+    loss = builtin_loss("clipped_simplex_kl", 3, eta0=0.1)
+    G, h = simplex_grid(0.1, 3, 600)
+    c = np.array([[0.221, 0.607, 0.172]])
+    z = np.array([[1.52, 1.226, 0.448]])
+    assert _check_dual_against_grid(loss, cset, c, z, 0.552, G, h) > 0.1
+
+
+@pytest.mark.parametrize("kind", ["clipped_simplex_kl", "squared_l2"])
+def test_dual_simplex_primal_feasible_and_tight(kind):
+    from wildbregman.complexity import _ball_value, _sup_dual
+    rng = np.random.default_rng(5)
+    loss = builtin_loss(kind, 3, eta0=0.1) if kind != "squared_l2" \
+        else builtin_loss(kind, 3)
+    cset = ClippedSimplex(0.1, 3)
+    C = cset.project(rng.dirichlet(np.ones(3), 200))
+    Z = rng.normal(scale=0.2, size=(200, 3))
+    for r in (0.02, 0.05, 0.2):
+        val, info, U = _sup_dual(loss, cset, C, Z, r)
+        assert info["method"] == "dual_simplex"
+        assert np.all(cset.contains_rows(U, tol=1e-12))
+        assert _ball_value(loss, C, U) <= r * r
+        assert 0.0 <= info["gap"] <= 1e-9 * val
+        assert ball_sup(loss, cset, PredictionMatrix(C), Z, r) == val
+
+
+def test_ball_sup_unsupported_pair_raises():
+    loss = builtin_loss("sqrt_bernoulli", 3, eps0=0.05)
+    cset = ClippedSimplex(0.1, 3)
+    C = PredictionMatrix(np.full((4, 3), 1.0 / 3.0))
+    with pytest.raises(UnsupportedConfigurationError):
+        ball_sup(loss, cset, C, np.ones((4, 3)), 0.1)
 
 
 def test_wn_monotone_in_radius(rng):

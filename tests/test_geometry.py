@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildbregman.errors import RejectedInputError
-from wildbregman.geometry import Box, ClippedSimplex
+from wildbregman.geometry import Box, ClippedSimplex, waterfill
 
 
 def test_box_project_is_clamp():
@@ -58,6 +58,23 @@ def test_simplex_projection_matches_brute_force_2d():
         z = rng.uniform(-1.0, 2.0, size=2)
         best = seg[np.argmin(np.sum((seg - z) ** 2, axis=1))]
         assert np.allclose(cs.project(z), best, atol=1e-4)
+
+
+def test_waterfill_matches_brute_force_2d():
+    # argmax a1 log t + a2 log(1 - t) on the segment, with rows of mixed
+    # sign, rows with no positive entry (a vertex) and rows with a zero
+    eta0 = 0.05
+    ts = np.linspace(eta0, 1.0 - eta0, 200001)
+    seg = np.stack([ts, 1.0 - ts], axis=1)
+    rng = np.random.default_rng(1)
+    A = np.vstack([rng.uniform(-1.0, 2.0, size=(30, 2)),
+                   -rng.uniform(0.0, 1.0, size=(5, 2)),
+                   [[0.0, -1.0], [0.7, 0.0]]])
+    U = waterfill(A, eta0)
+    assert np.all(ClippedSimplex(eta0, 2).contains_rows(U, tol=1e-12))
+    for a, u in zip(A, U):
+        best = seg[np.argmax(np.log(seg) @ a)]
+        assert np.allclose(u, best, atol=1e-5)
 
 
 def test_simplex_rejects_infeasible_floor():

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from wildbregman.design import FixedDesignDataset, PredictionMatrix
-from wildbregman.geometry import Box
+from wildbregman.errors import UnsupportedConfigurationError
+from wildbregman.geometry import Box, ClippedSimplex
 from wildbregman.potentials import builtin_loss
 from wildbregman.trainers import (LinearTrainer, SaturatedTrainer,
                                   check_nonexpansive, fit_linear_class,
                                   fit_saturated)
+
+from conftest import simplex_grid
 
 
 def box(d, b):
@@ -49,6 +52,52 @@ def test_saturated_kl_projects_onto_clipped_simplex():
     assert np.all(cset.contains_rows(fit.values))
     # interior rows are fixed points
     assert np.allclose(fit.values, data.responses, atol=1e-8)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_saturated_sqrt_bernoulli_matches_1d_grid(d):
+    # the fit is separable over coordinates; each coordinate's objective
+    # D(y, .) is unimodal, so the grid minimiser is within one spacing
+    rng = np.random.default_rng(d)
+    loss = builtin_loss("sqrt_bernoulli", d, eps0=0.05)
+    cset = Box(np.full(d, 0.3), np.full(d, 0.7))
+    Y = rng.uniform(0.05, 0.95, size=(40, d))
+    assert not np.all(cset.contains_rows(Y))
+    fit = SaturatedTrainer(loss, cset).fit(FixedDesignDataset(None, Y)).values
+    loss1 = builtin_loss("sqrt_bernoulli", 1, eps0=0.05)
+    grid = np.linspace(0.3, 0.7, 40001)[:, None]
+    step = float(grid[1, 0] - grid[0, 0])
+    for i, j in np.ndindex(Y.shape):
+        vals = loss1._div_raw(np.full_like(grid, Y[i, j]), grid)
+        assert abs(fit[i, j] - grid[int(np.argmin(vals)), 0]) <= step
+
+
+def test_saturated_kl_on_tighter_simplex_matches_grid():
+    # minimise D(y, z) = const - sum y log z + sum z over ClippedSimplex(0.2, 3)
+    # against every point of a barycentric grid; the fit must beat the grid,
+    # and the grid must come within its Lipschitz resolution of the fit
+    rng = np.random.default_rng(11)
+    eta0, N = 0.2, 400
+    loss = builtin_loss("clipped_simplex_kl", 3, eta0=0.1)
+    cset = ClippedSimplex(eta0, 3)
+    Y = loss.domain.project(rng.dirichlet(np.ones(3), 100))
+    fit = SaturatedTrainer(loss, cset).fit(FixedDesignDataset(None, Y)).values
+    assert np.all(cset.contains_rows(fit, tol=1e-12))
+    G, h = simplex_grid(eta0, 3, N)
+    grid_obj = -(Y @ np.log(G).T)
+    fit_obj = -np.sum(Y * np.log(fit), axis=1)
+    best = np.min(grid_obj, axis=1)
+    lip = np.linalg.norm(Y, axis=1) / eta0
+    assert np.all(fit_obj <= best + 1e-12)
+    assert np.all(fit_obj >= best - lip * h)
+    assert np.max(np.abs(fit - G[np.argmin(grid_obj, axis=1)])) <= 0.05
+
+
+def test_saturated_unsupported_pair_raises():
+    loss = builtin_loss("sqrt_bernoulli", 3, eps0=0.05)
+    trainer = SaturatedTrainer(loss, ClippedSimplex(0.1, 3))
+    with pytest.raises(UnsupportedConfigurationError):
+        trainer.fit(FixedDesignDataset(None, np.full((2, 3), 1.0 / 3.0)))
 
 
 def test_saturated_determinism():
