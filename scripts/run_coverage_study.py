@@ -18,11 +18,11 @@ import time
 from wildbregman.harness import CoverageExperiment, SyntheticSpec, run_coverage
 
 STUDIES = [
-    ("lemma_5_1", {"kind": "saturated"}, 0.4, 0.05, "fixed"),
-    ("thm_6_1_rhat", {"kind": "saturated"}, 0.4, math.exp(-9.0), "fixed"),
-    ("thm_5_1_optimism", {"kind": "linear"}, 10.0, 0.05, "fixed"),
-    ("thm_5_1_excess", {"kind": "linear"}, 10.0, 0.05, "fixed"),
-    ("thm_5_2_excess", {"kind": "linear"}, 10.0, 0.05, "random"),
+    ("lemma_5_1", {"kind": "saturated"}, 0.4, 0.05),
+    ("thm_6_1_rhat", {"kind": "saturated"}, 0.4, math.exp(-9.0)),
+    ("thm_5_1_optimism", {"kind": "linear"}, 10.0, 0.05),
+    ("thm_5_1_excess", {"kind": "linear"}, 10.0, 0.05),
+    ("thm_5_2_excess", {"kind": "linear"}, 10.0, 0.05),
 ]
 
 
@@ -39,8 +39,8 @@ def main():
     print(f"{'guarantee':<18} {'coverage':>9} {'target':>8} {'errors':>6} "
           f"{'time':>7}  result")
     all_pass = True
-    for theorem, trainer, bound, delta, design in STUDIES:
-        spec = SyntheticSpec(n=args.n, d=args.d, design=design, seed=args.seed)
+    for theorem, trainer, bound, delta in STUDIES:
+        spec = SyntheticSpec(n=args.n, d=args.d, seed=args.seed)
         exp = CoverageExperiment(theorem=theorem, reps=args.reps, delta=delta,
                                  spec=spec, trainer=trainer, cset_bound=bound)
         t0 = time.time()

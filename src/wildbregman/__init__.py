@@ -6,10 +6,9 @@ in fixed and random design, plus a synthetic-oracle validation harness.
 """
 
 from .certify import (RiskCertificate, StabilityConstants,
-                      dagger_optimism_oracle, fixed_design_certificate,
-                      oracle_excess_decomposition, random_design_certificate,
-                      random_design_tail, stability_constants,
-                      true_optimism_oracle)
+                      fixed_design_certificate, oracle_excess_decomposition,
+                      random_design_certificate, random_design_tail,
+                      stability_constants, true_optimism_oracle)
 from .complexity import (RadiusReport, ball_sup, convex_class_bracket,
                          deviation_term, fixed_point_radius,
                          pilot_error_oracle, pilot_sup, rhat_bound_convex, wn,
@@ -25,7 +24,7 @@ from .harness import (CoverageExperiment, CoverageReport, OracleContext,
                       run_coverage)
 from .potentials import BregmanLoss, Potential, builtin_loss, builtin_potential
 from .trainers import (LinearPredictor, LinearTrainer, SaturatedTrainer,
-                       check_nonexpansive, fit_linear_class, fit_saturated)
+                       build_model, check_nonexpansive)
 from .wildfit import WildRefitResult, calibrate_rho, wild_optimism, wild_refit
 
 __version__ = "0.1.0"
@@ -37,14 +36,14 @@ __all__ = [
     "Potential", "PredictionMatrix", "RadiusReport", "RejectedInputError",
     "RiskCertificate", "SaturatedTrainer", "SignMatrix", "StabilityConstants",
     "SyntheticSpec", "UnboundedRadiusError", "UnsupportedConfigurationError",
-    "WildRefitResult", "ball_sup", "builtin_loss", "builtin_potential",
-    "calibrate_rho", "check_nonexpansive", "convex_class_bracket",
-    "dagger_optimism_oracle", "deviation_term", "empirical_discrepancy",
-    "fit_linear_class", "fit_saturated", "fixed_design_certificate",
-    "fixed_point_radius", "generate_synthetic", "load_dataset",
-    "oracle_excess_decomposition", "pilot_error_oracle", "pilot_sup",
-    "random_design_certificate", "random_design_tail", "realized_excess_risk",
-    "rhat_bound_convex", "run_coverage", "sample_sign_matrix", "save_dataset",
-    "stability_constants", "true_optimism_oracle", "wild_optimism",
-    "wild_refit", "wn", "wn_tilde_oracle", "zn_eps_oracle",
+    "WildRefitResult", "ball_sup", "build_model", "builtin_loss",
+    "builtin_potential", "calibrate_rho", "check_nonexpansive",
+    "convex_class_bracket", "deviation_term", "empirical_discrepancy",
+    "fixed_design_certificate", "fixed_point_radius", "generate_synthetic",
+    "load_dataset", "oracle_excess_decomposition", "pilot_error_oracle",
+    "pilot_sup", "random_design_certificate", "random_design_tail",
+    "realized_excess_risk", "rhat_bound_convex", "run_coverage",
+    "sample_sign_matrix", "save_dataset", "stability_constants",
+    "true_optimism_oracle", "wild_optimism", "wild_refit", "wn",
+    "wn_tilde_oracle", "zn_eps_oracle",
 ]

@@ -56,21 +56,12 @@ class StabilityConstants:
 def true_optimism_oracle(loss: BregmanLoss, fhat: PredictionMatrix,
                          fstar_preds: PredictionMatrix, W: np.ndarray) -> float:
     """(1/n) sum <gradphi(fstar_i) - gradphi(fhat_i), w_i> (oracle mode)."""
-    return _optimism(loss, fhat, fstar_preds, W)
-
-
-def dagger_optimism_oracle(loss: BregmanLoss, fhat: PredictionMatrix,
-                           fdagger_preds: PredictionMatrix, W: np.ndarray) -> float:
-    """Noiseless-fit counterpart: <gradphi(fdagger_i) - gradphi(fhat_i), w_i>."""
-    return _optimism(loss, fhat, fdagger_preds, W)
-
-
-def _optimism(loss, fhat, ref, W):
     W = np.asarray(W, dtype=float)
-    if W.shape != fhat.values.shape or ref.values.shape != fhat.values.shape:
+    if W.shape != fhat.values.shape or fstar_preds.values.shape != fhat.values.shape:
         raise RejectedInputError("shape mismatch in optimism computation")
     g = loss.potential.gradient
-    return float(np.mean(np.sum((g(ref.values) - g(fhat.values)) * W, axis=-1)))
+    return float(np.mean(np.sum((g(fstar_preds.values) - g(fhat.values)) * W,
+                                axis=-1)))
 
 
 def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,

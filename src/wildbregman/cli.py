@@ -6,7 +6,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -18,10 +17,10 @@ from .complexity import (RadiusReport, fixed_point_radius, rhat_bound_convex,
                          wn)
 from .design import PredictionMatrix, SignMatrix, load_dataset, save_dataset
 from .errors import RejectedInputError
-from .geometry import Box
-from .harness import CoverageExperiment, SyntheticSpec, generate_synthetic, run_coverage
+from .harness import (THEOREMS, CoverageExperiment, SyntheticSpec,
+                      generate_synthetic, run_coverage)
 from .potentials import builtin_loss
-from .trainers import LinearTrainer, SaturatedTrainer
+from .trainers import build_model
 from .wildfit import WildRefitResult, calibrate_rho, wild_optimism, wild_refit
 
 
@@ -32,28 +31,10 @@ def _write_json(path, payload: dict):
 
 
 def _potential_params(args) -> dict:
-    if args.potential == "sqrt_bernoulli":
-        return {"eps0": args.eps0}
-    if args.potential == "clipped_simplex_kl":
-        return {"eta0": args.eta0}
-    return {}
-
-
-def _build_loss(args, d: int):
-    return builtin_loss(args.potential, d, **_potential_params(args))
-
-
-def _build_cset(args, loss, d: int):
-    if args.potential == "clipped_simplex_kl":
-        return loss.domain
-    b = args.cset_bound
-    return Box(np.full(d, -b), np.full(d, b))
-
-
-def _build_trainer(args, loss, cset):
-    if args.trainer == "saturated":
-        return SaturatedTrainer(loss, cset)
-    return LinearTrainer(loss, cset)
+    """The chosen potential's parameters, from its flag."""
+    flag = {"sqrt_bernoulli": "eps0", "clipped_simplex_kl": "eta0"}.get(
+        args.potential)
+    return {flag: getattr(args, flag)} if flag else {}
 
 
 def _add_model_flags(p):
@@ -67,11 +48,10 @@ def _add_model_flags(p):
 
 
 def _cmd_simulate(args) -> int:
-    spec = SyntheticSpec(n=args.n, d=args.d, design=args.design,
-                         fstar_family=args.fstar, fstar_scale=args.fstar_scale,
-                         noise_family=args.noise, noise_scale=args.noise_scale,
-                         p=args.p, seed=args.seed)
-    loss = _build_loss(args, args.d)
+    spec = SyntheticSpec(n=args.n, d=args.d, fstar_family=args.fstar,
+                         fstar_scale=args.fstar_scale, noise_family=args.noise,
+                         noise_scale=args.noise_scale, p=args.p, seed=args.seed)
+    loss = builtin_loss(args.potential, args.d, **_potential_params(args))
     data, oracle = generate_synthetic(spec, loss)
     prefix = Path(args.out)
     save_dataset(prefix, data, seed=args.seed, potential_kind=args.potential)
@@ -114,9 +94,9 @@ def _refit_payload(loss, result: WildRefitResult, args) -> dict:
 
 def _cmd_refit(args) -> int:
     data = load_dataset(args.data)
-    loss = _build_loss(args, data.d)
-    cset = _build_cset(args, loss, data.d)
-    trainer = _build_trainer(args, loss, cset)
+    loss, cset, trainer = build_model(data.d, args.potential,
+                                      _potential_params(args), args.cset_bound,
+                                      {"kind": args.trainer})
     if args.rho is not None:
         result = wild_refit(loss, cset, trainer, data, args.rho, seed=args.seed)
     else:
@@ -133,13 +113,9 @@ def _load_refit(path):
         payload = json.load(fh)
     cfg = payload["config"]
     fhat = PredictionMatrix(np.asarray(payload["fhat"], dtype=float))
-    d = fhat.d
-    loss = builtin_loss(cfg["potential"], d, **cfg["potential_params"])
-    if cfg["potential"] == "clipped_simplex_kl":
-        cset = loss.domain
-    else:
-        b = cfg["cset_bound"]
-        cset = Box(np.full(d, -b), np.full(d, b))
+    loss, cset, _ = build_model(fhat.d, cfg["potential"],
+                                cfg["potential_params"], cfg["cset_bound"],
+                                {"kind": cfg["trainer"]})
     signs = SignMatrix(np.asarray(payload["signs"], dtype=float),
                        seed=payload["sign_seed"])
     result = WildRefitResult(
@@ -200,36 +176,32 @@ def _cmd_certify(args) -> int:
     return 0
 
 
+def _reject_unknown(what: str, keys, cls, set_by_flags: set):
+    unknown = set(keys) - ({f.name for f in dataclasses.fields(cls)}
+                           - set_by_flags)
+    if unknown:
+        raise RejectedInputError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _cmd_validate(args) -> int:
     overrides = {}
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
-    spec_kw = {"n": 200, "d": 2, "seed": args.seed}
-    spec_kw.update(overrides.pop("spec", {}))
-    spec_kw["seed"] = args.seed
-    exp_kw = {"theorem": args.theorem, "reps": args.reps, "delta": args.delta,
-              "spec": SyntheticSpec(**spec_kw)}
-    trainer = overrides.pop("trainer", None)
-    if trainer is not None:
-        exp_kw["trainer"] = trainer
-    for key in ("potential_kind", "potential_params", "cset_bound",
-                "radius_policy", "rhos", "heldout_m", "slack"):
-        if key in overrides:
-            exp_kw[key] = overrides.pop(key)
-            if key == "rhos":
-                exp_kw[key] = tuple(exp_kw[key])
-    if overrides:
-        raise RejectedInputError(f"unknown config keys: {sorted(overrides)}")
-    report = run_coverage(CoverageExperiment(**exp_kw))
+    if not (isinstance(overrides, dict)
+            and isinstance(overrides.get("spec", {}), dict)):
+        raise RejectedInputError("config and its spec must be JSON objects")
+    spec_kw = {"n": 200, "d": 2, **overrides.pop("spec", {})}
+    _reject_unknown("spec", spec_kw, SyntheticSpec, {"seed"})
+    _reject_unknown("config", overrides, CoverageExperiment,
+                    {"theorem", "reps", "delta", "spec"})
+    report = run_coverage(CoverageExperiment(
+        theorem=args.theorem, reps=args.reps, delta=args.delta,
+        spec=SyntheticSpec(**spec_kw, seed=args.seed), **overrides))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "coverage.json", report.to_dict())
     report.write_csv(out / "replications.csv")
-    band = (0.0 if report.theorem == "lemma_5_1" else
-            2.0 * math.sqrt(report.target_coverage
-                            * (1.0 - report.target_coverage)
-                            / max(report.replications, 1)))
     lines = [
         f"theorem: {report.theorem}",
         f"delta: {report.delta}",
@@ -238,7 +210,7 @@ def _cmd_validate(args) -> int:
         f"successes: {report.successes}",
         f"empirical coverage: {report.empirical_coverage:.6f}",
         f"target coverage: {report.target_coverage:.6f}",
-        f"allowed band below target: {band:.6f}",
+        f"allowed band below target: {report.band:.6f}",
         f"result: {'PASS' if report.passed else 'FAIL'}",
     ]
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
@@ -257,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--p", type=int, default=3)
-    p.add_argument("--design", default="fixed", choices=["fixed", "random"])
     p.add_argument("--fstar", default="linear",
                    choices=["constant", "linear", "nonlinear"])
     p.add_argument("--fstar-scale", type=float, default=0.5)
@@ -304,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="Monte Carlo coverage validation")
     p.add_argument("--theorem", required=True,
-                   choices=["lemma_5_1", "thm_5_1_optimism", "thm_5_1_excess",
-                            "thm_6_1_rhat", "thm_5_2_excess"])
+                   choices=THEOREMS)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)

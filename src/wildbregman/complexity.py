@@ -105,8 +105,7 @@ def _inner_argmax(loss, cset):
 
     On a box the row term of a separable potential is unimodal in each
     coordinate with its peak at c - z / lam, so the argmax is the clip.  On
-    the clipped simplex, squared_l2 gives a Euclidean projection (shifted by
-    the row maximum so that a tiny lam keeps its precision) and KL gives
+    the clipped simplex, squared_l2 gives a Euclidean projection and KL gives
     argmax sum_j (lam c_j - z_j) log u_j, the water-filling of A up to scale.
     Any other pair raises UnsupportedConfigurationError.
     """
@@ -114,8 +113,7 @@ def _inner_argmax(loss, cset):
         return "dual_box", cset.project
     kind = loss.potential.kind
     if kind == "squared_l2":
-        return "dual_simplex", lambda A: cset.project(
-            A - np.max(A, axis=1, keepdims=True))
+        return "dual_simplex", cset.project
     if kind == "clipped_simplex_kl":
         return "dual_simplex", lambda A: waterfill(A, cset.eta0)
     raise UnsupportedConfigurationError(

@@ -60,17 +60,21 @@ class Box:
 def _project_simplex(v: np.ndarray, s: float) -> np.ndarray:
     """Euclidean projection of rows of v onto {q >= 0, sum q = s}.
 
-    Standard sorted-threshold construction; O(d log d) per row.
+    Standard sorted-threshold construction; O(d log d) per row, on rows
+    shifted by their maximum (the projection commutes with the shift) so
+    that s is not lost to rounding against entries of large magnitude.
     """
     v = np.atleast_2d(v)
     d = v.shape[1]
-    u = -np.sort(-v, axis=1)
+    u = np.sort(v, axis=1)[:, ::-1]
+    top = u[:, :1]
+    u = u - top
     cssv = np.cumsum(u, axis=1) - s
     ks = np.arange(1, d + 1)
     cond = u - cssv / ks > 0
     rho = d - 1 - np.argmax(cond[:, ::-1], axis=1)
     theta = cssv[np.arange(v.shape[0]), rho] / (rho + 1)
-    return np.clip(v - theta[:, None], 0.0, None)
+    return np.clip(v - top - theta[:, None], 0.0, None)
 
 
 def waterfill(a: np.ndarray, eta0: float) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -22,20 +21,16 @@ from .complexity import (RadiusReport, deviation_term, pilot_error_oracle,
 from .design import (FixedDesignDataset, PredictionMatrix,
                      empirical_discrepancy, sample_sign_matrix)
 from .errors import RejectedInputError
-from .geometry import Box
-from .potentials import BregmanLoss, builtin_loss
-from .trainers import LinearTrainer, SaturatedTrainer
+from .geometry import Box, CompactSet
+from .potentials import BregmanLoss
+from .trainers import LinearTrainer, build_model
 from .wildfit import calibrate_rho, wild_optimism, wild_refit
-
-THEOREMS = ("lemma_5_1", "thm_5_1_optimism", "thm_5_1_excess",
-            "thm_6_1_rhat", "thm_5_2_excess")
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
     n: int
     d: int
-    design: str = "fixed"  # fixed | random (random redraws covariates i.i.d.)
     fstar_family: str = "linear"  # constant | linear | nonlinear
     fstar_scale: float = 0.5
     noise_family: str = "uniform"  # uniform | scaled_rademacher | heteroskedastic
@@ -50,10 +45,6 @@ class OracleContext:
     noise: np.ndarray
     w_inf: float
     fstar_fn: object = None
-    fdagger_preds: PredictionMatrix | None = None
-
-    def with_fdagger(self, preds: PredictionMatrix) -> "OracleContext":
-        return replace(self, fdagger_preds=preds)
 
 
 def _hetero_amplitudes(scale: float, d: int) -> np.ndarray:
@@ -91,8 +82,6 @@ def generate_synthetic(spec: SyntheticSpec,
     """Draw (dataset, oracle context) deterministically from the scenario seed."""
     if spec.n < 1 or spec.d < 1:
         raise RejectedInputError("n and d must be >= 1")
-    if spec.design not in ("fixed", "random"):
-        raise RejectedInputError("design must be 'fixed' or 'random'")
     if loss is not None and not isinstance(loss.domain, Box):
         raise RejectedInputError(
             "synthetic generation supports box-domain losses only")
@@ -133,7 +122,6 @@ class CoverageExperiment:
     potential_kind: str = "squared_l2"
     potential_params: dict = field(default_factory=dict)
     cset_bound: float = 10.0
-    radius_policy: str = "oracle"
     rhos: tuple = (0.25, 0.5, 1.0, 2.0)
     heldout_m: int = 100_000
     slack: float = 1e-8
@@ -148,8 +136,20 @@ class CoverageReport:
     errors: int
     empirical_coverage: float
     target_coverage: float
-    passed: bool
     per_replication: list
+
+    @property
+    def band(self) -> float:
+        """Allowed shortfall below the target: two binomial standard errors
+        over all reps (none for the lemma, whose target is 1)."""
+        t = self.target_coverage
+        return 2.0 * math.sqrt(t * (1.0 - t) / (self.replications + self.errors))
+
+    @property
+    def passed(self) -> bool:
+        """Errored reps count as violations; a run with no success fails."""
+        return (self.successes > 0
+                and self.empirical_coverage >= self.target_coverage - self.band)
 
     def to_dict(self) -> dict:
         return {
@@ -187,22 +187,10 @@ def _target_coverage(theorem: str, delta: float) -> float:
     raise RejectedInputError(f"unknown theorem {theorem!r}")
 
 
-def _build_trainer(desc: dict, loss, cset):
-    kind = desc.get("kind", "saturated")
-    if kind == "saturated":
-        return SaturatedTrainer(loss, cset)
-    if kind == "linear":
-        return LinearTrainer(loss, cset,
-                             max_iters=desc.get("max_iters", 500),
-                             tol=desc.get("tol", 1e-10),
-                             seed=desc.get("seed", 0))
-    raise RejectedInputError(f"unknown trainer kind {kind!r}")
-
-
 @dataclass
 class _RepContext:
     loss: BregmanLoss
-    cset: Box
+    cset: CompactSet
     trainer: object
     data: FixedDesignDataset
     oracle: OracleContext
@@ -311,13 +299,15 @@ _CHECKS = {
     "thm_6_1_rhat": _check_thm_6_1,
     "thm_5_2_excess": _check_thm_5_2,
 }
+THEOREMS = tuple(_CHECKS)
 
 
 def run_coverage(exp: CoverageExperiment) -> CoverageReport:
     """Replicate the pipeline and record per-draw bound checks.
 
-    Replications that error are reported separately and never counted as
-    bound violations.
+    Replications that error are reported separately and count as bound
+    violations: coverage is successes over all reps, so a run cannot pass
+    because its replications crashed.
     """
     if exp.reps < 1:
         raise RejectedInputError("reps must be >= 1")
@@ -326,6 +316,9 @@ def run_coverage(exp: CoverageExperiment) -> CoverageReport:
     if exp.theorem != "lemma_5_1" and exp.reps < 100:
         raise RejectedInputError("probabilistic checks need reps >= 100")
     check = _CHECKS[exp.theorem]
+    loss, cset, trainer = build_model(exp.spec.d, exp.potential_kind,
+                                      exp.potential_params, exp.cset_bound,
+                                      exp.trainer)
     records = []
     for rep in range(exp.reps):
         ss = np.random.SeedSequence(entropy=exp.spec.seed, spawn_key=(rep,))
@@ -333,34 +326,22 @@ def run_coverage(exp: CoverageExperiment) -> CoverageReport:
         rec = {"rep": rep, "seed": s_data, "lhs": None, "rhs": None,
                "holds": None, "error": None}
         try:
-            spec_rep = replace(exp.spec, seed=s_data)
-            loss = builtin_loss(exp.potential_kind, exp.spec.d,
-                                **exp.potential_params)
-            cset = Box(np.full(exp.spec.d, -exp.cset_bound),
-                       np.full(exp.spec.d, exp.cset_bound))
-            trainer = _build_trainer(exp.trainer, loss, cset)
-            data, oracle = generate_synthetic(spec_rep, loss)
+            data, oracle = generate_synthetic(replace(exp.spec, seed=s_data),
+                                              loss)
             ctx = _RepContext(loss=loss, cset=cset, trainer=trainer, data=data,
                               oracle=oracle, delta=exp.delta, sign_seed=s_signs,
                               heldout_seed=s_held, exp=exp, rep=rep)
             lhs, rhs, holds = check(ctx)
             rec.update(lhs=float(lhs), rhs=float(rhs), holds=bool(holds))
-        except Exception as err:  # error isolation: never a bound violation
+        except Exception as err:  # isolated, and counted as a violation
             rec["error"] = f"{type(err).__name__}: {err}"
         records.append(rec)
-    records.sort(key=lambda r: r["rep"])
-    completed = [r for r in records if r["error"] is None]
-    successes = sum(1 for r in completed if r["holds"])
-    n_done = len(completed)
-    coverage = successes / n_done if n_done else 0.0
-    target = _target_coverage(exp.theorem, exp.delta)
-    if exp.theorem == "lemma_5_1":
-        passed = n_done == exp.reps and successes == n_done
-    else:
-        band = 2.0 * math.sqrt(target * (1.0 - target) / max(n_done, 1))
-        passed = n_done > 0 and coverage >= target - band
+    n_done = sum(r["error"] is None for r in records)
+    successes = sum(bool(r["holds"]) for r in records)
     return CoverageReport(theorem=exp.theorem, delta=exp.delta,
                           replications=n_done, successes=successes,
                           errors=exp.reps - n_done,
-                          empirical_coverage=coverage, target_coverage=target,
-                          passed=passed, per_replication=records)
+                          empirical_coverage=successes / exp.reps,
+                          target_coverage=_target_coverage(exp.theorem,
+                                                           exp.delta),
+                          per_replication=records)

@@ -16,7 +16,7 @@ from .design import FixedDesignDataset, PredictionMatrix
 from .errors import (ConvergenceError, RejectedInputError,
                      UnsupportedConfigurationError)
 from .geometry import Box, CompactSet, waterfill
-from .potentials import BregmanLoss
+from .potentials import BregmanLoss, builtin_loss
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,6 @@ class SaturatedTrainer:
     loss: BregmanLoss
     cset: CompactSet
 
-    @property
-    def descriptor(self) -> dict:
-        return {"kind": "saturated"}
-
     def fit(self, data: FixedDesignDataset) -> PredictionMatrix:
         Y = data.responses
         kind = self.loss.potential.kind
@@ -47,11 +43,6 @@ class SaturatedTrainer:
             return PredictionMatrix(waterfill(Y, self.cset.eta0))
         raise UnsupportedConfigurationError(
             f"no closed-form saturated fit for {kind} on {type(self.cset).__name__}")
-
-
-def fit_saturated(loss: BregmanLoss, cset: CompactSet,
-                  data: FixedDesignDataset) -> PredictionMatrix:
-    return SaturatedTrainer(loss, cset).fit(data)
 
 
 @dataclass(frozen=True)
@@ -80,12 +71,6 @@ class LinearTrainer:
     cset: CompactSet
     max_iters: int = 500
     tol: float = 1e-10
-    seed: int = 0
-
-    @property
-    def descriptor(self) -> dict:
-        return {"kind": "linear", "max_iters": self.max_iters,
-                "tol": self.tol, "seed": self.seed}
 
     def _domain_clip(self, Z: np.ndarray) -> np.ndarray:
         return self.loss.domain.project(Z)
@@ -139,10 +124,29 @@ class LinearTrainer:
         return PredictionMatrix(self.cset.project(Xa @ theta))
 
 
-def fit_linear_class(loss: BregmanLoss, cset: CompactSet, data: FixedDesignDataset,
-                     *, max_iters: int = 500, tol: float = 1e-10,
-                     seed: int = 0) -> PredictionMatrix:
-    return LinearTrainer(loss, cset, max_iters=max_iters, tol=tol, seed=seed).fit(data)
+_TRAINERS = {"saturated": (SaturatedTrainer, set()),
+             "linear": (LinearTrainer, {"max_iters", "tol"})}
+
+
+def build_model(d: int, potential: str, potential_params: dict,
+                cset_bound: float, trainer: dict):
+    """(loss, compact set, trainer) for a model description.
+
+    The set is the loss domain for clipped_simplex_kl and the box
+    [-cset_bound, cset_bound]^d otherwise.  trainer is a descriptor dict:
+    {"kind": "saturated"}, or {"kind": "linear"} with optional max_iters and
+    tol; any other kind or key raises RejectedInputError.
+    """
+    loss = builtin_loss(potential, d, **potential_params)
+    cset = (loss.domain if potential == "clipped_simplex_kl" else
+            Box(np.full(d, -cset_bound), np.full(d, cset_bound)))
+    options = dict(trainer)
+    kind = options.pop("kind", "saturated")
+    if kind not in _TRAINERS or not set(options) <= _TRAINERS[kind][1]:
+        raise RejectedInputError(
+            f"bad trainer descriptor {trainer!r}: the kinds are 'saturated', "
+            "and 'linear' with optional max_iters and tol")
+    return loss, cset, _TRAINERS[kind][0](loss, cset, **options)
 
 
 def check_nonexpansive(loss: BregmanLoss, trainer, fstar_preds: PredictionMatrix,

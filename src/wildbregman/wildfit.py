@@ -18,6 +18,11 @@ from .errors import CalibrationError, RejectedInputError
 from .geometry import CompactSet
 from .potentials import BregmanLoss
 
+# calibrate_rho's relative radius tolerance, rho floor and bisection budget
+_TOL_REL = 1e-3
+_RHO_LO = 1e-8
+_MAX_BISECT = 200
+
 
 @dataclass(frozen=True)
 class WildRefitResult:
@@ -47,35 +52,33 @@ def _refit_stage(trainer, data, stage):
         raise
 
 
-def _wild_responses(loss, fhat_values, residues, signs, rho, clip):
-    Y_wild = fhat_values - rho * signs.values * residues
+def _wild_result(loss, trainer, data, fhat, signs, rho) -> WildRefitResult:
+    """Build the wild responses at noise scale rho and refit on them.
+
+    squared_l2 lives on a large box; restricted-domain potentials need their
+    wild responses pulled back inside, and the pulled-back rows are counted.
+    """
+    residues = data.responses - fhat.values
+    Y_wild = fhat.values - rho * signs.values * residues
     clip_count = 0
-    if clip:
+    if loss.potential.kind != "squared_l2":
         projected = loss.domain.project(Y_wild)
         clip_count = int(np.sum(np.any(projected != Y_wild, axis=1)))
         Y_wild = projected
-    return Y_wild, clip_count
+    fdiamond = _refit_stage(trainer, data.with_responses(Y_wild), "refit")
+    return WildRefitResult(fhat=fhat, fdiamond=fdiamond, wild_responses=Y_wild,
+                           residues=residues, signs=signs, rho=float(rho),
+                           clip_count=clip_count)
 
 
 def wild_refit(loss: BregmanLoss, cset: CompactSet, trainer,
-               data: FixedDesignDataset, rho: float, seed: int,
-               clip_responses: bool | None = None) -> WildRefitResult:
+               data: FixedDesignDataset, rho: float, seed: int) -> WildRefitResult:
     """Run the full wild-refitting procedure at noise scale rho."""
     if rho <= 0:
         raise RejectedInputError("rho must be > 0")
     fhat = _refit_stage(trainer, data, "initial fit")
     signs = sample_sign_matrix(data.n, data.d, seed)
-    residues = data.responses - fhat.values
-    if clip_responses is None:
-        # squared_l2 lives on a large box; restricted-domain potentials
-        # need their wild responses pulled back inside
-        clip_responses = loss.potential.kind != "squared_l2"
-    Y_wild, clip_count = _wild_responses(loss, fhat.values, residues, signs,
-                                         rho, clip_responses)
-    fdiamond = _refit_stage(trainer, data.with_responses(Y_wild), "refit")
-    return WildRefitResult(fhat=fhat, fdiamond=fdiamond, wild_responses=Y_wild,
-                           residues=residues, signs=signs, rho=float(rho),
-                           clip_count=clip_count)
+    return _wild_result(loss, trainer, data, fhat, signs, rho)
 
 
 def wild_optimism(loss: BregmanLoss, result: WildRefitResult) -> float:
@@ -97,34 +100,24 @@ def wild_optimism(loss: BregmanLoss, result: WildRefitResult) -> float:
 
 def calibrate_rho(loss: BregmanLoss, cset: CompactSet, trainer,
                   data: FixedDesignDataset, target_radius: float, *,
-                  tol_rel: float = 1e-3, rho_lo: float = 1e-8,
-                  rho_hi: float = 1e8, max_bisect: int = 200,
-                  seed: int = 0, clip_responses: bool | None = None) -> dict:
+                  rho_hi: float = 1e8, seed: int = 0) -> dict:
     """Find rho with sqrt L_n(fhat, fdiamond_rho) ~= target_radius.
 
     One sign draw is reused for every candidate rho, so the radius map is
     deterministic.  Bracket by doubling, then bisect; a log-grid scan is the
-    fallback when the map turns out non-monotone on the bracket.
+    fallback when the map turns out non-monotone on the bracket.  The
+    returned result is the one wild_refit gives at the returned rho.
     """
     if target_radius <= 0:
         raise RejectedInputError("target_radius must be > 0")
     fhat = _refit_stage(trainer, data, "initial fit")
     signs = sample_sign_matrix(data.n, data.d, seed)
-    residues = data.responses - fhat.values
-    if clip_responses is None:
-        clip_responses = loss.potential.kind != "squared_l2"
 
     cache: dict[float, WildRefitResult] = {}
 
     def refit_at(rho: float) -> WildRefitResult:
         if rho not in cache:
-            Y_wild, clip_count = _wild_responses(loss, fhat.values, residues,
-                                                 signs, rho, clip_responses)
-            fdiamond = _refit_stage(trainer, data.with_responses(Y_wild), "refit")
-            cache[rho] = WildRefitResult(fhat=fhat, fdiamond=fdiamond,
-                                         wild_responses=Y_wild, residues=residues,
-                                         signs=signs, rho=float(rho),
-                                         clip_count=clip_count)
+            cache[rho] = _wild_result(loss, trainer, data, fhat, signs, rho)
         return cache[rho]
 
     trace: list[tuple[float, float]] = []
@@ -139,9 +132,9 @@ def calibrate_rho(loss: BregmanLoss, cset: CompactSet, trainer,
                 "trace": list(trace)}
 
     # bracket the target by doubling / halving from 1
-    lo = hi = min(max(1.0, rho_lo), rho_hi)
+    lo = hi = min(max(1.0, _RHO_LO), rho_hi)
     r = radius_at(lo)
-    if abs(r - target_radius) <= tol_rel * target_radius:
+    if abs(r - target_radius) <= _TOL_REL * target_radius:
         return finish(lo, r)
     if r < target_radius:
         while r < target_radius:
@@ -153,17 +146,17 @@ def calibrate_rho(loss: BregmanLoss, cset: CompactSet, trainer,
         lo = hi / 2.0
     else:
         while r > target_radius:
-            if lo <= rho_lo:
+            if lo <= _RHO_LO:
                 raise CalibrationError("target radius not bracketed above rho_lo",
                                        trace=trace)
-            lo = max(lo / 2.0, rho_lo)
+            lo = max(lo / 2.0, _RHO_LO)
             r = radius_at(lo)
         hi = lo * 2.0
 
-    for _ in range(max_bisect):
+    for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         r = radius_at(mid)
-        if abs(r - target_radius) <= tol_rel * target_radius:
+        if abs(r - target_radius) <= _TOL_REL * target_radius:
             return finish(mid, r)
         if r < target_radius:
             lo = mid
@@ -171,10 +164,10 @@ def calibrate_rho(loss: BregmanLoss, cset: CompactSet, trainer,
             hi = mid
 
     # non-monotone radius map: fall back to a log-spaced scan
-    grid = np.geomspace(max(lo / 4.0, rho_lo), min(hi * 4.0, rho_hi), 200)
+    grid = np.geomspace(max(lo / 4.0, _RHO_LO), min(hi * 4.0, rho_hi), 200)
     radii = np.array([radius_at(g) for g in grid])
     k = int(np.argmin(np.abs(radii - target_radius)))
-    if abs(radii[k] - target_radius) <= tol_rel * target_radius:
+    if abs(radii[k] - target_radius) <= _TOL_REL * target_radius:
         return finish(float(grid[k]), float(radii[k]))
     raise CalibrationError(
         f"calibration failed: best |achieved-target|/target = "

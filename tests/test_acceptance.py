@@ -232,7 +232,7 @@ def test_criterion_08_theorem_52_assembly_and_coverage():
     # coverage with a large held-out oracle sample
     exp = CoverageExperiment(
         theorem="thm_5_2_excess", reps=300, delta=0.05,
-        spec=SyntheticSpec(n=200, d=2, seed=809, design="random"),
+        spec=SyntheticSpec(n=200, d=2, seed=809),
         trainer={"kind": "linear"}, heldout_m=100_000)
     rep = run_coverage(exp)
     target = 1.0 - 11.0 * 0.05

@@ -115,8 +115,17 @@ def test_validate_byte_deterministic(tmp_path):
 
 
 def test_validate_unknown_config_key(tmp_path):
+    # keys of no experiment field, of a deleted field, or set by a flag,
+    # trainer descriptors with a key their kind does not take, and a spec
+    # that is not an object
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    code = run(["validate", "--theorem", "lemma_5_1", "--reps", 5,
-                "--delta", 0.05, "--config", cfg, "--out", tmp_path / "x"])
-    assert code == 2
+    for config in ({"bogus": 1}, {"radius_policy": "oracle"},
+                   {"spec": {"design": "random"}}, {"spec": {"bogus": 1}},
+                   {"spec": {"seed": 3}}, {"reps": 5},
+                   {"trainer": {"kind": "linear", "max_iter": 5}},
+                   {"trainer": {"kind": "saturated", "max_iters": 5}},
+                   {"spec": [50, 2]}):
+        cfg.write_text(json.dumps(config))
+        code = run(["validate", "--theorem", "lemma_5_1", "--reps", 5,
+                    "--delta", 0.05, "--config", cfg, "--out", tmp_path / "x"])
+        assert code == 2, config

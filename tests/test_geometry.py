@@ -60,6 +60,16 @@ def test_simplex_projection_matches_brute_force_2d():
         assert np.allclose(cs.project(z), best, atol=1e-4)
 
 
+@pytest.mark.parametrize("scale", [1e15, 1e17, 1e300])
+def test_simplex_projection_of_huge_rows(scale):
+    # a single dominant coordinate: the projection is the vertex at it, and
+    # the set's mass must not be lost to rounding against the row's scale
+    cs = ClippedSimplex(eta0=0.1, dim=3)
+    q = cs.project(np.array([[1.0, -1.0, 0.5], [-1.0, 0.5, 1.0]]) * scale)
+    assert np.all(cs.contains_rows(q, tol=1e-15))
+    assert np.allclose(q, [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]], rtol=0, atol=1e-15)
+
+
 def test_waterfill_matches_brute_force_2d():
     # argmax a1 log t + a2 log(1 - t) on the segment, with rows of mixed
     # sign, rows with no positive entry (a vertex) and rows with a zero

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wildbregman import harness
 from wildbregman.errors import RejectedInputError
 from wildbregman.harness import (CoverageExperiment, SyntheticSpec,
                                  generate_synthetic, realized_excess_risk,
@@ -157,3 +158,24 @@ def test_coverage_report_csv_roundtrip(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "rep,seed,lhs,rhs,holds,error"
     assert len(lines) == 6
+
+
+def test_run_coverage_counts_errors_as_violations(monkeypatch):
+    # a check that holds on every rep it completes but errors on 90% of reps
+    # must not pass: coverage is taken over all reps
+    def check(ctx):
+        if ctx.rep % 10:
+            raise RuntimeError("injected")
+        return 0.0, 1.0, True
+
+    monkeypatch.setitem(harness._CHECKS, "thm_6_1_rhat", check)
+    exp = CoverageExperiment(theorem="thm_6_1_rhat", reps=200, delta=0.01,
+                             spec=SyntheticSpec(n=20, d=1, seed=1))
+    report = run_coverage(exp)
+    assert (report.replications, report.errors, report.successes) == (20, 180, 20)
+    assert report.empirical_coverage == pytest.approx(0.1)
+    assert not report.passed
+
+    monkeypatch.setitem(harness._CHECKS, "thm_6_1_rhat",
+                        lambda ctx: (0.0, 1.0, True))
+    assert run_coverage(exp).passed

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from wildbregman.design import FixedDesignDataset, PredictionMatrix
-from wildbregman.errors import UnsupportedConfigurationError
+from wildbregman.errors import (RejectedInputError,
+                                UnsupportedConfigurationError)
 from wildbregman.geometry import Box, ClippedSimplex
 from wildbregman.potentials import builtin_loss
 from wildbregman.trainers import (LinearTrainer, SaturatedTrainer,
-                                  check_nonexpansive, fit_linear_class,
-                                  fit_saturated)
+                                  build_model, check_nonexpansive)
 
 from conftest import simplex_grid
 
@@ -19,14 +19,14 @@ def box(d, b):
 def test_saturated_interior_returns_responses():
     loss = builtin_loss("squared_l2", 2)
     data = FixedDesignDataset(None, np.array([[0.5, -0.5], [1.0, 2.0]]))
-    fit = fit_saturated(loss, box(2, 10.0), data)
+    fit = SaturatedTrainer(loss, box(2, 10.0)).fit(data)
     assert np.array_equal(fit.values, data.responses)
 
 
 def test_saturated_squared_l2_clamps():
     loss = builtin_loss("squared_l2", 1)
     data = FixedDesignDataset(None, np.array([[1.5], [-0.2], [0.3]]))
-    fit = fit_saturated(loss, Box(np.array([0.0]), np.array([1.0])), data)
+    fit = SaturatedTrainer(loss, Box(np.array([0.0]), np.array([1.0]))).fit(data)
     assert np.allclose(fit.values, [[1.0], [0.0], [0.3]])
 
 
@@ -36,7 +36,7 @@ def test_saturated_sqrt_bernoulli_boundary():
     loss = builtin_loss("sqrt_bernoulli", 1, eps0=0.05)
     data = FixedDesignDataset(None, np.array([[0.1]]))
     cset = Box(np.array([0.2]), np.array([0.8]))
-    fit = fit_saturated(loss, cset, data)
+    fit = SaturatedTrainer(loss, cset).fit(data)
     grid = np.linspace(0.2, 0.8, 60001)
     vals = [loss.divergence([0.1], [g]) for g in grid]
     best = grid[int(np.argmin(vals))]
@@ -48,7 +48,7 @@ def test_saturated_kl_projects_onto_clipped_simplex():
     loss = builtin_loss("clipped_simplex_kl", 2, eta0=0.1)
     cset = loss.domain
     data = FixedDesignDataset(None, np.array([[0.5, 0.5], [0.15, 0.85]]))
-    fit = fit_saturated(loss, cset, data)
+    fit = SaturatedTrainer(loss, cset).fit(data)
     assert np.all(cset.contains_rows(fit.values))
     # interior rows are fixed points
     assert np.allclose(fit.values, data.responses, atol=1e-8)
@@ -104,8 +104,8 @@ def test_saturated_determinism():
     loss = builtin_loss("squared_l2", 2)
     data = FixedDesignDataset(None, np.random.default_rng(0).normal(size=(20, 2)))
     cset = box(2, 0.5)
-    a = fit_saturated(loss, cset, data).values
-    b = fit_saturated(loss, cset, data).values
+    a = SaturatedTrainer(loss, cset).fit(data).values
+    b = SaturatedTrainer(loss, cset).fit(data).values
     assert np.array_equal(a, b)
 
 
@@ -116,7 +116,7 @@ def test_linear_recovers_realizable_data():
     theta = rng.normal(size=(3, 2))
     Y = X @ theta + 0.3
     data = FixedDesignDataset(X, Y)
-    fit = fit_linear_class(loss, box(2, 50.0), data)
+    fit = LinearTrainer(loss, box(2, 50.0)).fit(data)
     train_loss = float(np.mean(loss.divergence_rows(Y, fit.values)))
     assert train_loss <= 1e-8
 
@@ -125,7 +125,7 @@ def test_linear_zero_features_gives_mean():
     loss = builtin_loss("squared_l2", 1)
     X = np.zeros((5, 1))
     Y = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
-    fit = fit_linear_class(loss, box(1, 50.0), FixedDesignDataset(X, Y))
+    fit = LinearTrainer(loss, box(1, 50.0)).fit(FixedDesignDataset(X, Y))
     assert np.allclose(fit.values, 3.0, atol=1e-5)
 
 
@@ -199,3 +199,27 @@ def test_linear_nonexpansive_diagnostic_reports(rng):
     out = check_nonexpansive(loss, trainer, F, U, inputs=X)
     assert set(out) == {"lhs", "rhs", "holds"}
     assert isinstance(out["holds"], bool)
+
+
+def test_build_model_sets_and_trainers():
+    loss, cset, trainer = build_model(2, "squared_l2", {}, 3.0,
+                                      {"kind": "linear", "max_iters": 7})
+    assert isinstance(cset, Box) and np.array_equal(cset.hi, [3.0, 3.0])
+    assert isinstance(trainer, LinearTrainer)
+    assert (trainer.loss, trainer.cset, trainer.max_iters) == (loss, cset, 7)
+    loss, cset, trainer = build_model(3, "clipped_simplex_kl", {"eta0": 0.1},
+                                      3.0, {"kind": "saturated"})
+    assert cset is loss.domain
+    assert isinstance(trainer, SaturatedTrainer) and trainer.cset is cset
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "saturated", "max_iters": 5, "bogus": 1},
+    {"kind": "saturated", "tol": 1e-8},
+    {"kind": "linear", "max_iter": 5},
+    {"kind": "linear", "seed": 0},
+    {"kind": "ridge"},
+])
+def test_build_model_rejects_bad_trainer_descriptor(desc):
+    with pytest.raises(RejectedInputError):
+        build_model(2, "squared_l2", {}, 10.0, desc)

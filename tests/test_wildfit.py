@@ -161,3 +161,33 @@ def test_calibrate_analytic_rho_saturated(rng):
     target = 0.05
     out = calibrate_rho(loss, cset, trainer, data, target, seed=6)
     assert out["rho"] == pytest.approx(target / c, rel=1e-3)
+
+
+def _assert_same_result(a, b):
+    assert a.rho == b.rho and a.clip_count == b.clip_count
+    assert a.signs.seed == b.signs.seed
+    for name in ("fhat", "fdiamond", "signs"):
+        assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
+    assert np.array_equal(a.wild_responses, b.wild_responses)
+    assert np.array_equal(a.residues, b.residues)
+
+
+def test_calibrated_result_is_wild_refit_at_rho(rng):
+    # squared_l2 on a truncating box (no clipping) and sqrt_bernoulli pushed
+    # out of its domain (clipped wild responses): calibration's result must
+    # be the wild refit at the rho it returns, bit for bit
+    loss, cset, trainer, data = clamped_instance(rng, n=60)
+    target = 0.8 * wild_refit(loss, cset, trainer, data, 1.0, seed=4).radius(loss)
+    out = calibrate_rho(loss, cset, trainer, data, target, seed=4)
+    _assert_same_result(out["result"],
+                        wild_refit(loss, cset, trainer, data, out["rho"], seed=4))
+
+    loss = builtin_loss("sqrt_bernoulli", 1, eps0=0.1)
+    cset = Box(np.array([0.3]), np.array([0.7]))
+    trainer = SaturatedTrainer(loss, cset)
+    data = FixedDesignDataset(None, rng.uniform(0.1, 0.9, size=(40, 1)))
+    target = wild_refit(loss, cset, trainer, data, 20.0, seed=8).radius(loss)
+    out = calibrate_rho(loss, cset, trainer, data, target, seed=8)
+    assert out["result"].clip_count > 0
+    _assert_same_result(out["result"],
+                        wild_refit(loss, cset, trainer, data, out["rho"], seed=8))
