@@ -11,8 +11,7 @@ from .certify import (RiskCertificate, StabilityConstants,
                       stability_constants, true_optimism_oracle)
 from .complexity import (RadiusReport, ball_sup, convex_class_bracket,
                          deviation_term, fixed_point_radius,
-                         pilot_error_oracle, pilot_sup, rhat_bound_convex, wn,
-                         wn_tilde_oracle, zn_eps_oracle)
+                         pilot_error_oracle, pilot_sup, rhat_bound_convex, wn)
 from .design import (FixedDesignDataset, PredictionMatrix, SignMatrix,
                      empirical_discrepancy, load_dataset, sample_sign_matrix,
                      save_dataset)
@@ -45,5 +44,4 @@ __all__ = [
     "realized_excess_risk", "rhat_bound_convex", "run_coverage",
     "sample_sign_matrix", "save_dataset", "stability_constants",
     "true_optimism_oracle", "wild_optimism", "wild_refit", "wn",
-    "wn_tilde_oracle", "zn_eps_oracle",
 ]

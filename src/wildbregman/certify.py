@@ -68,8 +68,7 @@ def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
                              radius: RadiusReport, delta: float, pilot: float,
                              misspec: float, w_inf: float, *,
                              responses: np.ndarray,
-                             calibration_tol: float = 5e-3,
-                             provenance: dict | None = None) -> RiskCertificate:
+                             calibration_tol: float = 5e-3) -> RiskCertificate:
     """Fixed-design certificate: training error + 2 (|wild optimism| + pilot
     + deviation), valid with probability 1 - 8 delta when calibrated."""
     if not 0 < delta < 1.0 / 8.0:
@@ -89,7 +88,6 @@ def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
     total = training + 2.0 * (opt_abs + pilot + dev)
     prov = {"radius_method": radius.method, "misspec": misspec, "w_inf": w_inf,
             "t_substitution": "t = sqrt(log(1/delta))"}
-    prov.update(provenance or {})
     return RiskCertificate(training_error=training, wild_optimism_abs=opt_abs,
                            pilot=pilot, deviation=dev, stability_addend=0.0,
                            total=total, delta=delta, failure_budget=8.0 * delta,

@@ -16,7 +16,8 @@ from .certify import (fixed_design_certificate, random_design_certificate,
 from .complexity import (RadiusReport, fixed_point_radius, rhat_bound_convex,
                          wn)
 from .design import PredictionMatrix, SignMatrix, load_dataset, save_dataset
-from .errors import RejectedInputError
+from .errors import (CalibrationError, ConvergenceError, RejectedInputError,
+                     UnboundedRadiusError, UnsupportedConfigurationError)
 from .harness import (THEOREMS, CoverageExperiment, SyntheticSpec,
                       generate_synthetic, run_coverage)
 from .potentials import builtin_loss
@@ -287,12 +288,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Exit codes: 0 success, 1 a coverage check that
+    fails, 2 input or a configuration the package refuses, 3 a solve that
+    finds no answer (no radius, no calibration, no convergence)."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RejectedInputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    except (RejectedInputError, UnsupportedConfigurationError) as err:
+        return _error(err, 2)
+    except (UnboundedRadiusError, CalibrationError, ConvergenceError) as err:
+        return _error(err, 3)
+
+
+def _error(err: Exception, code: int) -> int:
+    print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

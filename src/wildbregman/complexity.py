@@ -2,10 +2,9 @@
 
 The central object is the supremum, over predictors within a Bregman ball
 around a center, of the averaged inner product between the loss gradient
-and a fixed perturbation matrix.  For the squared-Euclidean potential with
-the optimizer interior to the box, the supremum has a Cauchy-Schwarz closed
-form; otherwise a Lagrangian dual reports a certified upper bound and its
-duality gap.
+and a fixed perturbation matrix.  For the squared-Euclidean potential on a
+box the supremum has a sorted-threshold closed form; otherwise a Lagrangian
+dual reports a certified upper bound and its duality gap.
 """
 
 from __future__ import annotations
@@ -50,53 +49,43 @@ def _ball_value(loss: BregmanLoss, center: np.ndarray, U: np.ndarray) -> float:
     return float(np.mean(loss._div_raw(center, U)))
 
 
-def _sup_closed_form_sql2(cset, center, Z, r):
-    """Exact supremum for squared_l2 when the optimizer stays in the box."""
-    zf = float(np.linalg.norm(Z))
-    if zf == 0.0 or r == 0.0:
-        return 0.0
-    n = center.shape[0]
-    U_opt = center - math.sqrt(2.0 * n) * r * Z / zf
-    if not np.all(cset.contains_rows(U_opt)):
-        return None
-    return r * math.sqrt(2.0 / n) * zf
+def _sup_box_sql2(cset, center, Z, r):
+    """Exact supremum for squared_l2 over box-and-ball, in closed form.
 
-
-def _sup_box_sql2_qp(cset, center, Z, r):
-    """Exact supremum for squared_l2 over box-and-ball, boundary case included.
-
-    In V = C - U the problem is max <V, Z> over the shifted box with
-    ||V||_F^2 <= 2 n r^2; the Lagrangian solution V(mu) = clip(Z/mu, box) has
-    a norm monotone in mu, so the multiplier is found by bisection.
+    In V = C - U the problem is max <V, Z>/n over the shifted box with
+    ||V||_F^2 <= cap = 2 n r^2.  Its KKT point has |v| = min(|z|/mu, e) with
+    the sign of z, e the room from c to the box face that u = c - v moves
+    toward, so the entries clipped at e are those whose saturation
+    multiplier t = |z|/e is at least mu.  With t sorted descending, clipping
+    the first k uses sum_k e^2 of the ball and leaves
+    mu = sqrt(sum_rest z^2 / (cap - sum_k e^2)); the ball norm at mu = t_k
+    grows with k, and k is the last count for which it is within cap
+    (sorted thresholds as in `_project_simplex`).  k = 0 is the
+    Cauchy-Schwarz value r sqrt(2/n) ||Z||; k = all, the box corner.
     """
+    if not np.all(cset.contains_rows(center)):
+        raise RejectedInputError("center rows must lie in the box")
     n = center.shape[0]
-    lo_e, hi_e = center - cset.hi, center - cset.lo
     cap = 2.0 * n * r * r
-    V0 = np.where(Z > 0, hi_e, np.where(Z < 0, lo_e, 0.0))
-    if float(np.sum(V0 * V0)) <= cap:
-        return float(np.sum(V0 * Z)) / n
-
-    def clipped(mu):
-        return np.clip(Z / mu, lo_e, hi_e)
-
-    mu_hi = float(np.linalg.norm(Z)) / math.sqrt(cap)
-    mu_lo = mu_hi
-    for _ in range(200):
-        mu_lo *= 0.5
-        if float(np.sum(clipped(mu_lo) ** 2)) > cap:
-            break
-    for _ in range(100):
-        mid = 0.5 * (mu_lo + mu_hi)
-        if float(np.sum(clipped(mid) ** 2)) > cap:
-            mu_lo = mid
-        else:
-            mu_hi = mid
-    V = clipped(mu_hi)
-    nv = float(np.linalg.norm(V))
-    if nv > 0:
-        V = V * (math.sqrt(cap) / nv)
-        V = np.clip(V, lo_e, hi_e)
-    return float(np.sum(V * Z)) / n
+    nz = Z != 0
+    a = np.abs(Z[nz])
+    e = np.where(Z > 0, center - cset.lo, cset.hi - center)[nz]
+    with np.errstate(divide="ignore"):
+        t = a / e  # a center already on that face gives inf: clipped at 0
+    z2 = a * a
+    total = float(np.sum(z2))
+    # no entry saturates before the unclipped multiplier: k = 0, no sort
+    if float(np.max(t)) <= math.sqrt(total / cap):
+        return math.sqrt(total * cap) / n
+    order = np.argsort(-t)
+    t, a, e, z2 = t[order], a[order], e[order], z2[order]
+    # index k: the first k entries clipped
+    e2 = np.concatenate(([0.0], np.cumsum(e * e)))
+    ez = np.concatenate(([0.0], np.cumsum(e * a)))
+    rest = np.concatenate((np.cumsum(z2[::-1])[::-1], [0.0]))
+    fits = e2[1:] + rest[1:] / (t * t) <= cap
+    k = t.size if fits[-1] else int(np.argmin(fits))
+    return (float(ez[k]) + math.sqrt(rest[k] * (cap - e2[k]))) / n
 
 
 def _inner_argmax(loss, cset):
@@ -184,11 +173,11 @@ def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
     """sup over {U : rows in cset, L_n(center, U) <= r^2} of the averaged
     gradient-perturbation inner product (1/n) sum <gradphi(c_i)-gradphi(u_i), z_i>.
 
-    squared_l2 on a box is solved in closed form or as a box QP; every other
-    supported (potential, set) pair by its Lagrangian dual, whose value is an
-    upper bound and whose `gap` in `full_output` bounds the distance to the
-    supremum.  A pair with no exact inner argmax raises
-    UnsupportedConfigurationError.
+    squared_l2 on a box is solved in closed form, and a center row outside
+    the box raises RejectedInputError; every other supported (potential, set)
+    pair by its Lagrangian dual, whose value is an upper bound and whose
+    `gap` in `full_output` bounds the distance to the supremum.  A pair with
+    no exact inner argmax raises UnsupportedConfigurationError.
     """
     if r < 0:
         raise RejectedInputError("radius must be >= 0")
@@ -199,10 +188,7 @@ def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
     if r == 0.0 or not np.any(Z):
         val, info = 0.0, {"method": "trivial"}
     elif loss.potential.kind == "squared_l2" and isinstance(cset, Box):
-        val = _sup_closed_form_sql2(cset, C, Z, r)
-        info = {"method": "closed_form"}
-        if val is None:
-            val, info = _sup_box_sql2_qp(cset, C, Z, r), {"method": "box_qp"}
+        val, info = _sup_box_sql2(cset, C, Z, r), {"method": "closed_form"}
     else:
         val, info, _ = _sup_dual(loss, cset, C, Z, r)
     return (val, info) if full_output else val
@@ -212,20 +198,6 @@ def wn(loss: BregmanLoss, cset: CompactSet, fhat: PredictionMatrix,
        Z: np.ndarray, r: float, **kw):
     """Wild noise complexity at radius r, with Z = eps (.) residues."""
     return ball_sup(loss, cset, fhat, Z, r, **kw)
-
-
-def wn_tilde_oracle(loss: BregmanLoss, cset: CompactSet, fhat: PredictionMatrix,
-                    W: np.ndarray, eps: SignMatrix, r: float, **kw):
-    """Same supremum with the true noise: Z = eps (.) W (oracle mode)."""
-    return ball_sup(loss, cset, fhat, eps.values * W, r, **kw)
-
-
-def zn_eps_oracle(loss: BregmanLoss, cset: CompactSet, fdagger: PredictionMatrix,
-                  W: np.ndarray, eps: SignMatrix | None, r: float, **kw):
-    """Supremum centered at the noiseless fit; eps=None gives the un-symmetrized
-    process (all-ones signs)."""
-    Z = np.asarray(W, dtype=float) if eps is None else eps.values * W
-    return ball_sup(loss, cset, fdagger, Z, r, **kw)
 
 
 def pilot_sup(loss: BregmanLoss, cset: CompactSet, fhat: PredictionMatrix,
@@ -259,8 +231,15 @@ def deviation_term(loss: BregmanLoss, misspec: float, r: float, w_inf: float,
     return num / (min(a ** 1.5, a) * math.sqrt(n))
 
 
-def fixed_point_radius(wn_evaluator, delta: float, n: int, *, r_max: float,
-                       grid_ratio: float = 1.1, refine_rel: float = 1e-4) -> float:
+# geometric grid steps of the two radius scans, and the relative width to
+# which each refines the bracket it finds
+_FIXED_POINT_GRID_RATIO = 1.1
+_CONVEX_GRID_RATIO = 1.05
+_REFINE_REL = 1e-4
+
+
+def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
+                       r_max: float) -> float:
     """Smallest r with r^2 >= W_n((2 + 1/log(1/delta)) r).
 
     Geometric grid from log(1/delta)/sqrt(n) up to r_max, refined by
@@ -278,20 +257,20 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *, r_max: float,
     trace = []
     if passes(r_min):
         return r_min
-    r_prev, r = r_min, r_min * grid_ratio
-    while r <= r_max * grid_ratio:
+    r_prev, r = r_min, r_min * _FIXED_POINT_GRID_RATIO
+    while r <= r_max * _FIXED_POINT_GRID_RATIO:
         ok = passes(r)
         trace.append((r, ok))
         if ok:
             lo, hi = r_prev, r
-            while (hi - lo) > refine_rel * hi:
+            while (hi - lo) > _REFINE_REL * hi:
                 mid = 0.5 * (lo + hi)
                 if passes(mid):
                     hi = mid
                 else:
                     lo = mid
             return hi
-        r_prev, r = r, r * grid_ratio
+        r_prev, r = r, r * _FIXED_POINT_GRID_RATIO
     raise UnboundedRadiusError("no radius below r_max satisfies the fixed-point "
                                "condition", trace=trace)
 
@@ -304,8 +283,8 @@ def convex_class_bracket(wn_evaluator, r_diamond: float, delta: float,
 
 
 def rhat_bound_convex(wn_evaluator, r_diamond: float, delta: float, n: int,
-                      w_inf: float, d: int, pilot: float, loss: BregmanLoss, *,
-                      refine_rel: float = 1e-4, grid_ratio: float = 1.05) -> float:
+                      w_inf: float, d: int, pilot: float,
+                      loss: BregmanLoss) -> float:
     """Upper bound on the noiseless estimation radius for convex classes.
 
     Scans for the largest r satisfying the self-bounding inequality
@@ -338,14 +317,14 @@ def rhat_bound_convex(wn_evaluator, r_diamond: float, delta: float, n: int,
             last_ok = r
         elif last_ok is not None:
             lo, hi = last_ok, r
-            while (hi - lo) > refine_rel * hi:
+            while (hi - lo) > _REFINE_REL * hi:
                 mid = 0.5 * (lo + hi)
                 if satisfied(mid):
                     lo = mid
                 else:
                     hi = mid
             return lo
-        r *= grid_ratio
+        r *= _CONVEX_GRID_RATIO
     if last_ok is None:
         raise UnboundedRadiusError("self-bounding inequality unsatisfiable on grid",
                                    trace=trace)

@@ -37,10 +37,6 @@ class Box:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    def contains(self, z, tol: float = _CONTAIN_TOL) -> bool:
-        z = np.asarray(z, dtype=float)
-        return bool(np.all(z >= self.lo - tol) and np.all(z <= self.hi + tol))
-
     def contains_rows(self, Z, tol: float = _CONTAIN_TOL) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
         return np.all((Z >= self.lo - tol) & (Z <= self.hi + tol), axis=-1)
@@ -120,12 +116,6 @@ class ClippedSimplex:
         if not 0 < self.eta0 < 1.0 / self.dim:
             raise RejectedInputError("clipped simplex requires 0 < eta0 < 1/dim")
         object.__setattr__(self, "_mass", 1.0 - self.dim * self.eta0)
-
-    def contains(self, z, tol: float = _CONTAIN_TOL) -> bool:
-        z = np.asarray(z, dtype=float)
-        return bool(
-            np.all(z >= self.eta0 - tol) and abs(float(np.sum(z)) - 1.0) <= tol * self.dim
-        )
 
     def contains_rows(self, Z, tol: float = _CONTAIN_TOL) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)

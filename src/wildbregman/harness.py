@@ -270,9 +270,6 @@ def _check_thm_6_1(ctx: _RepContext):
 
 def _check_thm_5_2(ctx: _RepContext):
     loss, trainer, data = ctx.loss, ctx.trainer, ctx.data
-    if not isinstance(trainer, LinearTrainer):
-        raise RejectedInputError(
-            "random-design coverage needs an evaluable (linear) trainer")
     pipe = _fixed_design_pipeline(ctx)
     consts = stability_constants(loss, ctx.cset, data.n)
     cert = random_design_certificate(pipe["cert"], consts, data.n, ctx.delta,
@@ -319,6 +316,9 @@ def run_coverage(exp: CoverageExperiment) -> CoverageReport:
     loss, cset, trainer = build_model(exp.spec.d, exp.potential_kind,
                                       exp.potential_params, exp.cset_bound,
                                       exp.trainer)
+    if exp.theorem == "thm_5_2_excess" and not isinstance(trainer, LinearTrainer):
+        raise RejectedInputError(
+            "random-design coverage needs an evaluable (linear) trainer")
     records = []
     for rep in range(exp.reps):
         ss = np.random.SeedSequence(entropy=exp.spec.seed, spawn_key=(rep,))

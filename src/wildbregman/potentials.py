@@ -174,25 +174,33 @@ def _clipped_simplex_kl(dim: int, eta0: float) -> Potential:
     )
 
 
+_PARAMS = {"squared_l2": "bound", "sqrt_bernoulli": "eps0",
+           "clipped_simplex_kl": "eta0"}
+
+
 def builtin_potential(kind: str, dim: int, **params) -> Potential:
     """Construct one of the built-in potentials by name.
 
     kind: "squared_l2" (optional bound, default 1e6), "sqrt_bernoulli"
-    (requires eps0), or "clipped_simplex_kl" (requires eta0).
+    (requires eps0), or "clipped_simplex_kl" (requires eta0).  A parameter
+    the kind does not take is rejected.
     """
     if dim < 1:
         raise RejectedInputError("dim must be >= 1")
+    if kind not in _PARAMS:
+        raise RejectedInputError(f"unknown potential kind: {kind!r}")
+    if set(params) - {_PARAMS[kind]}:
+        raise RejectedInputError(
+            f"{kind} takes only {_PARAMS[kind]!r}, got {sorted(params)}")
     if kind == "squared_l2":
         return _squared_l2(dim, float(params.get("bound", 1e6)))
     if kind == "sqrt_bernoulli":
         if "eps0" not in params:
             raise RejectedInputError("sqrt_bernoulli needs eps0")
         return _sqrt_bernoulli(dim, float(params["eps0"]))
-    if kind == "clipped_simplex_kl":
-        if "eta0" not in params:
-            raise RejectedInputError("clipped_simplex_kl needs eta0")
-        return _clipped_simplex_kl(dim, float(params["eta0"]))
-    raise RejectedInputError(f"unknown potential kind: {kind!r}")
+    if "eta0" not in params:
+        raise RejectedInputError("clipped_simplex_kl needs eta0")
+    return _clipped_simplex_kl(dim, float(params["eta0"]))
 
 
 def builtin_loss(kind: str, dim: int, **params) -> BregmanLoss:

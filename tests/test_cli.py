@@ -124,8 +124,35 @@ def test_validate_unknown_config_key(tmp_path):
                    {"spec": {"seed": 3}}, {"reps": 5},
                    {"trainer": {"kind": "linear", "max_iter": 5}},
                    {"trainer": {"kind": "saturated", "max_iters": 5}},
+                   {"potential_params": {"eta0": 0.1}},
                    {"spec": [50, 2]}):
         cfg.write_text(json.dumps(config))
         code = run(["validate", "--theorem", "lemma_5_1", "--reps", 5,
                     "--delta", 0.05, "--config", cfg, "--out", tmp_path / "x"])
         assert code == 2, config
+
+
+def test_validate_thm52_saturated_rejected_before_reps(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["validate", "--theorem", "thm_5_2_excess", "--reps", 100,
+                "--delta", 0.01, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: RejectedInputError")
+    assert not out.exists()
+
+
+def test_unbounded_radius_exits_3_with_one_line(tmp_path, capsys):
+    # the convex-class bound diverges on this refit: a solve with no answer,
+    # reported on one line with its own exit code
+    prefix = tmp_path / "data"
+    refit = tmp_path / "refit.json"
+    assert run(["simulate", "--n", 2000, "--d", 2, "--seed", 11,
+                "--out", prefix]) == 0
+    assert run(["refit", "--rho", 1, "--trainer", "linear", "--cset-bound",
+                2.5, "--seed", 5, "--data", prefix.with_suffix(".csv"),
+                "--out", refit]) == 0
+    capsys.readouterr()
+    assert run(["radius", "--mode", "convex-class", "--delta", 0.0001234,
+                "--refit-result", refit, "--out", tmp_path / "r.json"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: UnboundedRadiusError")
+    assert err.count("\n") == 1

@@ -6,7 +6,7 @@ import pytest
 from wildbregman.complexity import (ball_sup, convex_class_bracket,
                                     deviation_term, fixed_point_radius,
                                     pilot_error_oracle, rhat_bound_convex,
-                                    wn, wn_tilde_oracle, zn_eps_oracle)
+                                    wn)
 from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
                                 sample_sign_matrix)
 from wildbregman.errors import (RejectedInputError, UnboundedRadiusError,
@@ -45,6 +45,13 @@ def test_wn_negative_radius_rejected(rng):
         wn(loss, box(1, 5.0), F, np.ones((5, 1)), -1.0)
 
 
+def test_ball_sup_rejects_center_outside_box():
+    loss = builtin_loss("squared_l2", 2)
+    F = PredictionMatrix(np.array([[0.0, 0.0], [0.0, 0.7]]))
+    with pytest.raises(RejectedInputError):
+        ball_sup(loss, box(2, 0.5), F, np.ones((2, 2)), 0.1)
+
+
 def test_wn_matches_closed_form_interior(rng):
     loss = builtin_loss("squared_l2", 3)
     n = 50
@@ -63,25 +70,46 @@ def test_wn_box_constrained_below_closed_form(rng):
     Z = rng.normal(size=(n, 2))
     r = 2.0
     got, info = ball_sup(loss, box(2, 0.4), F, Z, r, full_output=True)
-    assert info["method"] == "box_qp"
+    assert info["method"] == "closed_form"
     assert got <= closed_form(Z, r, n) + 1e-12
     assert got > 0.0
 
 
-def test_wn_box_qp_matches_dual_box(rng):
-    # two exact paths for squared_l2 on a binding box: the box QP and the
-    # generic Lagrangian dual
-    from wildbregman.complexity import _sup_box_sql2_qp, _sup_dual
-    loss = builtin_loss("squared_l2", 2)
-    cset = box(2, 0.4)
-    for _ in range(5):
-        C = rng.uniform(-0.4, 0.4, size=(30, 2))
-        Z = rng.normal(size=(30, 2))
-        r = float(rng.uniform(0.3, 1.0))
-        q = _sup_box_sql2_qp(cset, C, Z, r)
-        v, info, _ = _sup_dual(loss, cset, C, Z, r)
-        assert info["method"] == "dual_box"
-        assert q == pytest.approx(v, rel=1e-12)
+def test_wn_box_closed_form_matches_dual_box(rng):
+    # squared_l2 on a box has two independent exact paths, the sorted closed
+    # form and the generic Lagrangian dual (strong duality holds on a box)
+    from wildbregman.complexity import _sup_dual
+    cases = {"binds": 0, "corner": 0, "interior": 0}
+    for trial in range(120):
+        n = 1 if trial % 10 == 0 else int(rng.integers(2, 300))
+        d = int(rng.integers(1, 4))
+        b = float(rng.uniform(0.1, 2.0))
+        loss, cset = builtin_loss("squared_l2", d), box(d, b)
+        C = rng.uniform(-b, b, size=(n, d))
+        if trial % 3 == 1:  # centers on a face
+            on = rng.random((n, d)) < 0.4
+            C[on] = b * np.sign(rng.normal(size=int(on.sum())))
+        Z = rng.normal(size=(n, d))
+        if trial % 4 == 2 and n > 1:  # zero rows
+            Z[rng.random(n) < 0.3] = 0.0
+        if not np.any(Z):
+            continue
+        r = float(np.exp(rng.uniform(math.log(1e-3), math.log(5.0))))
+        got, info = ball_sup(loss, cset, PredictionMatrix(C), Z, r,
+                             full_output=True)
+        assert info["method"] == "closed_form"
+        want, dual_info, U = _sup_dual(loss, cset, C, Z, r)
+        assert dual_info["method"] == "dual_box"
+        assert got == pytest.approx(want, rel=1e-12)
+        on_face = np.isclose(np.abs(C - U), np.where(Z > 0, C + b, b - C))
+        if float(np.sum((C - U) ** 2)) < 2.0 * n * r * r * (1.0 - 1e-9):
+            cases["corner"] += 1
+        elif not np.any(on_face & (Z != 0)):
+            cases["interior"] += 1
+            assert got == pytest.approx(closed_form(Z, r, n), rel=1e-12)
+        else:
+            cases["binds"] += 1
+    assert min(cases.values()) >= 10, cases
 
 
 def test_dual_box_gap_certified_sqrt_bernoulli(rng):
@@ -205,6 +233,8 @@ def test_scale_concavity_squared_l2(rng):
 
 
 def test_oracle_variants_consistency(rng):
+    # the process with the true noise, Z = eps (.) W, and its un-symmetrized
+    # form, Z = W
     loss = builtin_loss("squared_l2", 2)
     cset = box(2, 5.0)
     n = 30
@@ -212,12 +242,10 @@ def test_oracle_variants_consistency(rng):
     W = rng.uniform(-0.5, 0.5, size=(n, 2))
     eps = sample_sign_matrix(n, 2, 3)
     r = 0.3
-    assert wn_tilde_oracle(loss, cset, F, W, eps, r) == pytest.approx(
-        wn(loss, cset, F, eps.values * W, r), rel=1e-12)
     # Z_n^eps >= 0 always (the center is feasible)
-    assert zn_eps_oracle(loss, cset, F, W, eps, r) >= 0.0
-    assert zn_eps_oracle(loss, cset, F, W, None, r) == pytest.approx(
-        wn(loss, cset, F, W, r), rel=1e-12)
+    assert wn(loss, cset, F, eps.values * W, r) >= 0.0
+    assert wn(loss, cset, F, W, r) == pytest.approx(closed_form(W, r, n),
+                                                    rel=1e-12)
 
 
 def test_lemma_e1_oracle_saturated(rng):
@@ -236,7 +264,7 @@ def test_lemma_e1_oracle_saturated(rng):
                                                              fhat.values))))
         if r_hat == 0.0:
             continue
-        zn = zn_eps_oracle(loss, cset, fdag, W, None, r_hat)
+        zn = wn(loss, cset, fdag, W, r_hat)
         assert r_hat ** 2 <= zn + 1e-9
 
 

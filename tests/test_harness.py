@@ -111,6 +111,15 @@ def test_run_coverage_rejects_few_probabilistic_reps():
         run_coverage(exp)
 
 
+def test_run_coverage_rejects_thm52_without_linear_trainer(monkeypatch):
+    # refused before the first rep, not errored on every rep
+    monkeypatch.setattr(harness, "generate_synthetic", None)
+    exp = CoverageExperiment(theorem="thm_5_2_excess", reps=100, delta=0.01,
+                             spec=SyntheticSpec(n=30, d=1))
+    with pytest.raises(RejectedInputError, match="linear"):
+        run_coverage(exp)
+
+
 def test_run_coverage_lemma_bit_identical():
     exp = CoverageExperiment(theorem="lemma_5_1", reps=20, delta=0.05,
                              spec=SyntheticSpec(n=50, d=2, seed=21),

@@ -39,6 +39,16 @@ def test_missing_params_rejected():
         builtin_potential("clipped_simplex_kl", 2)
 
 
+def test_params_of_another_kind_rejected():
+    for kind, params in [("squared_l2", {"eta0": 0.1, "eps0": 3}),
+                         ("squared_l2", {"bound": 2.0, "eta0": 0.1}),
+                         ("sqrt_bernoulli", {"eps0": 0.1, "bound": 1.0}),
+                         ("clipped_simplex_kl", {"eta0": 0.1, "eps0": 0.1})]:
+        with pytest.raises(RejectedInputError):
+            builtin_loss(kind, 2, **params)
+    assert builtin_potential("squared_l2", 2, bound=2.0).params == {"bound": 2.0}
+
+
 def test_squared_l2_divergence_value():
     loss = builtin_loss("squared_l2", 2)
     x, y = np.array([1.0, 2.0]), np.array([0.0, 0.0])
