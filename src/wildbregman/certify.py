@@ -94,49 +94,45 @@ def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
                            mode="fixed_design", provenance=prov)
 
 
-def _grid_points(cset: CompactSet, per_axis: int) -> np.ndarray:
-    if isinstance(cset, Box):
-        axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(cset.lo, cset.hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-    # clipped simplex: grid the first d-1 coordinates, close the last
-    d = cset.dim
-    axes = [np.linspace(cset.eta0, 1.0 - (d - 1) * cset.eta0, per_axis)] * (d - 1)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    head = np.stack([m.ravel() for m in mesh], axis=-1)
-    last = 1.0 - head.sum(axis=1)
-    pts = np.hstack([head, last[:, None]])
-    return pts[last >= cset.eta0 - 1e-12]
+def stability_constants(loss: BregmanLoss, cset: CompactSet,
+                        n: int) -> StabilityConstants:
+    """Exact sup ||grad phi|| (L) and sup D_phi (M) over the set, and the
+    pointwise-stability constant 2 L^2 / (alpha (n - 1)).
 
-
-def stability_constants(loss: BregmanLoss, cset: CompactSet, n: int, *,
-                        force_grid: bool = False) -> StabilityConstants:
-    """Bound sup ||gradphi|| (L) and sup D_phi (M) over the set, and the
-    pointwise-stability constant 2 L^2 / (alpha (n - 1))."""
+    Both peak at the set's vertices.  phi' is monotone, so |phi'| peaks at
+    an end of each coordinate; D_phi(., y) is convex and D_phi(x, .) grows
+    as y moves away from x, so on a box every coordinate term peaks at an
+    (end, other end) pair.  On the clipped simplex, ||grad phi||^2 (for KL,
+    sum_j (1 + log u_j)^2 with u_j < 1) and D_phi (squared_l2 and KL) are
+    convex, hence maximal at its vertices (Rockafellar, Convex Analysis,
+    Cor. 32.3.2).  Any other potential on the simplex raises
+    UnsupportedConfigurationError, and a set outside the loss domain
+    RejectedInputError.
+    """
     if n < 2:
         raise RejectedInputError("stability constants need n >= 2")
     p = loss.potential
-    analytic = p.kind == "squared_l2" and isinstance(cset, Box) and not force_grid
-    if analytic:
-        L = float(np.linalg.norm(np.maximum(np.abs(cset.lo), np.abs(cset.hi))))
-        M = 0.5 * cset.diameter() ** 2
+    if isinstance(cset, Box):
+        lo, hi = cset.lo, cset.hi
+        # row j moves coordinate j alone from lo_j to hi_j, so its two
+        # divergences are the separable terms D_j(hi_j, lo_j), D_j(lo_j, hi_j)
+        edge = np.where(np.eye(lo.size, dtype=bool), hi, lo)
+        base = np.broadcast_to(lo, edge.shape)
+        M = float(np.sum(np.maximum(loss.divergence_rows(edge, base),
+                                    loss.divergence_rows(base, edge))))
+        g2 = np.square(p.gradient(np.stack([lo, hi])))
+        L = math.sqrt(float(np.sum(np.max(g2, axis=0))))
+    elif p.kind in ("squared_l2", "clipped_simplex_kl"):
+        d = cset.dim
+        V = np.full((d, d), cset.eta0)
+        np.fill_diagonal(V, 1.0 - (d - 1) * cset.eta0)
+        M = float(np.max(loss.divergence_rows(np.repeat(V, d, axis=0),
+                                              np.tile(V, (d, 1)))))
+        L = float(np.max(np.linalg.norm(p.gradient(V), axis=-1)))
     else:
-        d = cset.lo.shape[0] if isinstance(cset, Box) else cset.dim
-        if d > 3:
-            raise UnsupportedConfigurationError(
-                "grid fallback for stability constants supports d <= 3 only")
-        per_axis = {1: 1001, 2: 41, 3: 9}[d]
-        pts = _grid_points(cset, per_axis)
-        grads = np.atleast_2d(p.gradient(pts))
-        L_grid = float(np.max(np.linalg.norm(grads, axis=-1)))
-        # pairwise divergences on the grid
-        D = loss._div_raw(pts[:, None, :], pts[None, :, :])
-        M_grid = float(np.max(D))
-        # inflate by a Lipschitz modulus times the grid cell diagonal so the
-        # grid maximum is a certified upper bound
-        cell = cset.diameter() / (per_axis - 1)
-        L = L_grid + p.beta * cell * math.sqrt(d)
-        M = M_grid + 2.0 * p.beta * cset.diameter() * cell * math.sqrt(d)
+        raise UnsupportedConfigurationError(
+            f"no exact stability constants for {p.kind} on "
+            f"{type(cset).__name__}")
     eps_sta = 2.0 * L * L / (loss.alpha * (n - 1))
     return StabilityConstants(M=M, L=L, eps_sta=eps_sta)
 

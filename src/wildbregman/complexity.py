@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import PredictionMatrix, SignMatrix
-from .errors import (RejectedInputError, UnboundedRadiusError,
-                     UnsupportedConfigurationError)
-from .geometry import Box, CompactSet, waterfill
-from .potentials import BregmanLoss
+from .errors import RejectedInputError, UnboundedRadiusError
+from .geometry import Box, CompactSet
+from .potentials import BregmanLoss, _bregman_projection
 
 
 @dataclass(frozen=True)
@@ -88,27 +87,6 @@ def _sup_box_sql2(cset, center, Z, r):
     return (float(ez[k]) + math.sqrt(rest[k] * (cap - e2[k]))) / n
 
 
-def _inner_argmax(loss, cset):
-    """Exact argmax over the set of the Lagrangian's row term at multiplier
-    lam, as a map of A = C - Z / lam, and the method name it reports.
-
-    On a box the row term of a separable potential is unimodal in each
-    coordinate with its peak at c - z / lam, so the argmax is the clip.  On
-    the clipped simplex, squared_l2 gives a Euclidean projection and KL gives
-    argmax sum_j (lam c_j - z_j) log u_j, the water-filling of A up to scale.
-    Any other pair raises UnsupportedConfigurationError.
-    """
-    if isinstance(cset, Box):
-        return "dual_box", cset.project
-    kind = loss.potential.kind
-    if kind == "squared_l2":
-        return "dual_simplex", cset.project
-    if kind == "clipped_simplex_kl":
-        return "dual_simplex", lambda A: waterfill(A, cset.eta0)
-    raise UnsupportedConfigurationError(
-        f"no exact ball supremum for {kind} on {type(cset).__name__}")
-
-
 def _sup_dual(loss, cset, center, Z, r):
     """Lagrangian dual of the ball supremum, with the gap it certifies.
 
@@ -119,17 +97,21 @@ def _sup_dual(loss, cset, center, Z, r):
     smallest feasible lam.  Returns q, the info dict with the gap q - f(U),
     and the primal point U.
 
-    On a box the program is convex in mirror coordinates m = grad phi(u)
-    (linear objective, box to box, convex ball), so strong duality holds.
-    KL on the clipped simplex is not convex in m; the reported gap bounds
-    how far q can lie above the supremum.
+    Up to terms free of u, the Lagrangian's row term is
+    -lam D_phi(c - z / lam, u), so its argmax is the Bregman projection of
+    A = C - Z / lam onto the set (`potentials._bregman_projection`, which
+    raises UnsupportedConfigurationError for a pair it cannot project).  On a
+    box the program is convex in mirror coordinates m = grad phi(u) (linear
+    objective, box to box, convex ball), so strong duality holds.  KL on the
+    clipped simplex is not convex in m; the reported gap bounds how far q can
+    lie above the supremum.
     """
-    method, argmax = _inner_argmax(loss, cset)
+    method = "dual_box" if isinstance(cset, Box) else "dual_simplex"
     n = center.shape[0]
     r2 = r * r
 
     def at(lam):
-        U = argmax(center - Z / lam)
+        U = _bregman_projection(loss, cset, center - Z / lam)
         return U, _ball_value(loss, center, U)
 
     def result(lam, U, ball):

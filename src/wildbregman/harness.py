@@ -201,12 +201,19 @@ class _RepContext:
     rep: int
 
 
+def _noiseless_radius(ctx: _RepContext):
+    """The fit, the noiseless fit, and the radius r-hat between them."""
+    fhat = ctx.trainer.fit(ctx.data)
+    fdagger = ctx.trainer.fit(
+        ctx.data.with_responses(ctx.oracle.fstar_preds.values))
+    r_hat = math.sqrt(empirical_discrepancy(ctx.loss, fdagger, fhat))
+    return fhat, fdagger, r_hat
+
+
 def _fixed_design_pipeline(ctx: _RepContext):
     """Shared fit -> noiseless fit -> calibrated refit -> certificate chain."""
     loss, cset, trainer, data = ctx.loss, ctx.cset, ctx.trainer, ctx.data
-    fhat = trainer.fit(data)
-    fdagger = trainer.fit(data.with_responses(ctx.oracle.fstar_preds.values))
-    r_hat = math.sqrt(empirical_discrepancy(loss, fdagger, fhat))
+    fhat, fdagger, r_hat = _noiseless_radius(ctx)
     r_cert = max(r_hat, 1e-8)
     cal = calibrate_rho(loss, cset, trainer, data, 3.0 * loss.c0 * r_cert,
                         seed=ctx.sign_seed)
@@ -251,10 +258,8 @@ def _check_thm_5_1(ctx: _RepContext, which: str):
 
 
 def _check_thm_6_1(ctx: _RepContext):
-    loss, cset, trainer, data = ctx.loss, ctx.cset, ctx.trainer, ctx.data
-    fhat = trainer.fit(data)
-    fdagger = trainer.fit(data.with_responses(ctx.oracle.fstar_preds.values))
-    r_hat = math.sqrt(empirical_discrepancy(loss, fdagger, fhat))
+    loss, cset, data = ctx.loss, ctx.cset, ctx.data
+    fhat, _, r_hat = _noiseless_radius(ctx)
     eps = sample_sign_matrix(data.n, data.d, ctx.sign_seed)
     Z = eps.values * (data.responses - fhat.values)
     log_inv = math.log(1.0 / ctx.delta)

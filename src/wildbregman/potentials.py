@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import RejectedInputError
-from .geometry import Box, ClippedSimplex, CompactSet
+from .errors import RejectedInputError, UnsupportedConfigurationError
+from .geometry import Box, ClippedSimplex, CompactSet, waterfill
 
 Array = np.ndarray
 
@@ -103,6 +103,27 @@ class BregmanLoss:
         self._check_domain(x, y)
         p = self.potential
         return p.gradient(np.asarray(x, float)) - p.gradient(np.asarray(y, float))
+
+
+def _bregman_projection(loss: BregmanLoss, cset: CompactSet, A) -> np.ndarray:
+    """Rows of argmin_u D_phi(a, u) over the set, in closed form.
+
+    Only the u-terms -phi(u) - <grad phi(u), a - u> of D_phi(a, u) matter,
+    so a row a may lie outside the domain.  On a box, d/du_j of them is
+    phi''(u_j) (u_j - a_j), with the sign of u_j - a_j for every separable
+    potential, so the minimiser is the clamp.  On the clipped simplex,
+    squared_l2 gives the Euclidean projection, and KL, whose u-terms are
+    -sum_j a_j log u_j + const under sum u = 1, the water-filling of a.  Any
+    other pair raises UnsupportedConfigurationError.  It is the saturated fit
+    and the inner argmax of the ball supremum's Lagrangian dual.
+    """
+    kind = loss.potential.kind
+    if isinstance(cset, Box) or kind == "squared_l2":
+        return cset.project(A)
+    if kind == "clipped_simplex_kl":
+        return waterfill(A, cset.eta0)
+    raise UnsupportedConfigurationError(
+        f"no closed-form Bregman projection for {kind} on {type(cset).__name__}")
 
 
 def _squared_l2(dim: int, bound: float) -> Potential:

@@ -13,36 +13,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import FixedDesignDataset, PredictionMatrix
-from .errors import (ConvergenceError, RejectedInputError,
-                     UnsupportedConfigurationError)
-from .geometry import Box, CompactSet, waterfill
-from .potentials import BregmanLoss, builtin_loss
+from .errors import ConvergenceError, RejectedInputError
+from .geometry import Box, CompactSet
+from .potentials import BregmanLoss, _bregman_projection, builtin_loss
 
 
 @dataclass(frozen=True)
 class SaturatedTrainer:
     """ERM over all functions: each design row is fit independently.
 
-    The fit is in closed form per (potential, set) pair.  On a box,
-    d/dz D_phi(y, z) = phi''(z) (z - y) has the sign of z - y for every
-    separable potential, so the minimiser is the clamp.  On the
-    clipped simplex, squared_l2 gives the Euclidean projection and KL, where
-    D_phi(y, z) = const - sum_j y_j log z_j + sum_j z_j with sum z = 1, the
-    water-filling of y.  Any other pair raises.
+    Row i minimises D_phi(y_i, z) over the set: the Bregman projection of
+    y_i, in closed form per (potential, set) pair
+    (`potentials._bregman_projection`).  Any other pair raises.
     """
 
     loss: BregmanLoss
     cset: CompactSet
 
     def fit(self, data: FixedDesignDataset) -> PredictionMatrix:
-        Y = data.responses
-        kind = self.loss.potential.kind
-        if isinstance(self.cset, Box) or kind == "squared_l2":
-            return PredictionMatrix(self.cset.project(Y))
-        if kind == "clipped_simplex_kl":
-            return PredictionMatrix(waterfill(Y, self.cset.eta0))
-        raise UnsupportedConfigurationError(
-            f"no closed-form saturated fit for {kind} on {type(self.cset).__name__}")
+        return PredictionMatrix(
+            _bregman_projection(self.loss, self.cset, data.responses))
 
 
 @dataclass(frozen=True)
@@ -119,9 +109,7 @@ class LinearTrainer:
         return LinearPredictor(theta=self.fit_theta(data), cset=self.cset)
 
     def fit(self, data: FixedDesignDataset) -> PredictionMatrix:
-        theta = self.fit_theta(data)
-        Xa = np.hstack([data.inputs, np.ones((data.n, 1))])
-        return PredictionMatrix(self.cset.project(Xa @ theta))
+        return PredictionMatrix(self.fit_predictor(data).predict(data.inputs))
 
 
 _TRAINERS = {"saturated": (SaturatedTrainer, set()),

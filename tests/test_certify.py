@@ -16,6 +16,8 @@ from wildbregman.potentials import builtin_loss
 from wildbregman.trainers import SaturatedTrainer
 from wildbregman.wildfit import calibrate_rho
 
+from conftest import simplex_grid
+
 
 def box(d, b):
     return Box(np.full(d, -b), np.full(d, b))
@@ -111,13 +113,90 @@ def test_stability_constants_analytic_squared_l2():
     assert c.eps_sta == pytest.approx(2.0 * 2.0 / 99.0)
 
 
-def test_stability_constants_grid_dominates_analytic():
-    loss = builtin_loss("squared_l2", 1)
-    cset = Box(np.array([-1.0]), np.array([1.0]))
-    exact = stability_constants(loss, cset, n=50)
-    grid = stability_constants(loss, cset, n=50, force_grid=True)
-    assert grid.L >= exact.L - 1e-9
-    assert grid.M >= exact.M - 1e-9
+def _brute_sups(loss, pts, chunk=250):
+    """max ||grad phi|| over the points and max D_phi over all their pairs."""
+    L = float(np.max(np.linalg.norm(loss.potential.gradient(pts), axis=-1)))
+    M = 0.0
+    for i in range(0, len(pts), chunk):
+        X = pts[i:i + chunk, None, :]
+        shape = (X.shape[0], len(pts), pts.shape[1])
+        D = loss.divergence_rows(np.broadcast_to(X, shape),
+                                 np.broadcast_to(pts[None], shape))
+        M = max(M, float(np.max(D)))
+    return L, M
+
+
+@pytest.mark.parametrize("kind,kwargs,lo,hi", [
+    ("squared_l2", {}, -1.3, 0.7),
+    ("squared_l2", {}, 0.4, 2.5),
+    ("sqrt_bernoulli", {"eps0": 0.05}, 0.05, 0.95),
+    ("sqrt_bernoulli", {"eps0": 0.05}, 0.07, 0.6),
+    ("sqrt_bernoulli", {"eps0": 0.05}, 0.4, 0.93),
+])
+def test_stability_constants_box_match_brute_force_1d(kind, kwargs, lo, hi):
+    # every pair of a 4001-point grid that holds both ends: the exact values
+    # dominate the brute maxima and are attained, up to round-off
+    loss = builtin_loss(kind, 1, **kwargs)
+    c = stability_constants(loss, Box(np.array([lo]), np.array([hi])), n=10)
+    L, M = _brute_sups(loss, np.linspace(lo, hi, 4001)[:, None])
+    assert c.L == pytest.approx(L, rel=1e-12)
+    assert c.M == pytest.approx(M, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["squared_l2", "clipped_simplex_kl"])
+def test_stability_constants_simplex_match_brute_force(kind, rng):
+    # a barycentric grid (vertices and edges included) plus random interior
+    # points of the clipped simplex, d = 3
+    eta0 = 0.1
+    loss = builtin_loss(kind, 3, **({"eta0": eta0} if kind != "squared_l2"
+                                   else {}))
+    grid, _ = simplex_grid(eta0, 3, 50)
+    inner = eta0 + (1.0 - 3 * eta0) * rng.dirichlet(np.ones(3), size=500)
+    c = stability_constants(loss, ClippedSimplex(eta0, 3), n=10)
+    L, M = _brute_sups(loss, np.vstack([grid, inner]))
+    assert c.L == pytest.approx(L, rel=1e-12)
+    assert c.M == pytest.approx(M, rel=1e-12)
+
+
+def test_stability_constants_box_reproduce_squared_l2_closed_form(rng):
+    # boxes around the origin, as the CLI and the harness build them
+    for d in range(1, 6):
+        lo, hi = -rng.uniform(0.0, 10.0, d), rng.uniform(0.01, 10.0, d)
+        cset = Box(lo, hi)
+        c = stability_constants(builtin_loss("squared_l2", d), cset, n=10)
+        L = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
+        assert c.L == pytest.approx(L, rel=1e-15)
+        assert c.M == pytest.approx(0.5 * cset.diameter() ** 2, rel=1e-15)
+
+
+def test_stability_constants_d5():
+    # symmetric domains: sqrt_bernoulli peaks at the pair (eps0, 1 - eps0)
+    # in every coordinate, KL at a pair of distinct vertices
+    eps0 = 0.05
+    loss = builtin_loss("sqrt_bernoulli", 5, eps0=eps0)
+    c = stability_constants(loss, loss.domain, n=100)
+    slope = 0.5 / math.sqrt(eps0) - 0.5 / math.sqrt(1.0 - eps0)
+    assert c.L == pytest.approx(math.sqrt(5.0) * slope, rel=1e-13)
+    assert c.M == pytest.approx(5.0 * (1.0 - 2.0 * eps0) * slope, rel=1e-13)
+    eta0 = 0.1
+    loss = builtin_loss("clipped_simplex_kl", 5, eta0=eta0)
+    c = stability_constants(loss, loss.domain, n=100)
+    top = 1.0 - 4.0 * eta0
+    assert c.L == pytest.approx(math.hypot(1.0 + math.log(top),
+                                           2.0 * (1.0 + math.log(eta0))),
+                                rel=1e-13)
+    assert c.M == pytest.approx((top - eta0) * math.log(top / eta0), rel=1e-13)
+
+
+@pytest.mark.parametrize("kind,kwargs,d,L,M", [
+    ("sqrt_bernoulli", {"eps0": 0.05}, 2, 2.437, 3.102),
+    ("sqrt_bernoulli", {"eps0": 0.05}, 3, 2.984, 4.652),
+    ("clipped_simplex_kl", {"eta0": 0.1}, 3, 1.999, 1.456),
+])
+def test_stability_constants_on_the_domain(kind, kwargs, d, L, M):
+    loss = builtin_loss(kind, d, **kwargs)
+    c = stability_constants(loss, loss.domain, n=100)
+    assert (round(c.L, 3), round(c.M, 3)) == (L, M)
 
 
 def test_stability_constants_simplex_grid():
@@ -132,10 +211,22 @@ def test_stability_constants_simplex_grid():
     assert c.M >= kl_corner - 1e-6
 
 
-def test_stability_constants_reject_high_dim_grid():
-    loss = builtin_loss("sqrt_bernoulli", 5, eps0=0.1)
+def test_stability_constants_unsupported_simplex_pair():
+    loss = builtin_loss("sqrt_bernoulli", 3, eps0=0.05)
     with pytest.raises(UnsupportedConfigurationError):
-        stability_constants(loss, loss.domain, n=100)
+        stability_constants(loss, ClippedSimplex(0.1, 3), n=100)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind,kwargs,cset", [
+    ("sqrt_bernoulli", {"eps0": 0.05}, box(2, 10.0)),
+    ("clipped_simplex_kl", {"eta0": 0.1}, Box(np.full(2, 0.1),
+                                              np.full(2, 0.9))),
+])
+def test_stability_constants_reject_set_outside_domain(kind, kwargs, cset):
+    # refused before any value is computed: no NaN, no RuntimeWarning
+    with pytest.raises(RejectedInputError):
+        stability_constants(builtin_loss(kind, 2, **kwargs), cset, n=100)
 
 
 def test_random_design_tail_formula():

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,3 +160,16 @@ def test_unbounded_radius_exits_3_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: UnboundedRadiusError")
     assert err.count("\n") == 1
+
+
+def test_certificate_demo_script_runs():
+    # the demo drives the certificate API end to end outside the CLI
+    root = Path(__file__).resolve().parents[1]
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + ([path] if path else [])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "certificate_demo.py"),
+         "--n", "100"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "random design" in proc.stdout
