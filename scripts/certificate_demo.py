@@ -31,7 +31,7 @@ def main():
     spec = SyntheticSpec(n=args.n, d=args.d, seed=args.seed)
     loss = builtin_loss("squared_l2", args.d)
     data, oracle = generate_synthetic(spec, loss)
-    cset = Box(np.full(args.d, -10.0), np.full(args.d, 10.0))
+    cset = Box(np.full(args.d, -1.0), np.full(args.d, 1.0))
     trainer = LinearTrainer(loss, cset)
 
     fhat = trainer.fit(data)

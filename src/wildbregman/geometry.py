@@ -22,6 +22,9 @@ class Box:
 
     lo: np.ndarray
     hi: np.ndarray
+    # (lo, hi), scalars if all coordinates share them: a flat np.clip pass is
+    # many times faster than broadcasting (n, d) against (d,) bounds
+    _bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
@@ -32,19 +35,34 @@ class Box:
             raise RejectedInputError("box requires lo < hi coordinate-wise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        uniform = np.all(lo == lo[0]) and np.all(hi == hi[0])
+        object.__setattr__(self, "_bounds", (lo[0], hi[0]) if uniform else (lo, hi))
 
     @property
     def dim(self) -> int:
         return self.lo.shape[0]
 
+    def _rows_bounds(self, Z: np.ndarray) -> tuple:
+        # scalar bounds would not catch rows of the wrong width by broadcasting
+        if Z.shape[-1:] != (self.dim,):
+            raise RejectedInputError(f"rows of shape {Z.shape} for a {self.dim}-d box")
+        return self._bounds
+
     def contains_rows(self, Z, tol: float = _CONTAIN_TOL) -> np.ndarray:
         Z = np.asarray(Z, dtype=float)
-        return np.all((Z >= self.lo - tol) & (Z <= self.hi + tol), axis=-1)
+        lo, hi = self._rows_bounds(Z)
+        ok = (Z >= lo - tol) & (Z <= hi + tol)
+        # and the columns one by one: np.all along a short last axis is slow
+        rows = ok[..., 0].copy()
+        for j in range(1, ok.shape[-1]):
+            rows &= ok[..., j]
+        return rows
 
     def project(self, z) -> np.ndarray:
         if not np.all(np.isfinite(z)):
             raise RejectedInputError("cannot project non-finite input")
-        return np.clip(np.asarray(z, dtype=float), self.lo, self.hi)
+        z = np.asarray(z, dtype=float)
+        return np.clip(z, *self._rows_bounds(z))
 
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))

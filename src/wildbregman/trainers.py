@@ -2,8 +2,8 @@
 
 Two trainers exercise the black-box contract: an exact pointwise one (the
 "saturated" class of all functions, where each design point is fit
-independently) and an approximate linear class trained by gradient descent.
-Downstream code treats both as opaque procedures.
+independently) and a linear class (least squares for squared_l2, gradient
+descent otherwise).  Downstream code treats both as opaque procedures.
 """
 
 from __future__ import annotations
@@ -50,17 +50,23 @@ class LinearPredictor:
 
 @dataclass(frozen=True)
 class LinearTrainer:
-    """Approximate ERM over affine predictors, by monotone gradient descent.
-
-    Predictions are clipped into the loss domain during optimization and
-    projected onto the compact set at evaluation; the trainer is declared
-    approximate and must be treated as an opaque procedure downstream.
+    """ERM over affine predictors: exact least squares (SVD, minimum-norm on
+    rank-deficient designs) for squared_l2, which takes no max_iters or tol;
+    otherwise monotone gradient descent with predictions clipped into the
+    loss domain, bounded by max_iters (500) and tol (1e-10).  Predictions
+    are projected onto the compact set; downstream it is an opaque procedure.
     """
 
     loss: BregmanLoss
     cset: CompactSet
-    max_iters: int = 500
-    tol: float = 1e-10
+    max_iters: int | None = None
+    tol: float | None = None
+
+    def __post_init__(self):
+        if self.loss.potential.kind == "squared_l2" and (
+                self.max_iters is not None or self.tol is not None):
+            raise RejectedInputError(
+                "squared_l2's exact linear fit takes no max_iters or tol")
 
     def _domain_clip(self, Z: np.ndarray) -> np.ndarray:
         return self.loss.domain.project(Z)
@@ -76,18 +82,22 @@ class LinearTrainer:
         n, d = Y.shape
         Xa = np.hstack([X, np.ones((n, 1))])
         p = self.loss.potential
+        if p.kind == "squared_l2":
+            return np.linalg.lstsq(Xa, Y, rcond=None)[0]
+        max_iters = 500 if self.max_iters is None else self.max_iters
+        tol = 1e-10 if self.tol is None else self.tol
         theta = np.zeros((Xa.shape[1], d))
         # start from the domain center so the Hessian oracle is evaluable
-        theta[-1] = p.domain.center() if p.kind != "squared_l2" else 0.0
+        theta[-1] = p.domain.center()
         obj = self._objective(Xa, Y, theta)
         trace = [obj]
         # conservative Lipschitz guess for the step; refined by backtracking
         step = 1.0 / (p.beta * max(1.0, float(np.linalg.norm(Xa, 2) ** 2) / n))
-        for _ in range(self.max_iters):
+        for _ in range(max_iters):
             Z = self._domain_clip(Xa @ theta)
             G = Xa.T @ (p.hessian_diag(Z) * (Z - Y)) / n
             gnorm = float(np.linalg.norm(G))
-            if gnorm <= self.tol:
+            if gnorm <= tol:
                 break
             eta, moved = step, False
             for _ in range(50):
@@ -99,7 +109,7 @@ class LinearTrainer:
                     break
                 eta *= 0.5
             trace.append(obj)
-            if not moved or (len(trace) > 2 and trace[-2] - trace[-1] <= self.tol * max(1.0, obj)):
+            if not moved or (len(trace) > 2 and trace[-2] - trace[-1] <= tol * max(1.0, obj)):
                 break
         if not np.isfinite(obj):
             raise ConvergenceError("linear fit diverged", trace=trace)
@@ -123,7 +133,7 @@ def build_model(d: int, potential: str, potential_params: dict,
     The set is the loss domain for clipped_simplex_kl and the box
     [-cset_bound, cset_bound]^d otherwise.  trainer is a descriptor dict:
     {"kind": "saturated"}, or {"kind": "linear"} with optional max_iters and
-    tol; any other kind or key raises RejectedInputError.
+    tol (not for squared_l2); any other kind or key raises RejectedInputError.
     """
     loss = builtin_loss(potential, d, **potential_params)
     cset = (loss.domain if potential == "clipped_simplex_kl" else

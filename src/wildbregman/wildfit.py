@@ -8,6 +8,7 @@ noise-scale calibration live here too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +19,12 @@ from .errors import CalibrationError, RejectedInputError
 from .geometry import CompactSet
 from .potentials import BregmanLoss
 
-# calibrate_rho's relative radius tolerance, rho floor and bisection budget
+# calibrate_rho's relative radius tolerance, rho floor, largest log-rho
+# step while bracketing, and budget of radius evaluations
 _TOL_REL = 1e-3
 _RHO_LO = 1e-8
-_MAX_BISECT = 200
+_MAX_LOG_STEP = math.log(1e3)
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -104,71 +107,55 @@ def calibrate_rho(loss: BregmanLoss, cset: CompactSet, trainer,
     """Find rho with sqrt L_n(fhat, fdiamond_rho) ~= target_radius.
 
     One sign draw is reused for every candidate rho, so the radius map is
-    deterministic.  Bracket by doubling, then bisect; a log-grid scan is the
-    fallback when the map turns out non-monotone on the bracket.  The
-    returned result is the one wild_refit gives at the returned rho.
+    deterministic.  The search runs in log rho on g = log(r / target): from
+    rho = 1 it takes the slope-1 step rho = target / r(1), exact when nothing
+    clips (the radius is then linear in rho), and extrapolates by secant
+    until the target is bracketed, each step clamped to a factor of 1e3 and
+    to [_RHO_LO, rho_hi].  Illinois regula falsi (Dowell & Jarratt, 1971)
+    then shrinks the bracket, bisecting whenever the secant point leaves it.
+    The returned result is the one wild_refit gives at the returned rho.
     """
     if target_radius <= 0:
         raise RejectedInputError("target_radius must be > 0")
     fhat = _refit_stage(trainer, data, "initial fit")
     signs = sample_sign_matrix(data.n, data.d, seed)
-
-    cache: dict[float, WildRefitResult] = {}
-
-    def refit_at(rho: float) -> WildRefitResult:
-        if rho not in cache:
-            cache[rho] = _wild_result(loss, trainer, data, fhat, signs, rho)
-        return cache[rho]
-
     trace: list[tuple[float, float]] = []
-
-    def radius_at(rho: float) -> float:
-        r = refit_at(rho).radius(loss)
+    t_lo, t_hi = math.log(_RHO_LO), math.log(rho_hi)
+    t = min(max(0.0, t_lo), t_hi)
+    prev = bracket = None  # last point (t, g); far end once g changed sign
+    while len(trace) < _MAX_STEPS:
+        rho = min(max(math.exp(t), _RHO_LO), rho_hi)
+        result = _wild_result(loss, trainer, data, fhat, signs, rho)
+        r = result.radius(loss)
         trace.append((rho, r))
-        return r
-
-    def finish(rho: float, r: float) -> dict:
-        return {"rho": rho, "achieved_radius": r, "result": refit_at(rho),
-                "trace": list(trace)}
-
-    # bracket the target by doubling / halving from 1
-    lo = hi = min(max(1.0, _RHO_LO), rho_hi)
-    r = radius_at(lo)
-    if abs(r - target_radius) <= _TOL_REL * target_radius:
-        return finish(lo, r)
-    if r < target_radius:
-        while r < target_radius:
-            if hi >= rho_hi:
-                raise CalibrationError("target radius not bracketed below rho_hi",
-                                       trace=trace)
-            hi = min(hi * 2.0, rho_hi)
-            r = radius_at(hi)
-        lo = hi / 2.0
-    else:
-        while r > target_radius:
-            if lo <= _RHO_LO:
-                raise CalibrationError("target radius not bracketed above rho_lo",
-                                       trace=trace)
-            lo = max(lo / 2.0, _RHO_LO)
-            r = radius_at(lo)
-        hi = lo * 2.0
-
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        r = radius_at(mid)
         if abs(r - target_radius) <= _TOL_REL * target_radius:
-            return finish(mid, r)
-        if r < target_radius:
-            lo = mid
+            return {"rho": rho, "achieved_radius": r, "result": result,
+                    "trace": trace}
+        g = math.log(r / target_radius) if r > 0 else -math.inf
+        if bracket is None and prev is not None and (g < 0) != (prev[1] < 0):
+            bracket = prev
+        elif bracket is not None:
+            # Illinois: a bracket end kept twice in a row has its g halved
+            bracket = ((bracket[0], 0.5 * bracket[1]) if (g < 0) == (prev[1] < 0)
+                       else prev)
+        if bracket is None:
+            slope = 1.0 if prev is None else (g - prev[1]) / (t - prev[0])
+            step = -g / (slope if 0.0 < slope < math.inf else 1.0)
+            t_next = min(max(t + min(max(step, -_MAX_LOG_STEP), _MAX_LOG_STEP),
+                             t_lo), t_hi)
+            if t_next == t:
+                raise CalibrationError(
+                    "target radius not bracketed below rho_hi" if g < 0 else
+                    "target radius not bracketed above rho_lo", trace=trace)
         else:
-            hi = mid
-
-    # non-monotone radius map: fall back to a log-spaced scan
-    grid = np.geomspace(max(lo / 4.0, _RHO_LO), min(hi * 4.0, rho_hi), 200)
-    radii = np.array([radius_at(g) for g in grid])
-    k = int(np.argmin(np.abs(radii - target_radius)))
-    if abs(radii[k] - target_radius) <= _TOL_REL * target_radius:
-        return finish(float(grid[k]), float(radii[k]))
-    raise CalibrationError(
-        f"calibration failed: best |achieved-target|/target = "
-        f"{abs(radii[k] - target_radius) / target_radius:.3g}", trace=trace)
+            b, gb = bracket
+            t_next = (t * gb - b * g) / (gb - g)
+            if not min(t, b) < t_next < max(t, b):
+                t_next = 0.5 * (t + b)
+                if not min(t, b) < t_next < max(t, b):
+                    raise CalibrationError(
+                        "radius map jumps over the target: the bracket "
+                        "closed with no rho within tolerance", trace=trace)
+        prev, t = (t, g), t_next
+    raise CalibrationError(f"no rho within tolerance in {_MAX_STEPS} steps",
+                           trace=trace)

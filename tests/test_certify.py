@@ -169,6 +169,17 @@ def test_stability_constants_box_reproduce_squared_l2_closed_form(rng):
         assert c.M == pytest.approx(0.5 * cset.diameter() ** 2, rel=1e-15)
 
 
+def test_stability_constants_squared_l2_far_from_origin(rng):
+    # boxes away from the origin: M must be 0.5 diam^2 to rounding, not
+    # below it by the cancellation of the textbook divergence form
+    for _ in range(1000):
+        d = int(rng.integers(1, 6))
+        lo = rng.uniform(-10.0, 10.0, d)
+        cset = Box(lo, lo + rng.uniform(0.01, 10.0, d))
+        c = stability_constants(builtin_loss("squared_l2", d), cset, n=10)
+        assert c.M == pytest.approx(0.5 * cset.diameter() ** 2, rel=1e-15, abs=0.0)
+
+
 def test_stability_constants_d5():
     # symmetric domains: sqrt_bernoulli peaks at the pair (eps0, 1 - eps0)
     # in every coordinate, KL at a pair of distinct vertices

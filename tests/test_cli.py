@@ -120,13 +120,16 @@ def test_validate_byte_deterministic(tmp_path):
 
 def test_validate_unknown_config_key(tmp_path):
     # keys of no experiment field, of a deleted field, or set by a flag,
-    # trainer descriptors with a key their kind does not take, and a spec
-    # that is not an object
+    # trainer descriptors with a key their kind does not take (squared_l2's
+    # exact linear fit takes no max_iters or tol), and a spec that is not an
+    # object
     cfg = tmp_path / "cfg.json"
     for config in ({"bogus": 1}, {"radius_policy": "oracle"},
                    {"spec": {"design": "random"}}, {"spec": {"bogus": 1}},
                    {"spec": {"seed": 3}}, {"reps": 5},
                    {"trainer": {"kind": "linear", "max_iter": 5}},
+                   {"trainer": {"kind": "linear", "max_iters": 5}},
+                   {"trainer": {"kind": "linear", "tol": 1e-8}},
                    {"trainer": {"kind": "saturated", "max_iters": 5}},
                    {"potential_params": {"eta0": 0.1}},
                    {"spec": [50, 2]}):

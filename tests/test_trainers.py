@@ -38,7 +38,7 @@ def test_saturated_sqrt_bernoulli_boundary():
     cset = Box(np.array([0.2]), np.array([0.8]))
     fit = SaturatedTrainer(loss, cset).fit(data)
     grid = np.linspace(0.2, 0.8, 60001)
-    vals = [loss.divergence([0.1], [g]) for g in grid]
+    vals = loss.divergence_rows(np.full((grid.size, 1), 0.1), grid[:, None])
     best = grid[int(np.argmin(vals))]
     assert fit.values[0, 0] == pytest.approx(best, abs=1e-5)
     assert fit.values[0, 0] == pytest.approx(0.2, abs=1e-5)
@@ -130,12 +130,14 @@ def test_linear_zero_features_gives_mean():
 
 
 def test_linear_more_iters_never_worse():
+    # gradient descent runs for potentials other than squared_l2
     rng = np.random.default_rng(2)
-    loss = builtin_loss("squared_l2", 1)
+    loss = builtin_loss("sqrt_bernoulli", 1, eps0=0.05)
     X = rng.uniform(-1, 1, size=(40, 2))
-    Y = np.tanh(X @ rng.normal(size=(2, 1))) + 0.1 * rng.normal(size=(40, 1))
+    Y = 0.5 + 0.3 * np.tanh(X @ rng.normal(size=(2, 1))) \
+        + 0.05 * rng.uniform(-1, 1, size=(40, 1))
     data = FixedDesignDataset(X, Y)
-    cset = box(1, 10.0)
+    cset = loss.domain
 
     def obj(max_iters):
         tr = LinearTrainer(loss, cset, max_iters=max_iters)
@@ -143,6 +145,26 @@ def test_linear_more_iters_never_worse():
         return float(np.mean(loss.divergence_rows(Y, fit.values)))
 
     assert obj(400) <= obj(200) + 1e-12
+
+
+def _normal_equations(X, Y):
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    return np.linalg.pinv(Xa.T @ Xa, rcond=1e-12, hermitian=True) @ (Xa.T @ Y)
+
+
+@pytest.mark.parametrize("rank_deficient", [False, True])
+def test_linear_squared_l2_matches_normal_equations(rank_deficient):
+    # least squares is the exact ERM; on a rank-deficient design (a repeated
+    # column) both give the minimum-norm solution
+    rng = np.random.default_rng(12)
+    loss = builtin_loss("squared_l2", 2)
+    X = rng.uniform(-1, 1, size=(80, 3))
+    if rank_deficient:
+        X[:, 2] = X[:, 0]
+    Y = X @ rng.normal(size=(3, 2)) + 0.2 * rng.normal(size=(80, 2)) + 0.4
+    theta = LinearTrainer(loss, box(2, 50.0)).fit_theta(FixedDesignDataset(X, Y))
+    oracle = _normal_equations(X, Y)
+    assert np.linalg.norm(theta - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 
 def test_linear_predictor_evaluates_off_design():
@@ -202,7 +224,7 @@ def test_linear_nonexpansive_diagnostic_reports(rng):
 
 
 def test_build_model_sets_and_trainers():
-    loss, cset, trainer = build_model(2, "squared_l2", {}, 3.0,
+    loss, cset, trainer = build_model(2, "sqrt_bernoulli", {"eps0": 0.05}, 3.0,
                                       {"kind": "linear", "max_iters": 7})
     assert isinstance(cset, Box) and np.array_equal(cset.hi, [3.0, 3.0])
     assert isinstance(trainer, LinearTrainer)
@@ -219,6 +241,8 @@ def test_build_model_sets_and_trainers():
     {"kind": "linear", "max_iter": 5},
     {"kind": "linear", "seed": 0},
     {"kind": "ridge"},
+    {"kind": "linear", "max_iters": 5},
+    {"kind": "linear", "tol": 1e-8},
 ])
 def test_build_model_rejects_bad_trainer_descriptor(desc):
     with pytest.raises(RejectedInputError):

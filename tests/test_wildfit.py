@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wildbregman import wildfit
 from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
                                 sample_sign_matrix)
 from wildbregman.errors import CalibrationError, RejectedInputError
@@ -191,3 +192,61 @@ def test_calibrated_result_is_wild_refit_at_rho(rng):
     assert out["result"].clip_count > 0
     _assert_same_result(out["result"],
                         wild_refit(loss, cset, trainer, data, out["rho"], seed=8))
+
+
+def test_calibrate_linear_no_clip_takes_two_steps(rng):
+    # least squares on a box it never reaches: fdiamond is linear in rho, so
+    # the slope-1 step from rho = 1 lands on the target
+    loss = builtin_loss("squared_l2", 2)
+    cset = box(2, 100.0)
+    X = rng.uniform(-1, 1, size=(70, 3))
+    Y = X @ rng.normal(size=(3, 2)) + 0.3 * rng.normal(size=(70, 2))
+    data = FixedDesignDataset(X, Y)
+    trainer = LinearTrainer(loss, cset)
+    for factor in (0.01, 2.5, 400.0):
+        target = factor * wild_refit(loss, cset, trainer, data, 1.0,
+                                     seed=3).radius(loss)
+        out = calibrate_rho(loss, cset, trainer, data, target, seed=3)
+        assert len(out["trace"]) <= 2
+        assert abs(out["achieved_radius"] - target) <= wildfit._TOL_REL * target
+        _assert_same_result(out["result"],
+                            wild_refit(loss, cset, trainer, data, out["rho"], seed=3))
+
+
+@pytest.mark.parametrize("rho_star", [0.05, 3.0, 40.0])
+def test_calibrate_clipped_maps_hit_target(rng, rho_star):
+    # saturated squared_l2 clamped by its box, and sqrt_bernoulli with wild
+    # responses pulled back into its domain: the radius map bends, and the
+    # search still hits the target with the wild refit's own result
+    sat = clamped_instance(rng, n=60)
+    loss = builtin_loss("sqrt_bernoulli", 1, eps0=0.1)
+    cset = Box(np.array([0.3]), np.array([0.7]))
+    bern = (loss, cset, SaturatedTrainer(loss, cset),
+            FixedDesignDataset(None, rng.uniform(0.1, 0.9, size=(40, 1))))
+    for loss, cset, trainer, data in (sat, bern):
+        target = wild_refit(loss, cset, trainer, data, rho_star,
+                            seed=2).radius(loss)
+        out = calibrate_rho(loss, cset, trainer, data, target, seed=2)
+        assert abs(out["achieved_radius"] - target) <= wildfit._TOL_REL * target
+        assert len(out["trace"]) <= 10
+        _assert_same_result(out["result"],
+                            wild_refit(loss, cset, trainer, data, out["rho"], seed=2))
+
+
+class _JumpTrainer:
+    """Fits 0 until some response leaves [-1, 1], then every response
+    exactly: the wild radius jumps from 0 to c / max|y| at rho = 1 / max|y|."""
+
+    def fit(self, data):
+        Y = data.responses
+        return PredictionMatrix(Y if np.max(np.abs(Y)) > 1.0 else 0.0 * Y)
+
+
+def test_calibrate_radius_jump_raises_with_trace(rng):
+    loss = builtin_loss("squared_l2", 1)
+    Y = rng.uniform(-0.5, 0.5, size=(30, 1))
+    data = FixedDesignDataset(None, Y)
+    jump = np.sqrt(0.5 * np.mean(Y ** 2)) / np.max(np.abs(Y))
+    with pytest.raises(CalibrationError) as err:
+        calibrate_rho(loss, box(1, 10.0), _JumpTrainer(), data, 0.5 * jump)
+    assert len(err.value.trace) > 0
