@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,29 +28,12 @@ class RiskCertificate:
     mode: str  # fixed_design | random_design
     provenance: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "training_error": self.training_error,
-            "wild_optimism_abs": self.wild_optimism_abs,
-            "pilot": self.pilot,
-            "deviation": self.deviation,
-            "stability_addend": self.stability_addend,
-            "total": self.total,
-            "delta": self.delta,
-            "failure_budget": self.failure_budget,
-            "mode": self.mode,
-            "provenance": self.provenance,
-        }
-
 
 @dataclass(frozen=True)
 class StabilityConstants:
     M: float  # sup of the divergence over the set squared
     L: float  # sup of the potential gradient norm over the set
     eps_sta: float
-
-    def to_dict(self) -> dict:
-        return {"M": self.M, "L": self.L, "eps_sta": self.eps_sta}
 
 
 def true_optimism_oracle(loss: BregmanLoss, fhat: PredictionMatrix,
@@ -153,21 +136,11 @@ def random_design_certificate(fixed: RiskCertificate, consts: StabilityConstants
     if not 0 < delta < 1.0 / 11.0:
         raise RejectedInputError("random design requires 0 < delta < 1/11")
     addend = random_design_tail(consts, alpha, n, delta)
-    prov = dict(fixed.provenance)
-    prov["iid_assumption"] = "declared, unverified"
-    prov["stability"] = consts.to_dict()
-    return RiskCertificate(
-        training_error=fixed.training_error,
-        wild_optimism_abs=fixed.wild_optimism_abs,
-        pilot=fixed.pilot,
-        deviation=fixed.deviation,
-        stability_addend=addend,
-        total=fixed.total + addend,
-        delta=delta,
-        failure_budget=11.0 * delta,
-        mode="random_design",
-        provenance=prov,
-    )
+    prov = fixed.provenance | {"iid_assumption": "declared, unverified",
+                               "stability": asdict(consts)}
+    return replace(fixed, stability_addend=addend, total=fixed.total + addend,
+                   delta=delta, failure_budget=11.0 * delta,
+                   mode="random_design", provenance=prov)
 
 
 def oracle_excess_decomposition(loss: BregmanLoss, fhat: PredictionMatrix,

@@ -31,18 +31,28 @@ def _write_json(path, payload: dict):
         fh.write("\n")
 
 
+# the default parameter of each potential that takes one
+_POTENTIAL_DEFAULTS = {"sqrt_bernoulli": {"eps0": 0.05},
+                       "clipped_simplex_kl": {"eta0": 0.1}}
+
+
 def _potential_params(args) -> dict:
-    """The chosen potential's parameters, from its flag."""
-    flag = {"sqrt_bernoulli": "eps0", "clipped_simplex_kl": "eta0"}.get(
-        args.potential)
-    return {flag: getattr(args, flag)} if flag else {}
+    """The chosen potential's default parameter, overridden by the flags
+    given; `builtin_potential` refuses the flag of another potential."""
+    given = {flag: getattr(args, flag) for flag in ("eps0", "eta0")
+             if getattr(args, flag) is not None}
+    return _POTENTIAL_DEFAULTS.get(args.potential, {}) | given
+
+
+def _add_potential_flags(p):
+    p.add_argument("--potential", default="squared_l2",
+                   choices=["squared_l2", *_POTENTIAL_DEFAULTS])
+    p.add_argument("--eps0", type=float, help="sqrt_bernoulli; default 0.05")
+    p.add_argument("--eta0", type=float, help="clipped_simplex_kl; default 0.1")
 
 
 def _add_model_flags(p):
-    p.add_argument("--potential", default="squared_l2",
-                   choices=["squared_l2", "sqrt_bernoulli", "clipped_simplex_kl"])
-    p.add_argument("--eps0", type=float, default=0.05)
-    p.add_argument("--eta0", type=float, default=0.1)
+    _add_potential_flags(p)
     p.add_argument("--trainer", default="saturated",
                    choices=["saturated", "linear"])
     p.add_argument("--cset-bound", type=float, default=10.0)
@@ -138,17 +148,19 @@ def _cmd_radius(args) -> int:
 
     r_dia = result.radius(loss)
     if args.mode == "fixed-point":
+        if args.pilot is not None:
+            raise RejectedInputError("--pilot applies to --mode convex-class only")
         r = fixed_point_radius(evaluator, args.delta, n,
                                r_max=max(10.0 * cset.diameter(), 1.0))
         method = "fixed_point"
     else:
         w_inf = float(np.max(np.abs(result.residues)))
         r = rhat_bound_convex(evaluator, max(r_dia, 1e-8), args.delta, n,
-                              w_inf, result.fhat.d, args.pilot, loss)
+                              w_inf, result.fhat.d, args.pilot or 0.0, loss)
         method = "convex_class_bound"
     report = RadiusReport(r_hat_n=r, r_diamond_rho=r_dia, r_certified=r,
                           method=method)
-    _write_json(args.out, report.to_dict() | {"delta": args.delta})
+    _write_json(args.out, dataclasses.asdict(report) | {"delta": args.delta})
     print(f"wrote {args.out}")
     return 0
 
@@ -157,9 +169,8 @@ def _cmd_certify(args) -> int:
     payload, loss, cset, result = _load_refit(args.refit_result)
     with open(args.radius_report) as fh:
         rep = json.load(fh)
-    report = RadiusReport(r_hat_n=rep["r_hat_n"],
-                          r_diamond_rho=rep["r_diamond_rho"],
-                          r_certified=rep["r_certified"], method=rep["method"])
+    report = RadiusReport(**{f.name: rep[f.name]
+                             for f in dataclasses.fields(RadiusReport)})
     data = load_dataset(payload["config"]["data"])
     w_inf = args.w_inf
     if w_inf is None:
@@ -172,7 +183,7 @@ def _cmd_certify(args) -> int:
         consts = stability_constants(loss, cset, data.n)
         cert = random_design_certificate(cert, consts, data.n, args.delta,
                                          loss.alpha)
-    _write_json(args.out, cert.to_dict())
+    _write_json(args.out, dataclasses.asdict(cert))
     print(f"wrote {args.out}")
     return 0
 
@@ -237,10 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["uniform", "scaled_rademacher", "heteroskedastic"])
     p.add_argument("--noise-scale", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--potential", default="squared_l2",
-                   choices=["squared_l2", "sqrt_bernoulli", "clipped_simplex_kl"])
-    p.add_argument("--eps0", type=float, default=0.05)
-    p.add_argument("--eta0", type=float, default=0.1)
+    _add_potential_flags(p)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=_cmd_simulate)
 
@@ -258,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--mode", required=True, choices=["fixed-point", "convex-class"])
     p.add_argument("--refit-result", required=True)
-    p.add_argument("--pilot", type=float, default=0.0)
+    p.add_argument("--pilot", type=float, default=None,
+                   help="convex-class mode only; default 0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_radius)
 

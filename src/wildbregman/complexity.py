@@ -33,10 +33,6 @@ class RadiusReport:
         if self.method not in ("oracle", "fixed_point", "convex_class_bound"):
             raise RejectedInputError(f"unknown radius method {self.method!r}")
 
-    def to_dict(self) -> dict:
-        return {"r_hat_n": self.r_hat_n, "r_diamond_rho": self.r_diamond_rho,
-                "r_certified": self.r_certified, "method": self.method}
-
 
 def _objective(loss: BregmanLoss, center: np.ndarray, U: np.ndarray,
                Z: np.ndarray) -> float:
@@ -46,6 +42,25 @@ def _objective(loss: BregmanLoss, center: np.ndarray, U: np.ndarray,
 
 def _ball_value(loss: BregmanLoss, center: np.ndarray, U: np.ndarray) -> float:
     return float(np.mean(loss._div_raw(center, U)))
+
+
+def _walk_bisect(ok, lo, x, ratio, cap, rel):
+    """Walk x, x ratio, x ratio^2, ... up to cap until the monotone predicate
+    ok holds, then bisect from the last failing point (lo at the start, where
+    ok fails) to relative width rel.  Returns (lo, hi) with ok(lo) false and
+    ok(hi) true, or None if ok fails on the whole walk."""
+    while x <= cap and x < math.inf:  # an infinite x would walk forever
+        if ok(x):
+            hi = x
+            while hi - lo > rel * hi:
+                mid = 0.5 * (lo + hi)
+                if ok(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            return lo, hi
+        lo, x = x, x * ratio
+    return None
 
 
 def _sup_box_sql2(cset, center, Z, r):
@@ -105,6 +120,10 @@ def _sup_dual(loss, cset, center, Z, r):
     objective, box to box, convex ball), so strong duality holds.  KL on the
     clipped simplex is not convex in m; the reported gap bounds how far q can
     lie above the supremum.
+
+    If no multiplier is feasible within 200 doublings (r^2 below the ball
+    value's rounding floor at the center), q is the loose but valid bound at
+    the vanishing multiplier, and the primal point the center (objective 0).
     """
     method = "dual_box" if isinstance(cset, Box) else "dual_simplex"
     n = center.shape[0]
@@ -122,32 +141,24 @@ def _sup_dual(loss, cset, center, Z, r):
     # at a vanishing multiplier the argmax is the set's best point; the ball
     # may not bind at all
     lam_lo = 1e-150 * float(np.max(np.abs(Z)))
-    U, B = at(lam_lo)
-    if B <= r2:
-        return result(lam_lo, U, B)
-    # start at the squared_l2 multiplier ||Z|| / (sqrt(2n) r), double up to a
-    # feasible point, then halve down to an infeasible one
-    lam_hi = float(np.linalg.norm(Z)) / (math.sqrt(2.0 * n) * r)
-    U_hi, B_hi = at(lam_hi)
-    for _ in range(200):
-        if B_hi <= r2:
-            break
-        lam_lo, lam_hi = lam_hi, 2.0 * lam_hi
-        U_hi, B_hi = at(lam_hi)
-    while 0.5 * lam_hi > lam_lo:
-        U, B = at(0.5 * lam_hi)
-        if B > r2:
-            lam_lo = 0.5 * lam_hi
-            break
-        lam_hi, U_hi, B_hi = 0.5 * lam_hi, U, B
-    while lam_hi - lam_lo > 1e-13 * lam_hi:
-        mid = 0.5 * (lam_lo + lam_hi)
-        U, B = at(mid)
+    U_lo, B_lo = at(lam_lo)
+    if B_lo <= r2:
+        return result(lam_lo, U_lo, B_lo)
+    hit = []  # (U, B) at the last feasible multiplier evaluated
+
+    def feasible(lam):
+        U, B = at(lam)
         if B <= r2:
-            lam_hi, U_hi, B_hi = mid, U, B
-        else:
-            lam_lo = mid
-    return result(lam_hi, U_hi, B_hi)
+            hit[:] = U, B
+        return B <= r2
+
+    # double up from the squared_l2 multiplier ||Z|| / (sqrt(2n) r)
+    lam = float(np.linalg.norm(Z)) / (math.sqrt(2.0 * n) * r)
+    bracket = _walk_bisect(feasible, lam_lo, lam, 2.0, lam * 2.0 ** 200, 1e-13)
+    if bracket is None:
+        q = result(lam_lo, U_lo, B_lo)[0]
+        return q, {"method": method, "gap": q}, center
+    return result(bracket[1], *hit)
 
 
 def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
@@ -232,29 +243,22 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
     log_inv = math.log(1.0 / delta)
     factor = 2.0 + 1.0 / log_inv
     r_min = log_inv / math.sqrt(n)
+    trace = []
 
     def passes(r):
-        return r * r >= wn_evaluator(factor * r)
+        ok = r * r >= wn_evaluator(factor * r)
+        trace.append((r, ok))
+        return ok
 
-    trace = []
     if passes(r_min):
         return r_min
-    r_prev, r = r_min, r_min * _FIXED_POINT_GRID_RATIO
-    while r <= r_max * _FIXED_POINT_GRID_RATIO:
-        ok = passes(r)
-        trace.append((r, ok))
-        if ok:
-            lo, hi = r_prev, r
-            while (hi - lo) > _REFINE_REL * hi:
-                mid = 0.5 * (lo + hi)
-                if passes(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-        r_prev, r = r, r * _FIXED_POINT_GRID_RATIO
-    raise UnboundedRadiusError("no radius below r_max satisfies the fixed-point "
-                               "condition", trace=trace)
+    ratio = _FIXED_POINT_GRID_RATIO
+    bracket = _walk_bisect(passes, r_min, r_min * ratio, ratio, r_max * ratio,
+                           _REFINE_REL)
+    if bracket is None:
+        raise UnboundedRadiusError("no radius below r_max satisfies the "
+                                   "fixed-point condition", trace=trace)
+    return bracket[1]
 
 
 def convex_class_bracket(wn_evaluator, r_diamond: float, delta: float,
@@ -278,37 +282,26 @@ def rhat_bound_convex(wn_evaluator, r_diamond: float, delta: float, n: int,
         raise RejectedInputError("requires delta <= e^-9")
     if r_diamond <= 0:
         raise RejectedInputError("r_diamond must be > 0")
+    if min(w_inf, pilot) < 0:
+        raise RejectedInputError("w_inf and pilot must be >= 0")
     log_inv = math.log(1.0 / delta)
     factor = loss.c0 * (2.0 + 1.0 / math.sqrt(log_inv))
     stab = 6.0 * w_inf * loss.beta ** 1.5 * math.sqrt(d) / (loss.alpha * math.sqrt(log_inv))
     floor = max(r_diamond * r_diamond, log_inv * log_inv / n)
+    trace = []
 
-    def satisfied(r):
+    def violated(r):
         rhs = max(floor, (r / r_diamond) * wn_evaluator(factor * r))
-        return r * r <= rhs + r * r * stab + pilot
+        holds = r * r <= rhs + r * r * stab + pilot
+        trace.append((r, holds))
+        return not holds
 
     r_top = 4.0 * max(convex_class_bracket(wn_evaluator, r_diamond, delta, loss),
                       math.sqrt(floor + pilot))
-    trace = []
-    r = max(r_diamond, log_inv / math.sqrt(n)) * 1e-3
-    last_ok = None
-    while r <= r_top:
-        ok = satisfied(r)
-        trace.append((r, ok))
-        if ok:
-            last_ok = r
-        elif last_ok is not None:
-            lo, hi = last_ok, r
-            while (hi - lo) > _REFINE_REL * hi:
-                mid = 0.5 * (lo + hi)
-                if satisfied(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            return lo
-        r *= _CONVEX_GRID_RATIO
-    if last_ok is None:
-        raise UnboundedRadiusError("self-bounding inequality unsatisfiable on grid",
-                                   trace=trace)
-    raise UnboundedRadiusError("self-bounding inequality still satisfied at grid "
-                               "top; bound diverges", trace=trace)
+    r0 = max(r_diamond, log_inv / math.sqrt(n)) * 1e-3  # r0^2 < floor: holds
+    bracket = _walk_bisect(violated, r0, r0 * _CONVEX_GRID_RATIO,
+                           _CONVEX_GRID_RATIO, r_top, _REFINE_REL)
+    if bracket is None:
+        raise UnboundedRadiusError("self-bounding inequality still satisfied at "
+                                   "grid top; bound diverges", trace=trace)
+    return bracket[0]

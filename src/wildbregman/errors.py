@@ -5,34 +5,24 @@ class RejectedInputError(ValueError):
     """An argument violates a documented precondition (domain, shape, range)."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative fit failed to reach its stationarity target.
+class _TracedError(RuntimeError):
+    """A failed fit or search, with the trace of what it evaluated."""
 
-    Carries the last iterate and diagnostics so callers can inspect what went
-    wrong instead of silently accepting a bad solution.
-    """
-
-    def __init__(self, message, last_iterate=None, grad_norm=None, trace=None):
+    def __init__(self, message, trace=None):
         super().__init__(message)
-        self.last_iterate = last_iterate
-        self.grad_norm = grad_norm
-        self.trace = trace
+        self.trace = trace or []
 
 
-class CalibrationError(RuntimeError):
+class ConvergenceError(_TracedError):
+    """An iterative fit diverged; `trace` holds its objective values."""
+
+
+class CalibrationError(_TracedError):
     """Noise-scale calibration could not bracket or hit the target radius."""
 
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
 
-
-class UnboundedRadiusError(RuntimeError):
-    """No radius on the search grid satisfied the fixed-point condition."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
+class UnboundedRadiusError(_TracedError):
+    """A radius solver reached the top of its grid without an answer."""
 
 
 class UnsupportedConfigurationError(ValueError):

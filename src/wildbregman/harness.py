@@ -112,6 +112,13 @@ def realized_excess_risk(loss: BregmanLoss, data: FixedDesignDataset,
                  - np.mean(loss.divergence_rows(Y, oracle.fstar_preds.values)))
 
 
+# rho cycle of the lemma's refits, held-out sample size of the random-design
+# check, and the absolute slack every bound check allows for rounding
+_RHOS = (0.25, 0.5, 1.0, 2.0)
+_HELDOUT_M = 100_000
+_SLACK = 1e-8
+
+
 @dataclass(frozen=True)
 class CoverageExperiment:
     theorem: str
@@ -122,9 +129,6 @@ class CoverageExperiment:
     potential_kind: str = "squared_l2"
     potential_params: dict = field(default_factory=dict)
     cset_bound: float = 10.0
-    rhos: tuple = (0.25, 0.5, 1.0, 2.0)
-    heldout_m: int = 100_000
-    slack: float = 1e-8
 
 
 @dataclass
@@ -175,18 +179,6 @@ class CoverageReport:
                                  rec["error"] or ""])
 
 
-def _target_coverage(theorem: str, delta: float) -> float:
-    if theorem == "lemma_5_1":
-        return 1.0
-    if theorem in ("thm_5_1_optimism", "thm_5_1_excess"):
-        return 1.0 - 8.0 * delta
-    if theorem == "thm_6_1_rhat":
-        return 1.0 - 4.0 * delta
-    if theorem == "thm_5_2_excess":
-        return 1.0 - 11.0 * delta
-    raise RejectedInputError(f"unknown theorem {theorem!r}")
-
-
 @dataclass
 class _RepContext:
     loss: BregmanLoss
@@ -233,13 +225,13 @@ def _fixed_design_pipeline(ctx: _RepContext):
 
 
 def _check_lemma_5_1(ctx: _RepContext):
-    rho = ctx.exp.rhos[ctx.rep % len(ctx.exp.rhos)]
+    rho = _RHOS[ctx.rep % len(_RHOS)]
     result = wild_refit(ctx.loss, ctx.cset, ctx.trainer, ctx.data, rho,
                         seed=ctx.sign_seed)
     r_dia = result.radius(ctx.loss)
     lhs = wn(ctx.loss, ctx.cset, result.fhat, result.symmetrized, r_dia)
     rhs = wild_optimism(ctx.loss, result)
-    return lhs, rhs, lhs <= rhs + ctx.exp.slack
+    return lhs, rhs, lhs <= rhs + _SLACK
 
 
 def _check_thm_5_1(ctx: _RepContext, which: str):
@@ -254,7 +246,7 @@ def _check_thm_5_1(ctx: _RepContext, which: str):
     else:
         lhs = realized_excess_risk(ctx.loss, ctx.data, pipe["fhat"], ctx.oracle)
         rhs = pipe["cert"].total
-    return lhs, rhs, lhs <= rhs + ctx.exp.slack
+    return lhs, rhs, lhs <= rhs + _SLACK
 
 
 def _check_thm_6_1(ctx: _RepContext):
@@ -270,7 +262,7 @@ def _check_thm_6_1(ctx: _RepContext):
             * math.sqrt(data.d) / (loss.alpha * math.sqrt(log_inv)))
     lhs = r_hat ** 2
     rhs = max(log_inv ** 2 / data.n, wn_term) + stab + pilot
-    return lhs, rhs, lhs <= rhs + ctx.exp.slack
+    return lhs, rhs, lhs <= rhs + _SLACK
 
 
 def _check_thm_5_2(ctx: _RepContext):
@@ -281,7 +273,7 @@ def _check_thm_5_2(ctx: _RepContext):
                                      loss.alpha)
     predictor = trainer.fit_predictor(data)
     rng = np.random.default_rng(ctx.heldout_seed)
-    m = ctx.exp.heldout_m
+    m = _HELDOUT_M
     Xh = rng.uniform(-1.0, 1.0, size=(m, ctx.exp.spec.p))
     Fh = ctx.oracle.fstar_fn(Xh)
     Wh = _draw_noise(rng, m, data.d, ctx.exp.spec.noise_family,
@@ -291,15 +283,16 @@ def _check_thm_5_2(ctx: _RepContext):
     lhs = float(np.mean(loss.divergence_rows(Yh, Ph))
                 - np.mean(loss.divergence_rows(Yh, Fh)))
     rhs = cert.total
-    return lhs, rhs, lhs <= rhs + ctx.exp.slack
+    return lhs, rhs, lhs <= rhs + _SLACK
 
 
+# each theorem's check and failure budget b: its target coverage is 1 - b delta
 _CHECKS = {
-    "lemma_5_1": _check_lemma_5_1,
-    "thm_5_1_optimism": lambda c: _check_thm_5_1(c, "optimism"),
-    "thm_5_1_excess": lambda c: _check_thm_5_1(c, "excess"),
-    "thm_6_1_rhat": _check_thm_6_1,
-    "thm_5_2_excess": _check_thm_5_2,
+    "lemma_5_1": (_check_lemma_5_1, 0.0),
+    "thm_5_1_optimism": (lambda c: _check_thm_5_1(c, "optimism"), 8.0),
+    "thm_5_1_excess": (lambda c: _check_thm_5_1(c, "excess"), 8.0),
+    "thm_6_1_rhat": (_check_thm_6_1, 4.0),
+    "thm_5_2_excess": (_check_thm_5_2, 11.0),
 }
 THEOREMS = tuple(_CHECKS)
 
@@ -317,7 +310,7 @@ def run_coverage(exp: CoverageExperiment) -> CoverageReport:
         raise RejectedInputError(f"unknown theorem {exp.theorem!r}")
     if exp.theorem != "lemma_5_1" and exp.reps < 100:
         raise RejectedInputError("probabilistic checks need reps >= 100")
-    check = _CHECKS[exp.theorem]
+    check, budget = _CHECKS[exp.theorem]
     loss, cset, trainer = build_model(exp.spec.d, exp.potential_kind,
                                       exp.potential_params, exp.cset_bound,
                                       exp.trainer)
@@ -347,6 +340,5 @@ def run_coverage(exp: CoverageExperiment) -> CoverageReport:
                           replications=n_done, successes=successes,
                           errors=exp.reps - n_done,
                           empirical_coverage=successes / exp.reps,
-                          target_coverage=_target_coverage(exp.theorem,
-                                                           exp.delta),
+                          target_coverage=1.0 - budget * exp.delta,
                           per_replication=records)

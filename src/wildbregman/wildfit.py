@@ -19,10 +19,11 @@ from .errors import CalibrationError, RejectedInputError
 from .geometry import CompactSet
 from .potentials import BregmanLoss
 
-# calibrate_rho's relative radius tolerance, rho floor, largest log-rho
+# calibrate_rho's relative radius tolerance, rho range, largest log-rho
 # step while bracketing, and budget of radius evaluations
 _TOL_REL = 1e-3
 _RHO_LO = 1e-8
+_RHO_HI = 1e8
 _MAX_LOG_STEP = math.log(1e3)
 _MAX_STEPS = 100
 
@@ -103,7 +104,7 @@ def wild_optimism(loss: BregmanLoss, result: WildRefitResult) -> float:
 
 def calibrate_rho(loss: BregmanLoss, cset: CompactSet, trainer,
                   data: FixedDesignDataset, target_radius: float, *,
-                  rho_hi: float = 1e8, seed: int = 0) -> dict:
+                  seed: int = 0) -> dict:
     """Find rho with sqrt L_n(fhat, fdiamond_rho) ~= target_radius.
 
     One sign draw is reused for every candidate rho, so the radius map is
@@ -111,7 +112,7 @@ def calibrate_rho(loss: BregmanLoss, cset: CompactSet, trainer,
     rho = 1 it takes the slope-1 step rho = target / r(1), exact when nothing
     clips (the radius is then linear in rho), and extrapolates by secant
     until the target is bracketed, each step clamped to a factor of 1e3 and
-    to [_RHO_LO, rho_hi].  Illinois regula falsi (Dowell & Jarratt, 1971)
+    to [_RHO_LO, _RHO_HI].  Illinois regula falsi (Dowell & Jarratt, 1971)
     then shrinks the bracket, bisecting whenever the secant point leaves it.
     The returned result is the one wild_refit gives at the returned rho.
     """
@@ -120,11 +121,11 @@ def calibrate_rho(loss: BregmanLoss, cset: CompactSet, trainer,
     fhat = _refit_stage(trainer, data, "initial fit")
     signs = sample_sign_matrix(data.n, data.d, seed)
     trace: list[tuple[float, float]] = []
-    t_lo, t_hi = math.log(_RHO_LO), math.log(rho_hi)
-    t = min(max(0.0, t_lo), t_hi)
+    t_lo, t_hi = math.log(_RHO_LO), math.log(_RHO_HI)
+    t = 0.0  # rho = 1
     prev = bracket = None  # last point (t, g); far end once g changed sign
     while len(trace) < _MAX_STEPS:
-        rho = min(max(math.exp(t), _RHO_LO), rho_hi)
+        rho = min(max(math.exp(t), _RHO_LO), _RHO_HI)
         result = _wild_result(loss, trainer, data, fhat, signs, rho)
         r = result.radius(loss)
         trace.append((rho, r))

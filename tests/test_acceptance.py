@@ -106,8 +106,7 @@ def test_criterion_03_deterministic_refit_bound():
         exp = CoverageExperiment(
             theorem="lemma_5_1", reps=500, delta=0.05,
             spec=SyntheticSpec(n=100, d=2, seed=303),
-            trainer=trainer_desc, cset_bound=bound,
-            rhos=(0.25, 0.5, 1.0, 2.0))
+            trainer=trainer_desc, cset_bound=bound)
         rep = run_coverage(exp)
         ok &= rep.errors == 0 and rep.successes == 500
     elapsed = time.time() - t0
@@ -233,7 +232,7 @@ def test_criterion_08_theorem_52_assembly_and_coverage():
     exp = CoverageExperiment(
         theorem="thm_5_2_excess", reps=300, delta=0.05,
         spec=SyntheticSpec(n=200, d=2, seed=809),
-        trainer={"kind": "linear"}, heldout_m=100_000)
+        trainer={"kind": "linear"})
     rep = run_coverage(exp)
     target = 1.0 - 11.0 * 0.05
     band = 2.0 * math.sqrt(target * (1.0 - target) / 300)

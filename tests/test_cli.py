@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wildbregman.cli import main
+from wildbregman.cli import _potential_params, build_parser, main
 
 
 def run(argv):
@@ -119,7 +119,8 @@ def test_validate_byte_deterministic(tmp_path):
 
 
 def test_validate_unknown_config_key(tmp_path):
-    # keys of no experiment field, of a deleted field, or set by a flag,
+    # keys of no experiment field, of a deleted field (the slack, the
+    # lemma's rho cycle and the held-out size are constants), or set by a flag,
     # trainer descriptors with a key their kind does not take (squared_l2's
     # exact linear fit takes no max_iters or tol), and a spec that is not an
     # object
@@ -132,11 +133,45 @@ def test_validate_unknown_config_key(tmp_path):
                    {"trainer": {"kind": "linear", "tol": 1e-8}},
                    {"trainer": {"kind": "saturated", "max_iters": 5}},
                    {"potential_params": {"eta0": 0.1}},
+                   {"slack": 0}, {"rhos": [1]}, {"heldout_m": 10},
                    {"spec": [50, 2]}):
         cfg.write_text(json.dumps(config))
         code = run(["validate", "--theorem", "lemma_5_1", "--reps", 5,
                     "--delta", 0.05, "--config", cfg, "--out", tmp_path / "x"])
         assert code == 2, config
+
+
+def test_flags_that_change_nothing_exit_2(dataset, tmp_path, capsys):
+    # --pilot enters only the convex-class bound, and --eps0/--eta0 only
+    # their own potential: anywhere else they are refused, not ignored
+    refit = tmp_path / "refit.json"
+    assert run(["refit", "--rho", 1.0, "--seed", 1, "--data", dataset,
+                "--out", refit]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for flag, argv in (
+            ("pilot", ["radius", "--mode", "fixed-point", "--delta", 1e-4,
+                       "--pilot", 123, "--refit-result", refit]),
+            ("eps0", ["simulate", "--eps0", 0.05]),
+            ("eta0", ["simulate", "--potential", "sqrt_bernoulli",
+                      "--eta0", 0.1]),
+            ("eta0", ["refit", "--rho", 1.0, "--eta0", 0.1, "--data", dataset]),
+            ("eps0", ["refit", "--rho", 1.0, "--potential",
+                      "clipped_simplex_kl", "--eps0", 0.05,
+                      "--data", dataset])):
+        assert run(argv + ["--out", out]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: RejectedInputError"), err
+        assert flag in err and err.count("\n") == 1
+    assert list(tmp_path.glob("out*")) == []
+    # unset, a potential's own flag takes its default
+    parse = build_parser().parse_args
+    base = ["refit", "--rho", "1", "--data", "d.csv", "--out", "o.json"]
+    assert _potential_params(parse(base)) == {}
+    assert _potential_params(parse(base + ["--potential", "sqrt_bernoulli"])) \
+        == {"eps0": 0.05}
+    assert _potential_params(parse(base + ["--potential", "clipped_simplex_kl",
+                                           "--eta0", "0.2"])) == {"eta0": 0.2}
 
 
 def test_validate_thm52_saturated_rejected_before_reps(tmp_path, capsys):

@@ -198,6 +198,30 @@ def test_dual_simplex_primal_feasible_and_tight(kind):
         assert ball_sup(loss, cset, PredictionMatrix(C), Z, r) == val
 
 
+@pytest.mark.parametrize("kind, r", [("clipped_simplex_kl", 1e-9),
+                                     ("clipped_simplex_kl", 1e-12),
+                                     ("squared_l2", 1e-17),
+                                     ("clipped_simplex_kl", 1e-250)])
+def test_dual_below_rounding_floor_still_bounds(kind, r):
+    # r^2 lies below the rounding floor of the projected center's ball value
+    # (1.3e-17 for KL, 2e-33 for squared_l2), so no multiplier is feasible:
+    # the dual must fall back to a true upper bound, not to q at a huge
+    # infeasible multiplier, which is hugely negative
+    from wildbregman.complexity import _sup_dual
+    cset = ClippedSimplex(0.1, 3)
+    loss = builtin_loss(kind, 3, eta0=0.1) if kind != "squared_l2" \
+        else builtin_loss(kind, 3)
+    C = cset.project(np.random.default_rng(1).uniform(0, 1, (50, 3)))
+    Z = np.random.default_rng(2).normal(size=(50, 3))
+    q, info, U = _sup_dual(loss, cset, C, Z, r)
+    assert q >= 0.0
+    assert math.isfinite(info["gap"]) and info["gap"] >= 0.0
+    assert np.array_equal(U, C)
+    # the bound is the supremum over the whole set, so it dominates the
+    # supremum over any larger ball
+    assert q >= ball_sup(loss, cset, PredictionMatrix(C), Z, 0.5)
+
+
 def test_ball_sup_unsupported_pair_raises():
     loss = builtin_loss("sqrt_bernoulli", 3, eps0=0.05)
     cset = ClippedSimplex(0.1, 3)
@@ -361,6 +385,54 @@ def test_rhat_bound_zero_process_floor():
     # the largest admissible r = sqrt(max(r_dia^2, log(1/delta)^2/n))
     expect = max(r_dia, 9.0 / math.sqrt(n))
     assert r == pytest.approx(expect, rel=1e-3)
+
+
+def _counted(W):
+    calls = []
+
+    def evaluator(s):
+        calls.append(s)
+        return W(s)
+    return evaluator, calls
+
+
+def test_radius_solver_values_and_wn_calls_pinned():
+    # analytic processes W(s) = k s: each solver's value and its number of
+    # W_n calls are pinned, so a change to the shared grid-and-bisect search
+    # shows up as a count
+    loss = builtin_loss("squared_l2", 1)
+    # fixed point: r^2 >= k (2 + 1/10) r has root r* = 1.05 (k = 0.5)
+    ev, calls = _counted(lambda s: 0.5 * s)
+    r = fixed_point_radius(ev, math.exp(-10.0), 400, r_max=10.0)
+    assert 1.05 <= r <= 1.05 * (1.0 + 1e-4)
+    assert r == pytest.approx(1.0500045507080085, rel=1e-12)
+    assert len(calls) == 19
+    ev, calls = _counted(lambda s: 100.0 + s)
+    with pytest.raises(UnboundedRadiusError):
+        fixed_point_radius(ev, math.exp(-9.0), 100, r_max=5.0)
+    assert len(calls) == 19
+    # convex class, w_inf = 0, pilot p: with a = k (2 + 1/3) / r_dia = 0.7
+    # the inequality r^2 <= a r^2 + p binds at r* = sqrt(p / (1 - a))
+    ev, calls = _counted(lambda s: 0.03 * s)
+    r = rhat_bound_convex(ev, 0.1, math.exp(-9.0), 10000, 0.0, 1, 0.03, loss)
+    r_star = math.sqrt(0.03 / 0.3)
+    assert r_star * (1.0 - 1e-4) <= r <= r_star
+    assert r == pytest.approx(0.31622242683760793, rel=1e-12)
+    assert len(calls) == 176
+    # a = 7/6 >= 1: the inequality holds at every r and the bound diverges
+    ev, calls = _counted(lambda s: 0.05 * s)
+    with pytest.raises(UnboundedRadiusError) as err:
+        rhat_bound_convex(ev, 0.1, math.exp(-9.0), 10000, 0.0, 1, 0.03, loss)
+    assert len(calls) == 185
+    assert len(err.value.trace) == 184 and all(ok for _, ok in err.value.trace)
+
+
+def test_rhat_bound_rejects_negative_noise_and_pilot():
+    loss = builtin_loss("squared_l2", 1)
+    for w_inf, pilot in ((-0.1, 0.0), (0.0, -0.1)):
+        with pytest.raises(RejectedInputError):
+            rhat_bound_convex(lambda s: 0.0, 0.2, math.exp(-9.0), 100, w_inf,
+                              1, pilot, loss)
 
 
 def test_rhat_bound_covers_oracle_radius(rng):

@@ -177,7 +177,7 @@ def test_run_coverage_counts_errors_as_violations(monkeypatch):
             raise RuntimeError("injected")
         return 0.0, 1.0, True
 
-    monkeypatch.setitem(harness._CHECKS, "thm_6_1_rhat", check)
+    monkeypatch.setitem(harness._CHECKS, "thm_6_1_rhat", (check, 4.0))
     exp = CoverageExperiment(theorem="thm_6_1_rhat", reps=200, delta=0.01,
                              spec=SyntheticSpec(n=20, d=1, seed=1))
     report = run_coverage(exp)
@@ -186,5 +186,5 @@ def test_run_coverage_counts_errors_as_violations(monkeypatch):
     assert not report.passed
 
     monkeypatch.setitem(harness._CHECKS, "thm_6_1_rhat",
-                        lambda ctx: (0.0, 1.0, True))
+                        (lambda ctx: (0.0, 1.0, True), 4.0))
     assert run_coverage(exp).passed

@@ -147,7 +147,7 @@ def test_calibrate_unreachable_target_errors(rng):
     # cannot be bracketed
     loss, cset, trainer, data = clamped_instance(rng)
     with pytest.raises(CalibrationError):
-        calibrate_rho(loss, cset, trainer, data, 1e6, rho_hi=1e4, seed=0)
+        calibrate_rho(loss, cset, trainer, data, 1e6, seed=0)
 
 
 def test_calibrate_analytic_rho_saturated(rng):
