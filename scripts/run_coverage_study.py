@@ -10,11 +10,11 @@ Usage: python3 scripts/run_coverage_study.py [--reps 200] [--n 200] [--out DIR]
 """
 
 import argparse
-import json
 import math
 import pathlib
 import time
 
+from wildbregman.design import _write_json
 from wildbregman.harness import CoverageExperiment, SyntheticSpec, run_coverage
 
 STUDIES = [
@@ -52,9 +52,7 @@ def main():
               f"{'PASS' if rep.passed else 'FAIL'}")
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)
-            with open(args.out / f"{theorem}.json", "w") as fh:
-                json.dump(rep.to_dict(), fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            _write_json(args.out / f"{theorem}.json", rep.to_dict())
     raise SystemExit(0 if all_pass else 1)
 
 

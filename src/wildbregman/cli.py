@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -15,20 +13,16 @@ from .certify import (fixed_design_certificate, random_design_certificate,
                       stability_constants)
 from .complexity import (RadiusReport, fixed_point_radius, rhat_bound_convex,
                          wn)
-from .design import PredictionMatrix, SignMatrix, load_dataset, save_dataset
+from .design import (PredictionMatrix, SignMatrix, _read_json, _write_json,
+                     _write_table, load_dataset, save_dataset)
 from .errors import (CalibrationError, ConvergenceError, RejectedInputError,
                      UnboundedRadiusError, UnsupportedConfigurationError)
 from .harness import (THEOREMS, CoverageExperiment, SyntheticSpec,
                       generate_synthetic, run_coverage)
 from .potentials import builtin_loss
 from .trainers import build_model
-from .wildfit import WildRefitResult, calibrate_rho, wild_optimism, wild_refit
-
-
-def _write_json(path, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+from .wildfit import (WildRefitResult, _wild_responses, calibrate_rho,
+                      wild_optimism, wild_refit)
 
 
 # the default parameter of each potential that takes one
@@ -67,13 +61,8 @@ def _cmd_simulate(args) -> int:
     prefix = Path(args.out)
     save_dataset(prefix, data, seed=args.seed, potential_kind=args.potential)
     oracle_csv = prefix.parent / (prefix.name + "_oracle.csv")
-    with open(oracle_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"fstar_{j + 1}" for j in range(args.d)]
-                        + [f"w_{j + 1}" for j in range(args.d)])
-        for i in range(args.n):
-            writer.writerow([repr(float(v)) for v in oracle.fstar_preds.values[i]]
-                            + [repr(float(v)) for v in oracle.noise[i]])
+    _write_table(oracle_csv, [("fstar", oracle.fstar_preds.values),
+                              ("w", oracle.noise)])
     _write_json(prefix.parent / (prefix.name + "_oracle.json"),
                 {"w_inf": oracle.w_inf, "seed": args.seed,
                  "spec": dataclasses.asdict(spec)})
@@ -90,7 +79,6 @@ def _refit_payload(loss, result: WildRefitResult, args) -> dict:
         "wild_optimism": wild_optimism(loss, result),
         "fhat": result.fhat.values.tolist(),
         "fdiamond": result.fdiamond.values.tolist(),
-        "wild_responses": result.wild_responses.tolist(),
         "residues": result.residues.tolist(),
         "signs": result.signs.values.tolist(),
         "config": {
@@ -119,27 +107,26 @@ def _cmd_refit(args) -> int:
     return 0
 
 
-def _load_refit(path):
-    with open(path) as fh:
-        payload = json.load(fh)
+def _as_refit(payload):
+    """(data path, loss, set, result) of a refit file; rebuilds wild responses."""
     cfg = payload["config"]
-    fhat = PredictionMatrix(np.asarray(payload["fhat"], dtype=float))
+    fhat, fdiamond, residues, signs = np.asarray(  # one shape, or ValueError
+        [payload[key] for key in ("fhat", "fdiamond", "residues", "signs")],
+        dtype=float)
+    fhat = PredictionMatrix(fhat)
+    signs = SignMatrix(signs, seed=payload["sign_seed"])
     loss, cset, _ = build_model(fhat.d, cfg["potential"],
                                 cfg["potential_params"], cfg["cset_bound"],
                                 {"kind": cfg["trainer"]})
-    signs = SignMatrix(np.asarray(payload["signs"], dtype=float),
-                       seed=payload["sign_seed"])
-    result = WildRefitResult(
-        fhat=fhat,
-        fdiamond=PredictionMatrix(np.asarray(payload["fdiamond"], dtype=float)),
-        wild_responses=np.asarray(payload["wild_responses"], dtype=float),
-        residues=np.asarray(payload["residues"], dtype=float),
-        signs=signs, rho=payload["rho"], clip_count=payload["clip_count"])
-    return payload, loss, cset, result
+    rho = float(payload["rho"])
+    wild, clip_count = _wild_responses(loss, fhat, residues, signs, rho)
+    return cfg["data"], loss, cset, WildRefitResult(
+        fhat=fhat, fdiamond=PredictionMatrix(fdiamond), wild_responses=wild,
+        residues=residues, signs=signs, rho=rho, clip_count=clip_count)
 
 
 def _cmd_radius(args) -> int:
-    payload, loss, cset, result = _load_refit(args.refit_result)
+    _, loss, cset, result = _read_json(args.refit_result, _as_refit)
     Z = result.symmetrized
     n = result.fhat.n
 
@@ -166,12 +153,13 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    payload, loss, cset, result = _load_refit(args.refit_result)
-    with open(args.radius_report) as fh:
-        rep = json.load(fh)
-    report = RadiusReport(**{f.name: rep[f.name]
-                             for f in dataclasses.fields(RadiusReport)})
-    data = load_dataset(payload["config"]["data"])
+    data_path, loss, cset, result = _read_json(args.refit_result, _as_refit)
+    report = _read_json(args.radius_report, lambda rep: RadiusReport(
+        **{f.name: rep[f.name] for f in dataclasses.fields(RadiusReport)}))
+    data = load_dataset(data_path)
+    if data.responses.shape != result.residues.shape or not np.array_equal(
+            data.responses - result.fhat.values, result.residues):
+        raise RejectedInputError(f"{data_path} changed since it was refit")
     w_inf = args.w_inf
     if w_inf is None:
         w_inf = float(np.max(np.abs(result.residues)))
@@ -196,10 +184,7 @@ def _reject_unknown(what: str, keys, cls, set_by_flags: set):
 
 
 def _cmd_validate(args) -> int:
-    overrides = {}
-    if args.config:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
+    overrides = _read_json(args.config) if args.config else {}
     if not (isinstance(overrides, dict)
             and isinstance(overrides.get("spec", {}), dict)):
         raise RejectedInputError("config and its spec must be JSON objects")

@@ -1,4 +1,4 @@
-"""Fixed-design datasets, prediction matrices, and sign randomization.
+"""Fixed-design datasets, prediction matrices, sign matrices, file formats.
 
 Everything here is immutable after construction; sampling operations are
 pure functions of (shape, seed).
@@ -6,7 +6,6 @@ pure functions of (shape, seed).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,40 +113,62 @@ def empirical_discrepancy(loss: BregmanLoss, F: PredictionMatrix, G: PredictionM
     return float(np.mean(loss.divergence_rows(F.values, G.values)))
 
 
+def _write_table(path, blocks):
+    """CSV of (name, (n, k) array) blocks: columns <name>_1 .. <name>_k, one
+    row per design point, shortest round-trip floats, CRLF line ends."""
+    names = [f"{name}_{j + 1}" for name, A in blocks for j in range(A.shape[1])]
+    rows = np.hstack([A for _, A in blocks]).tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([",".join(names),
+                               *(",".join(map(repr, row)) for row in rows), ""]))
+
+
+def _read_table(path, names) -> list[np.ndarray]:
+    """The <name>_* columns of a `_write_table` file, one (n, k) array each."""
+    try:
+        with open(path, newline="") as fh:
+            header, *rows = fh.read().splitlines()
+        if not rows:
+            raise ValueError("no data rows")
+        header = header.split(",")
+        values = np.loadtxt(rows, delimiter=",", ndmin=2)
+        if values.shape != (len(rows), len(header)):  # loadtxt skips blank lines
+            raise ValueError(f"a blank line, or not {len(header)} values a row")
+    except (OSError, ValueError) as err:
+        raise RejectedInputError(f"unreadable table {path}: {err}") from None
+    return [values[:, [i for i, col in enumerate(header)
+                       if col.startswith(f"{name}_")]] for name in names]
+
+
+def _write_json(path, payload):
+    """The package's one JSON writer: sorted keys, 2-space indent."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _read_json(path, parse=lambda payload: payload):
+    """`parse` of a JSON file's content, or RejectedInputError if either fails."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        raise RejectedInputError(f"unreadable file {path}: {err!r}") from None
+
+
 def save_dataset(path, dataset: FixedDesignDataset, *, seed: int | None = None,
                  potential_kind: str | None = None):
     """Write <path>.csv with x_*/y_* columns and a <path>.json manifest."""
-    path = Path(path)
-    csv_path = path.with_suffix(".csv")
-    n, d = dataset.n, dataset.d
-    p = 0 if dataset.inputs is None else dataset.inputs.shape[1]
-    header = [f"x_{j + 1}" for j in range(p)] + [f"y_{j + 1}" for j in range(d)]
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(n):
-            row = [] if p == 0 else [repr(float(v)) for v in dataset.inputs[i]]
-            row += [repr(float(v)) for v in dataset.responses[i]]
-            writer.writerow(row)
-    manifest = {"n": n, "d": d, "p": p, "seed": seed, "potential_kind": potential_kind}
-    with open(path.with_suffix(".json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    csv_path = Path(path).with_suffix(".csv")
+    X = np.empty((dataset.n, 0)) if dataset.inputs is None else dataset.inputs
+    _write_table(csv_path, [("x", X), ("y", dataset.responses)])
+    _write_json(csv_path.with_suffix(".json"),
+                {"n": dataset.n, "d": dataset.d, "p": X.shape[1], "seed": seed,
+                 "potential_kind": potential_kind})
     return csv_path
 
 
 def load_dataset(csv_path) -> FixedDesignDataset:
     """Read a dataset written by `save_dataset` (or any file with the same header)."""
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        x_cols = [i for i, name in enumerate(header) if name.startswith("x_")]
-        y_cols = [i for i, name in enumerate(header) if name.startswith("y_")]
-        if not y_cols:
-            raise RejectedInputError("dataset CSV has no y_* columns")
-        xs, ys = [], []
-        for row in reader:
-            xs.append([float(row[i]) for i in x_cols])
-            ys.append([float(row[i]) for i in y_cols])
-    inputs = np.asarray(xs) if x_cols else None
-    return FixedDesignDataset(inputs=inputs, responses=np.asarray(ys))
+    X, Y = _read_table(csv_path, ("x", "y"))
+    return FixedDesignDataset(inputs=X if X.shape[1] else None, responses=Y)

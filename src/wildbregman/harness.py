@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -156,16 +156,8 @@ class CoverageReport:
                 and self.empirical_coverage >= self.target_coverage - self.band)
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "delta": self.delta,
-            "replications": self.replications,
-            "successes": self.successes,
-            "errors": self.errors,
-            "empirical_coverage": self.empirical_coverage,
-            "target_coverage": self.target_coverage,
-            "passed": self.passed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "per_replication"} | {"passed": self.passed}
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:

@@ -56,19 +56,21 @@ def _refit_stage(trainer, data, stage):
         raise
 
 
-def _wild_result(loss, trainer, data, fhat, signs, rho) -> WildRefitResult:
-    """Build the wild responses at noise scale rho and refit on them.
-
-    squared_l2 lives on a large box; restricted-domain potentials need their
-    wild responses pulled back inside, and the pulled-back rows are counted.
-    """
-    residues = data.responses - fhat.values
+def _wild_responses(loss, fhat, residues, signs, rho):
+    """(wild responses, clip_count) at noise scale rho.  squared_l2 lives on
+    a large box; restricted-domain potentials need their wild responses
+    pulled back inside, and the pulled-back rows are counted."""
     Y_wild = fhat.values - rho * signs.values * residues
-    clip_count = 0
-    if loss.potential.kind != "squared_l2":
-        projected = loss.domain.project(Y_wild)
-        clip_count = int(np.sum(np.any(projected != Y_wild, axis=1)))
-        Y_wild = projected
+    if loss.potential.kind == "squared_l2":
+        return Y_wild, 0
+    projected = loss.domain.project(Y_wild)
+    return projected, int(np.sum(np.any(projected != Y_wild, axis=1)))
+
+
+def _wild_result(loss, trainer, data, fhat, signs, rho) -> WildRefitResult:
+    """Build the wild responses at noise scale rho and refit on them."""
+    residues = data.responses - fhat.values
+    Y_wild, clip_count = _wild_responses(loss, fhat, residues, signs, rho)
     fdiamond = _refit_stage(trainer, data.with_responses(Y_wild), "refit")
     return WildRefitResult(fhat=fhat, fdiamond=fdiamond, wild_responses=Y_wild,
                            residues=residues, signs=signs, rho=float(rho),

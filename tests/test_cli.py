@@ -8,7 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wildbregman.cli import _potential_params, build_parser, main
+from wildbregman.cli import _as_refit, _potential_params, build_parser, main
+from wildbregman.design import (FixedDesignDataset, _read_json, load_dataset,
+                                save_dataset)
+from wildbregman.trainers import build_model
+from wildbregman.wildfit import wild_refit
 
 
 def run(argv):
@@ -200,14 +204,159 @@ def test_unbounded_radius_exits_3_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_certificate_demo_script_runs():
-    # the demo drives the certificate API end to end outside the CLI
+def _edit_json(src, dst, edit):
+    payload = json.loads(Path(src).read_text())
+    edit(payload)
+    Path(dst).write_text(json.dumps(payload))
+
+
+# each unreadable input: (flag, what the bad file holds; None = no file)
+UNREADABLE = {
+    "data_missing": ("--data", None),
+    "data_non_numeric": ("--data", "x_1,y_1\r\n0.5,abc\r\n"),
+    "data_ragged_row": ("--data", "x_1,y_1\r\n0.5,1.0\r\n0.25\r\n"),
+    "data_blank_line": ("--data", "x_1,y_1\r\n0.5,1.0\r\n\r\n0.25,2.0\r\n"),
+    "data_no_rows": ("--data", "x_1,y_1\r\n"),
+    "radius_refit_missing": ("--refit-result", None),
+    "radius_refit_not_json": ("--refit-result", "{not json"),
+    "radius_refit_no_config": ("--refit-result",
+                               lambda p: p.pop("config")),
+    "radius_refit_shapes_differ": ("--refit-result",
+                                   lambda p: p["residues"].pop()),
+    "certify_refit_no_config": ("--refit-result", lambda p: p.pop("config")),
+    "certify_report_missing": ("--radius-report", None),
+    "certify_report_not_json": ("--radius-report", "[1,"),
+    "certify_report_no_key": ("--radius-report",
+                              lambda p: p.pop("r_certified")),
+    "validate_config_missing": ("--config", None),
+    "validate_config_not_json": ("--config", "spec: {n: 50}"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_input_exits_2_with_one_line(dataset, tmp_path, capsys,
+                                                case):
+    refit, radius = tmp_path / "refit.json", tmp_path / "radius.json"
+    assert run(["refit", "--rho", 1.0, "--seed", 1, "--data", dataset,
+                "--out", refit]) == 0
+    assert run(["radius", "--mode", "fixed-point", "--delta", 1e-4,
+                "--refit-result", refit, "--out", radius]) == 0
+    flag, content = UNREADABLE[case]
+    bad = tmp_path / "bad"
+    if callable(content):
+        _edit_json(radius if flag == "--radius-report" else refit, bad, content)
+    elif content is not None:
+        bad.write_text(content, newline="")
+    files = {"--data": dataset, "--refit-result": refit,
+             "--radius-report": radius, "--config": None} | {flag: bad}
+    out = tmp_path / "out"
+    argv = {
+        "data": ["refit", "--rho", 1.0, "--data", files["--data"]],
+        "radius": ["radius", "--mode", "fixed-point", "--delta", 1e-4,
+                   "--refit-result", files["--refit-result"]],
+        "certify": ["certify", "--mode", "fixed", "--delta", 1e-4,
+                    "--refit-result", files["--refit-result"],
+                    "--radius-report", files["--radius-report"],
+                    "--pilot", 0.0, "--misspec", 0.0],
+        "validate": ["validate", "--theorem", "lemma_5_1", "--reps", 5,
+                     "--delta", 0.05, "--config", files["--config"]],
+    }[case.split("_")[0]]
+    capsys.readouterr()
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RejectedInputError"), err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_certify_refuses_dataset_changed_after_refit(tmp_path, capsys):
+    # the refit was fit on the seed-5 responses; certifying it against the
+    # seed-6 dataset written to the same path would mix two datasets
+    prefix = tmp_path / "data"
+    data, refit = prefix.with_suffix(".csv"), tmp_path / "refit.json"
+    assert run(["simulate", "--n", 60, "--seed", 5, "--out", prefix]) == 0
+    assert run(["refit", "--rho", 1.0, "--seed", 3, "--cset-bound", 0.3,
+                "--data", data, "--out", refit]) == 0
+    # a radius report the refit is calibrated to, as in the pipeline test
+    r_dia = json.loads(refit.read_text())["achieved_radius"]
+    radius = tmp_path / "radius.json"
+    radius.write_text(json.dumps({"r_hat_n": r_dia / 3.0, "r_diamond_rho": r_dia,
+                                  "r_certified": r_dia / 3.0,
+                                  "method": "oracle"}))
+    certify = ["certify", "--mode", "fixed", "--delta", 1e-4,
+               "--refit-result", refit, "--radius-report", radius,
+               "--pilot", 0.0, "--misspec", 0.0, "--out", tmp_path / "cert.json"]
+    assert run(certify) == 0
+    assert run(["simulate", "--n", 60, "--seed", 6, "--out", prefix]) == 0
+    capsys.readouterr()
+    assert run(certify) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RejectedInputError") and "data.csv" in err
+
+
+def _kl_dataset(path):
+    rng = np.random.default_rng(0)
+    responses = 0.1 + 0.7 * rng.dirichlet(np.ones(3), size=40)
+    return save_dataset(path, FixedDesignDataset(rng.uniform(-1, 1, (40, 2)),
+                                                 responses))
+
+
+@pytest.mark.parametrize("potential, trainer", [
+    ("squared_l2", "saturated"), ("clipped_simplex_kl", "linear")])
+def test_refit_file_rebuilds_result_bit_for_bit(dataset, tmp_path, potential,
+                                                trainer):
+    # the file stores no wild responses: loading rebuilds them, and their
+    # clip count, from fhat, residues, signs and rho
+    data_csv = dataset if potential == "squared_l2" else _kl_dataset(
+        tmp_path / "kl")
+    refit = tmp_path / "refit.json"
+    assert run(["refit", "--rho", 1.5, "--seed", 2, "--potential", potential,
+                "--trainer", trainer, "--cset-bound", 0.3, "--data", data_csv,
+                "--out", refit]) == 0
+    assert "wild_responses" not in json.loads(refit.read_text())
+    data = load_dataset(data_csv)
+    params = {"clipped_simplex_kl": {"eta0": 0.1}}.get(potential, {})
+    loss, cset, fit = build_model(data.d, potential, params, 0.3,
+                                  {"kind": trainer})
+    want = wild_refit(loss, cset, fit, data, 1.5, seed=2)
+    data_path, _, _, got = _read_json(refit, _as_refit)
+    assert data_path == str(data_csv)
+    for field in ("fhat", "fdiamond", "signs"):
+        assert getattr(got, field).values.tobytes() == \
+            getattr(want, field).values.tobytes(), field
+    for field in ("wild_responses", "residues"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert (got.rho, got.clip_count, got.signs.seed) == \
+        (want.rho, want.clip_count, want.signs.seed)
+    assert (want.clip_count > 0) == (potential == "clipped_simplex_kl")
+
+
+def _run_script(name, *args):
+    """Run scripts/<name> in a subprocess with the package source importable."""
     root = Path(__file__).resolve().parents[1]
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src")] + ([path] if path else [])))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "certificate_demo.py"),
-         "--n", "100"], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, str(root / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_certificate_demo_script_runs():
+    # the demo drives the certificate API end to end outside the CLI
+    proc = _run_script("certificate_demo.py", "--n", "100")
     assert proc.returncode == 0, proc.stderr
     assert "random design" in proc.stdout
+
+
+def test_coverage_study_script_writes_reports(tmp_path):
+    proc = _run_script("run_coverage_study.py", "--reps", "100", "--n", "40",
+                       "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    reports = sorted(tmp_path.glob("*.json"))
+    assert len(reports) == 5
+    for path in reports:
+        rep = json.loads(path.read_text())
+        assert rep["passed"] and rep["theorem"] == path.stem
+        assert set(rep) == {"theorem", "delta", "replications", "successes",
+                            "errors", "empirical_coverage", "target_coverage",
+                            "passed"}

@@ -1,14 +1,23 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from wildbregman.cli import main
 from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
                                 SignMatrix, empirical_discrepancy,
                                 load_dataset, sample_sign_matrix, save_dataset)
 from wildbregman.errors import RejectedInputError
 from wildbregman.geometry import Box
+from wildbregman.harness import SyntheticSpec, generate_synthetic
 from wildbregman.potentials import builtin_loss
+
+# values whose text form is easy to get wrong: a signed zero, the smallest
+# subnormal, a float printed in exponent form, the largest float, and 1/3
+AWKWARD = FixedDesignDataset(
+    np.array([[-0.0, 5e-324, 1e16], [1.0 / 3.0, -1e-300, 1.7976931348623157e308]]),
+    np.array([[1.0 / 3.0, -0.0], [5e-324, 1e16]]))
 
 
 def test_dataset_shapes_and_props():
@@ -72,14 +81,57 @@ def test_empirical_discrepancy_shape_mismatch():
 def test_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     data = FixedDesignDataset(rng.normal(size=(10, 3)), rng.normal(size=(10, 2)))
-    csv_path = save_dataset(tmp_path / "ds", data, seed=42,
-                            potential_kind="squared_l2")
-    loaded = load_dataset(csv_path)
-    assert np.array_equal(loaded.inputs, data.inputs)
-    assert np.array_equal(loaded.responses, data.responses)
+    for name, ds in (("ds", data), ("awkward", AWKWARD)):
+        csv_path = save_dataset(tmp_path / name, ds, seed=42,
+                                potential_kind="squared_l2")
+        loaded = load_dataset(csv_path)
+        # bit for bit, so a lost sign of zero shows too
+        assert loaded.inputs.tobytes() == ds.inputs.tobytes()
+        assert loaded.responses.tobytes() == ds.responses.tobytes()
     manifest = json.loads((tmp_path / "ds.json").read_text())
     assert manifest == {"n": 10, "d": 2, "p": 3, "seed": 42,
                         "potential_kind": "squared_l2"}
+
+
+def _reference_csv(path, blocks):
+    """The CSV format frozen as `csv.writer` rows of repr(float(v)) cells."""
+    n = blocks[0][1].shape[0]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"{name}_{j + 1}" for name, A in blocks
+                         for j in range(A.shape[1])])
+        for i in range(n):
+            writer.writerow([repr(float(v)) for _, A in blocks for v in A[i]])
+
+
+@pytest.mark.parametrize("data", [
+    AWKWARD,
+    FixedDesignDataset(np.array([[0.1, -2.5]]), np.array([[1e-7, 3.0]])),
+    FixedDesignDataset(None, np.array([[1.0 / 3.0], [-0.0], [5e-324]])),
+], ids=["awkward", "n1", "no_inputs"])
+def test_dataset_file_format_frozen(tmp_path, data):
+    save_dataset(tmp_path / "ds", data, seed=7, potential_kind="squared_l2")
+    blocks = [("y", data.responses)]
+    if data.inputs is not None:
+        blocks.insert(0, ("x", data.inputs))
+    _reference_csv(tmp_path / "ref.csv", blocks)
+    assert (tmp_path / "ds.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    manifest = {"n": data.n, "d": data.d,
+                "p": 0 if data.inputs is None else data.inputs.shape[1],
+                "seed": 7, "potential_kind": "squared_l2"}
+    assert (tmp_path / "ds.json").read_text() == json.dumps(
+        manifest, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 9])
+def test_oracle_file_format_frozen(tmp_path, n):
+    assert main(["simulate", "--n", str(n), "--d", "2", "--seed", "4",
+                 "--out", str(tmp_path / "data")]) == 0
+    _, oracle = generate_synthetic(SyntheticSpec(n=n, d=2, seed=4))
+    _reference_csv(tmp_path / "ref.csv", [("fstar", oracle.fstar_preds.values),
+                                          ("w", oracle.noise)])
+    assert ((tmp_path / "data_oracle.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
 
 
 def test_save_load_without_inputs(tmp_path):
