@@ -17,7 +17,7 @@ from wildbregman.geometry import Box
 from wildbregman.harness import SyntheticSpec, generate_synthetic
 from wildbregman.potentials import builtin_loss
 from wildbregman.trainers import LinearTrainer
-from wildbregman.wildfit import calibrate_rho
+from wildbregman.wildfit import calibrate_rho, wild_refit
 
 
 def main():
@@ -34,12 +34,12 @@ def main():
     cset = Box(np.full(args.d, -1.0), np.full(args.d, 1.0))
     trainer = LinearTrainer(loss, cset)
 
-    fhat = trainer.fit(data)
+    start = wild_refit(loss, cset, trainer, data, 1.0, seed=args.seed)
+    fhat = start.fhat
     fdagger = trainer.fit(data.with_responses(oracle.fstar_preds.values))
     r_hat = math.sqrt(float(np.mean(loss.divergence_rows(fdagger.values,
                                                          fhat.values))))
-    cal = calibrate_rho(loss, cset, trainer, data,
-                        3.0 * loss.c0 * r_hat, seed=args.seed)
+    cal = calibrate_rho(loss, trainer, data, start, 3.0 * loss.c0 * r_hat)
     result = cal["result"]
     print(f"fit-vs-noiseless-fit radius  {r_hat:.6f}")
     print(f"calibrated rho               {cal['rho']:.6f}")

@@ -17,12 +17,13 @@ from .design import (PredictionMatrix, SignMatrix, _read_json, _write_json,
                      _write_table, load_dataset, save_dataset)
 from .errors import (CalibrationError, ConvergenceError, RejectedInputError,
                      UnboundedRadiusError, UnsupportedConfigurationError)
-from .harness import (THEOREMS, CoverageExperiment, SyntheticSpec,
-                      generate_synthetic, run_coverage)
+from .harness import (_FSTAR_FAMILIES, _NOISE_FAMILIES, THEOREMS,
+                      CoverageExperiment, SyntheticSpec, generate_synthetic,
+                      run_coverage)
 from .potentials import builtin_loss
 from .trainers import build_model
-from .wildfit import (WildRefitResult, _wild_responses, calibrate_rho,
-                      wild_optimism, wild_refit)
+from .wildfit import (WildRefitResult, _require_same_data, _wild_responses,
+                      calibrate_rho, wild_optimism, wild_refit)
 
 
 # the default parameter of each potential that takes one
@@ -96,12 +97,11 @@ def _cmd_refit(args) -> int:
     loss, cset, trainer = build_model(data.d, args.potential,
                                       _potential_params(args), args.cset_bound,
                                       {"kind": args.trainer})
-    if args.rho is not None:
-        result = wild_refit(loss, cset, trainer, data, args.rho, seed=args.seed)
-    else:
-        cal = calibrate_rho(loss, cset, trainer, data, args.target_radius,
-                            seed=args.seed)
-        result = cal["result"]
+    result = wild_refit(loss, cset, trainer, data,
+                        1.0 if args.rho is None else args.rho, seed=args.seed)
+    if args.target_radius is not None:
+        result = calibrate_rho(loss, trainer, data, result,
+                               args.target_radius)["result"]
     _write_json(args.out, _refit_payload(loss, result, args))
     print(f"wrote {args.out}")
     return 0
@@ -157,9 +157,7 @@ def _cmd_certify(args) -> int:
     report = _read_json(args.radius_report, lambda rep: RadiusReport(
         **{f.name: rep[f.name] for f in dataclasses.fields(RadiusReport)}))
     data = load_dataset(data_path)
-    if data.responses.shape != result.residues.shape or not np.array_equal(
-            data.responses - result.fhat.values, result.residues):
-        raise RejectedInputError(f"{data_path} changed since it was refit")
+    _require_same_data(result, data, f"{data_path} changed since it was refit")
     w_inf = args.w_inf
     if w_inf is None:
         w_inf = float(np.max(np.abs(result.residues)))
@@ -226,11 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--p", type=int, default=3)
-    p.add_argument("--fstar", default="linear",
-                   choices=["constant", "linear", "nonlinear"])
+    p.add_argument("--fstar", default="linear", choices=_FSTAR_FAMILIES)
     p.add_argument("--fstar-scale", type=float, default=0.5)
-    p.add_argument("--noise", default="uniform",
-                   choices=["uniform", "scaled_rademacher", "heteroskedastic"])
+    p.add_argument("--noise", default="uniform", choices=_NOISE_FAMILIES)
     p.add_argument("--noise-scale", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=0)
     _add_potential_flags(p)

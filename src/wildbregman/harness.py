@@ -27,16 +27,28 @@ from .trainers import LinearTrainer, build_model
 from .wildfit import calibrate_rho, wild_optimism, wild_refit
 
 
+_FSTAR_FAMILIES = ("constant", "linear", "nonlinear")
+_NOISE_FAMILIES = ("uniform", "scaled_rademacher", "heteroskedastic")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     n: int
     d: int
-    fstar_family: str = "linear"  # constant | linear | nonlinear
+    fstar_family: str = "linear"
     fstar_scale: float = 0.5
-    noise_family: str = "uniform"  # uniform | scaled_rademacher | heteroskedastic
+    noise_family: str = "uniform"
     noise_scale: float = 0.25
     p: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        if not (all(isinstance(v, int) and v >= 1 for v in (self.n, self.d))
+                and self.fstar_family in _FSTAR_FAMILIES
+                and self.noise_family in _NOISE_FAMILIES):
+            raise RejectedInputError(
+                f"bad spec {self}: n and d are integers >= 1, and the "
+                f"families are {_FSTAR_FAMILIES} and {_NOISE_FAMILIES}")
 
 
 @dataclass(frozen=True)
@@ -47,18 +59,13 @@ class OracleContext:
     fstar_fn: object = None
 
 
-def _hetero_amplitudes(scale: float, d: int) -> np.ndarray:
-    return scale * (0.5 + 0.5 * (np.arange(d) + 1) / d)
-
-
 def _draw_noise(rng, n, d, family, scale):
     if family == "uniform":
         return rng.uniform(-scale, scale, size=(n, d))
     if family == "scaled_rademacher":
         return scale * (rng.integers(0, 2, size=(n, d)) * 2 - 1)
-    if family == "heteroskedastic":
-        return rng.uniform(-1.0, 1.0, size=(n, d)) * _hetero_amplitudes(scale, d)
-    raise RejectedInputError(f"unknown noise family {family!r}")
+    amplitudes = scale * (0.5 + 0.5 * (np.arange(d) + 1) / d)
+    return rng.uniform(-1.0, 1.0, size=(n, d)) * amplitudes
 
 
 def _make_fstar(spec: SyntheticSpec, rng):
@@ -72,16 +79,12 @@ def _make_fstar(spec: SyntheticSpec, rng):
         col = np.sum(np.abs(theta), axis=0)
         theta = theta / np.maximum(col, 1e-12) * spec.fstar_scale
         return lambda X: X @ theta
-    if spec.fstar_family == "nonlinear":
-        return lambda X: spec.fstar_scale * np.tanh(X @ theta)
-    raise RejectedInputError(f"unknown fstar family {spec.fstar_family!r}")
+    return lambda X: spec.fstar_scale * np.tanh(X @ theta)
 
 
 def generate_synthetic(spec: SyntheticSpec,
                        loss: BregmanLoss | None = None):
     """Draw (dataset, oracle context) deterministically from the scenario seed."""
-    if spec.n < 1 or spec.d < 1:
-        raise RejectedInputError("n and d must be >= 1")
     if loss is not None and not isinstance(loss.domain, Box):
         raise RejectedInputError(
             "synthetic generation supports box-domain losses only")
@@ -185,22 +188,20 @@ class _RepContext:
     rep: int
 
 
-def _noiseless_radius(ctx: _RepContext):
-    """The fit, the noiseless fit, and the radius r-hat between them."""
-    fhat = ctx.trainer.fit(ctx.data)
+def _noiseless_radius(ctx: _RepContext, fhat: PredictionMatrix):
+    """The noiseless fit, and the radius r-hat between it and fhat."""
     fdagger = ctx.trainer.fit(
         ctx.data.with_responses(ctx.oracle.fstar_preds.values))
-    r_hat = math.sqrt(empirical_discrepancy(ctx.loss, fdagger, fhat))
-    return fhat, fdagger, r_hat
+    return fdagger, math.sqrt(empirical_discrepancy(ctx.loss, fdagger, fhat))
 
 
 def _fixed_design_pipeline(ctx: _RepContext):
-    """Shared fit -> noiseless fit -> calibrated refit -> certificate chain."""
+    """Shared wild refit -> noiseless fit -> calibration -> certificate."""
     loss, cset, trainer, data = ctx.loss, ctx.cset, ctx.trainer, ctx.data
-    fhat, fdagger, r_hat = _noiseless_radius(ctx)
+    start = wild_refit(loss, cset, trainer, data, 1.0, seed=ctx.sign_seed)
+    fdagger, r_hat = _noiseless_radius(ctx, start.fhat)
     r_cert = max(r_hat, 1e-8)
-    cal = calibrate_rho(loss, cset, trainer, data, 3.0 * loss.c0 * r_cert,
-                        seed=ctx.sign_seed)
+    cal = calibrate_rho(loss, trainer, data, start, 3.0 * loss.c0 * r_cert)
     result = cal["result"]
     pilot = pilot_error_oracle(loss, cset, result.fhat, ctx.oracle.fstar_preds,
                                result.signs, r_cert)
@@ -211,9 +212,8 @@ def _fixed_design_pipeline(ctx: _RepContext):
     cert = fixed_design_certificate(
         loss, result, report, ctx.delta, pilot, misspec, ctx.oracle.w_inf,
         responses=data.responses)
-    return {"fhat": fhat, "fdagger": fdagger, "r_hat": r_hat, "r_cert": r_cert,
-            "result": result, "pilot": pilot, "misspec": misspec,
-            "report": report, "cert": cert}
+    return {"fhat": result.fhat, "r_cert": r_cert, "result": result,
+            "pilot": pilot, "misspec": misspec, "cert": cert}
 
 
 def _check_lemma_5_1(ctx: _RepContext):
@@ -243,7 +243,8 @@ def _check_thm_5_1(ctx: _RepContext, which: str):
 
 def _check_thm_6_1(ctx: _RepContext):
     loss, cset, data = ctx.loss, ctx.cset, ctx.data
-    fhat, _, r_hat = _noiseless_radius(ctx)
+    fhat = ctx.trainer.fit(data)
+    _, r_hat = _noiseless_radius(ctx, fhat)
     eps = sample_sign_matrix(data.n, data.d, ctx.sign_seed)
     Z = eps.values * (data.responses - fhat.values)
     log_inv = math.log(1.0 / ctx.delta)

@@ -48,25 +48,20 @@ class LinearPredictor:
         return self.cset.project(Z)
 
 
+_MAX_ITERS, _TOL = 500, 1e-10  # gradient descent's iteration cap and tolerance
+
+
 @dataclass(frozen=True)
 class LinearTrainer:
     """ERM over affine predictors: exact least squares (SVD, minimum-norm on
-    rank-deficient designs) for squared_l2, which takes no max_iters or tol;
-    otherwise monotone gradient descent with predictions clipped into the
-    loss domain, bounded by max_iters (500) and tol (1e-10).  Predictions
-    are projected onto the compact set; downstream it is an opaque procedure.
+    rank-deficient designs) for squared_l2; otherwise monotone gradient
+    descent with predictions clipped into the loss domain, bounded by
+    _MAX_ITERS and _TOL.  Predictions are projected onto the compact set;
+    downstream it is an opaque procedure.
     """
 
     loss: BregmanLoss
     cset: CompactSet
-    max_iters: int | None = None
-    tol: float | None = None
-
-    def __post_init__(self):
-        if self.loss.potential.kind == "squared_l2" and (
-                self.max_iters is not None or self.tol is not None):
-            raise RejectedInputError(
-                "squared_l2's exact linear fit takes no max_iters or tol")
 
     def _domain_clip(self, Z: np.ndarray) -> np.ndarray:
         return self.loss.domain.project(Z)
@@ -84,8 +79,6 @@ class LinearTrainer:
         p = self.loss.potential
         if p.kind == "squared_l2":
             return np.linalg.lstsq(Xa, Y, rcond=None)[0]
-        max_iters = 500 if self.max_iters is None else self.max_iters
-        tol = 1e-10 if self.tol is None else self.tol
         theta = np.zeros((Xa.shape[1], d))
         # start from the domain center so the Hessian oracle is evaluable
         theta[-1] = p.domain.center()
@@ -93,11 +86,11 @@ class LinearTrainer:
         trace = [obj]
         # conservative Lipschitz guess for the step; refined by backtracking
         step = 1.0 / (p.beta * max(1.0, float(np.linalg.norm(Xa, 2) ** 2) / n))
-        for _ in range(max_iters):
+        for _ in range(_MAX_ITERS):
             Z = self._domain_clip(Xa @ theta)
             G = Xa.T @ (p.hessian_diag(Z) * (Z - Y)) / n
             gnorm = float(np.linalg.norm(G))
-            if gnorm <= tol:
+            if gnorm <= _TOL:
                 break
             eta, moved = step, False
             for _ in range(50):
@@ -109,7 +102,7 @@ class LinearTrainer:
                     break
                 eta *= 0.5
             trace.append(obj)
-            if not moved or (len(trace) > 2 and trace[-2] - trace[-1] <= tol * max(1.0, obj)):
+            if not moved or (len(trace) > 2 and trace[-2] - trace[-1] <= _TOL * max(1.0, obj)):
                 break
         if not np.isfinite(obj):
             raise ConvergenceError("linear fit diverged", trace=trace)
@@ -122,8 +115,7 @@ class LinearTrainer:
         return PredictionMatrix(self.fit_predictor(data).predict(data.inputs))
 
 
-_TRAINERS = {"saturated": (SaturatedTrainer, set()),
-             "linear": (LinearTrainer, {"max_iters", "tol"})}
+_TRAINERS = {"saturated": SaturatedTrainer, "linear": LinearTrainer}
 
 
 def build_model(d: int, potential: str, potential_params: dict,
@@ -131,20 +123,25 @@ def build_model(d: int, potential: str, potential_params: dict,
     """(loss, compact set, trainer) for a model description.
 
     The set is the loss domain for clipped_simplex_kl and the box
-    [-cset_bound, cset_bound]^d otherwise.  trainer is a descriptor dict:
-    {"kind": "saturated"}, or {"kind": "linear"} with optional max_iters and
-    tol (not for squared_l2); any other kind or key raises RejectedInputError.
+    [-cset_bound, cset_bound]^d otherwise.  trainer is a descriptor dict,
+    {"kind": "saturated"} (the default) or {"kind": "linear"}; other kinds or
+    keys, and values of the wrong type, raise RejectedInputError.
     """
+    if not (isinstance(potential, str) and isinstance(potential_params, dict)
+            and isinstance(trainer, dict)
+            and isinstance(cset_bound, (int, float))):
+        raise RejectedInputError("potential must be a name, potential_params "
+                                 "and trainer objects, cset_bound a number")
+    kind = trainer.get("kind", "saturated")
+    if (set(trainer) - {"kind"} or not isinstance(kind, str)
+            or kind not in _TRAINERS):
+        raise RejectedInputError(
+            f"bad trainer descriptor {trainer!r}: the kinds are 'saturated' "
+            "and 'linear', and kind is its only key")
     loss = builtin_loss(potential, d, **potential_params)
     cset = (loss.domain if potential == "clipped_simplex_kl" else
             Box(np.full(d, -cset_bound), np.full(d, cset_bound)))
-    options = dict(trainer)
-    kind = options.pop("kind", "saturated")
-    if kind not in _TRAINERS or not set(options) <= _TRAINERS[kind][1]:
-        raise RejectedInputError(
-            f"bad trainer descriptor {trainer!r}: the kinds are 'saturated', "
-            "and 'linear' with optional max_iters and tol")
-    return loss, cset, _TRAINERS[kind][0](loss, cset, **options)
+    return loss, cset, _TRAINERS[kind](loss, cset)
 
 
 def check_nonexpansive(loss: BregmanLoss, trainer, fstar_preds: PredictionMatrix,

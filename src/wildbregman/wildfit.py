@@ -104,35 +104,41 @@ def wild_optimism(loss: BregmanLoss, result: WildRefitResult) -> float:
     return term1 - term2 + term3
 
 
-def calibrate_rho(loss: BregmanLoss, cset: CompactSet, trainer,
-                  data: FixedDesignDataset, target_radius: float, *,
-                  seed: int = 0) -> dict:
+def _require_same_data(result: WildRefitResult, data: FixedDesignDataset,
+                       message: str):
+    """Refuse data whose responses minus result.fhat are not result.residues."""
+    if data.responses.shape != result.residues.shape or not np.array_equal(
+            data.responses - result.fhat.values, result.residues):
+        raise RejectedInputError(message)
+
+
+def calibrate_rho(loss: BregmanLoss, trainer, data: FixedDesignDataset,
+                  start: WildRefitResult, target_radius: float) -> dict:
     """Find rho with sqrt L_n(fhat, fdiamond_rho) ~= target_radius.
 
-    One sign draw is reused for every candidate rho, so the radius map is
-    deterministic.  The search runs in log rho on g = log(r / target): from
-    rho = 1 it takes the slope-1 step rho = target / r(1), exact when nothing
-    clips (the radius is then linear in rho), and extrapolates by secant
-    until the target is bracketed, each step clamped to a factor of 1e3 and
-    to [_RHO_LO, _RHO_HI].  Illinois regula falsi (Dowell & Jarratt, 1971)
-    then shrinks the bracket, bisecting whenever the secant point leaves it.
-    The returned result is the one wild_refit gives at the returned rho.
+    Continues `start`, a wild refit of data: every later point refits from
+    start.fhat with start.signs.  The search runs in log rho on g = log(r /
+    target): the slope-1 step, exact when nothing clips, then secant
+    extrapolation until the target is bracketed, each step clamped to a
+    factor of 1e3 and to [_RHO_LO, _RHO_HI]; then Illinois regula falsi
+    (Dowell & Jarratt, 1971), bisecting whenever the secant point leaves
+    the bracket.  The result is the one wild_refit gives at the returned rho.
     """
     if target_radius <= 0:
         raise RejectedInputError("target_radius must be > 0")
-    fhat = _refit_stage(trainer, data, "initial fit")
-    signs = sample_sign_matrix(data.n, data.d, seed)
+    _require_same_data(start, data, "start is a wild refit of other data")
     trace: list[tuple[float, float]] = []
     t_lo, t_hi = math.log(_RHO_LO), math.log(_RHO_HI)
-    t = 0.0  # rho = 1
+    t, result = math.log(start.rho), start
     prev = bracket = None  # last point (t, g); far end once g changed sign
     while len(trace) < _MAX_STEPS:
-        rho = min(max(math.exp(t), _RHO_LO), _RHO_HI)
-        result = _wild_result(loss, trainer, data, fhat, signs, rho)
+        if trace:
+            result = _wild_result(loss, trainer, data, start.fhat, start.signs,
+                                  min(max(math.exp(t), _RHO_LO), _RHO_HI))
         r = result.radius(loss)
-        trace.append((rho, r))
+        trace.append((result.rho, r))
         if abs(r - target_radius) <= _TOL_REL * target_radius:
-            return {"rho": rho, "achieved_radius": r, "result": result,
+            return {"rho": result.rho, "achieved_radius": r, "result": result,
                     "trace": trace}
         g = math.log(r / target_radius) if r > 0 else -math.inf
         if bracket is None and prev is not None and (g < 0) != (prev[1] < 0):

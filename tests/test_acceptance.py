@@ -154,7 +154,8 @@ def test_criterion_05_calibration_contract():
             pushed_in = (signs.values * residues) * np.sign(fhat.values) > 0
             c = math.sqrt(float(np.sum((residues * pushed_in) ** 2)) / 120.0)
             target = 0.05
-            out = calibrate_rho(loss, cset, trainer, data, target, seed=k)
+            start = wild_refit(loss, cset, trainer, data, 1.0, seed=k)
+            out = calibrate_rho(loss, trainer, data, start, target)
             err_a = abs(out["rho"] - target / c) / (target / c)
             worst_analytic = max(worst_analytic, err_a)
         else:
@@ -165,7 +166,7 @@ def test_criterion_05_calibration_contract():
             data = FixedDesignDataset(X, Y)
             probe = wild_refit(loss, cset, trainer, data, 1.0, seed=k)
             target = float(rng.uniform(0.5, 2.0)) * probe.radius(loss)
-            out = calibrate_rho(loss, cset, trainer, data, target, seed=k)
+            out = calibrate_rho(loss, trainer, data, probe, target)
         hit = abs(out["achieved_radius"] - target) / target
         worst_hit = max(worst_hit, hit)
     ok = worst_hit <= 1e-3 and worst_analytic <= 1e-3

@@ -14,7 +14,7 @@ from wildbregman.errors import (RejectedInputError,
 from wildbregman.geometry import Box, ClippedSimplex
 from wildbregman.potentials import builtin_loss
 from wildbregman.trainers import SaturatedTrainer
-from wildbregman.wildfit import calibrate_rho
+from wildbregman.wildfit import calibrate_rho, wild_refit
 
 from conftest import simplex_grid
 
@@ -55,11 +55,12 @@ def _calibrated_setup(rng, n=60, d=2, b=0.4, delta=0.05):
     Fstar = rng.uniform(-2 * b, 2 * b, size=(n, d))
     W = rng.uniform(-0.3, 0.3, size=(n, d))
     data = FixedDesignDataset(None, Fstar + W)
-    fhat = trainer.fit(data)
+    start = wild_refit(loss, cset, trainer, data, 1.0, seed=5)
+    fhat = start.fhat
     fdagger = trainer.fit(data.with_responses(Fstar))
     r_hat = math.sqrt(float(np.mean(loss.divergence_rows(fdagger.values,
                                                          fhat.values))))
-    cal = calibrate_rho(loss, cset, trainer, data, 3.0 * loss.c0 * r_hat, seed=5)
+    cal = calibrate_rho(loss, trainer, data, start, 3.0 * loss.c0 * r_hat)
     result = cal["result"]
     pilot = pilot_error_oracle(loss, cset, fhat, PredictionMatrix(Fstar),
                                result.signs, r_hat)

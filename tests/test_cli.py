@@ -125,9 +125,9 @@ def test_validate_byte_deterministic(tmp_path):
 def test_validate_unknown_config_key(tmp_path):
     # keys of no experiment field, of a deleted field (the slack, the
     # lemma's rho cycle and the held-out size are constants), or set by a flag,
-    # trainer descriptors with a key their kind does not take (squared_l2's
-    # exact linear fit takes no max_iters or tol), and a spec that is not an
-    # object
+    # trainer descriptors with a key other than kind (max_iters and tol are
+    # constants), values of the wrong type, a spec that is not an object, and
+    # a spec refused once at construction rather than inside every rep
     cfg = tmp_path / "cfg.json"
     for config in ({"bogus": 1}, {"radius_policy": "oracle"},
                    {"spec": {"design": "random"}}, {"spec": {"bogus": 1}},
@@ -138,7 +138,12 @@ def test_validate_unknown_config_key(tmp_path):
                    {"trainer": {"kind": "saturated", "max_iters": 5}},
                    {"potential_params": {"eta0": 0.1}},
                    {"slack": 0}, {"rhos": [1]}, {"heldout_m": 10},
-                   {"spec": [50, 2]}):
+                   {"spec": [50, 2]}, {"trainer": "linear"},
+                   {"trainer": {"kind": []}}, {"potential_kind": []},
+                   {"cset_bound": "x"}, {"potential_params": [1]},
+                   {"spec": {"n": 0}}, {"spec": {"n": "x"}},
+                   {"spec": {"fstar_family": "cubic"}},
+                   {"spec": {"noise_family": "gaussian"}}):
         cfg.write_text(json.dumps(config))
         code = run(["validate", "--theorem", "lemma_5_1", "--reps", 5,
                     "--delta", 0.05, "--config", cfg, "--out", tmp_path / "x"])

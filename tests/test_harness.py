@@ -7,7 +7,7 @@ from wildbregman.harness import (CoverageExperiment, SyntheticSpec,
                                  generate_synthetic, realized_excess_risk,
                                  run_coverage)
 from wildbregman.potentials import builtin_loss
-from wildbregman.trainers import SaturatedTrainer
+from wildbregman.trainers import LinearTrainer, SaturatedTrainer
 from wildbregman.geometry import Box
 
 
@@ -155,6 +155,31 @@ def test_run_coverage_thm51_passes_small():
     assert report.errors == 0
     assert report.passed
     assert report.target_coverage == pytest.approx(0.6)
+
+
+def test_fixed_design_replication_fits_fhat_once(monkeypatch):
+    # the pipeline's wild refit at rho = 1 supplies fhat, and calibration
+    # continues that refit instead of fitting the responses again
+    datasets, fitted = [], []
+    generate, fit = harness.generate_synthetic, LinearTrainer.fit
+
+    def record_generate(spec, loss):
+        datasets.append(generate(spec, loss))
+        return datasets[-1]
+
+    def record_fit(self, data):
+        fitted.append(data.responses)
+        return fit(self, data)
+
+    monkeypatch.setattr(harness, "generate_synthetic", record_generate)
+    monkeypatch.setattr(LinearTrainer, "fit", record_fit)
+    exp = CoverageExperiment(theorem="thm_5_1_excess", reps=100, delta=0.05,
+                             spec=SyntheticSpec(n=30, d=2, seed=4),
+                             trainer={"kind": "linear"})
+    assert run_coverage(exp).errors == 0
+    assert len(datasets) == 100
+    for data, _ in datasets:
+        assert sum(np.array_equal(Y, data.responses) for Y in fitted) == 1
 
 
 def test_coverage_report_csv_roundtrip(tmp_path):

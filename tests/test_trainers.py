@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from wildbregman import trainers
 from wildbregman.design import FixedDesignDataset, PredictionMatrix
 from wildbregman.errors import (RejectedInputError,
                                 UnsupportedConfigurationError)
@@ -129,7 +132,7 @@ def test_linear_zero_features_gives_mean():
     assert np.allclose(fit.values, 3.0, atol=1e-5)
 
 
-def test_linear_more_iters_never_worse():
+def test_linear_more_iters_never_worse(monkeypatch):
     # gradient descent runs for potentials other than squared_l2
     rng = np.random.default_rng(2)
     loss = builtin_loss("sqrt_bernoulli", 1, eps0=0.05)
@@ -140,8 +143,8 @@ def test_linear_more_iters_never_worse():
     cset = loss.domain
 
     def obj(max_iters):
-        tr = LinearTrainer(loss, cset, max_iters=max_iters)
-        fit = tr.fit(data)
+        monkeypatch.setattr(trainers, "_MAX_ITERS", max_iters)
+        fit = LinearTrainer(loss, cset).fit(data)
         return float(np.mean(loss.divergence_rows(Y, fit.values)))
 
     assert obj(400) <= obj(200) + 1e-12
@@ -225,10 +228,11 @@ def test_linear_nonexpansive_diagnostic_reports(rng):
 
 def test_build_model_sets_and_trainers():
     loss, cset, trainer = build_model(2, "sqrt_bernoulli", {"eps0": 0.05}, 3.0,
-                                      {"kind": "linear", "max_iters": 7})
+                                      {"kind": "linear"})
     assert isinstance(cset, Box) and np.array_equal(cset.hi, [3.0, 3.0])
     assert isinstance(trainer, LinearTrainer)
-    assert (trainer.loss, trainer.cset, trainer.max_iters) == (loss, cset, 7)
+    assert (trainer.loss, trainer.cset) == (loss, cset)
+    assert [f.name for f in dataclasses.fields(trainer)] == ["loss", "cset"]
     loss, cset, trainer = build_model(3, "clipped_simplex_kl", {"eta0": 0.1},
                                       3.0, {"kind": "saturated"})
     assert cset is loss.domain

@@ -110,22 +110,23 @@ def test_wild_optimism_closed_form_interior():
 def test_calibrate_requires_positive_target(rng):
     loss, cset, trainer, data = clamped_instance(rng)
     with pytest.raises(RejectedInputError):
-        calibrate_rho(loss, cset, trainer, data, 0.0)
+        calibrate_rho(loss, trainer, data,
+                      wild_refit(loss, cset, trainer, data, 1.0, seed=0), 0.0)
 
 
 def test_calibrate_hits_target(rng):
     loss, cset, trainer, data = clamped_instance(rng, n=60)
     probe = wild_refit(loss, cset, trainer, data, 1.0, seed=0)
     target = 0.8 * probe.radius(loss)
-    out = calibrate_rho(loss, cset, trainer, data, target, seed=0)
+    out = calibrate_rho(loss, trainer, data, probe, target)
     assert abs(out["achieved_radius"] - target) <= 1e-3 * target
     assert out["result"].rho == out["rho"]
 
 
 def test_calibrate_fixed_point_at_rho_one(rng):
     loss, cset, trainer, data = clamped_instance(rng, n=60)
-    target = wild_refit(loss, cset, trainer, data, 1.0, seed=0).radius(loss)
-    out = calibrate_rho(loss, cset, trainer, data, target, seed=0)
+    probe = wild_refit(loss, cset, trainer, data, 1.0, seed=0)
+    out = calibrate_rho(loss, trainer, data, probe, probe.radius(loss))
     assert out["rho"] == pytest.approx(1.0, rel=2e-3)
 
 
@@ -138,7 +139,7 @@ def test_calibrate_linear_trainer(rng):
     trainer = LinearTrainer(loss, cset)
     probe = wild_refit(loss, cset, trainer, data, 1.0, seed=1)
     target = 1.7 * probe.radius(loss)
-    out = calibrate_rho(loss, cset, trainer, data, target, seed=1)
+    out = calibrate_rho(loss, trainer, data, probe, target)
     assert abs(out["achieved_radius"] - target) <= 1e-3 * target
 
 
@@ -147,7 +148,8 @@ def test_calibrate_unreachable_target_errors(rng):
     # cannot be bracketed
     loss, cset, trainer, data = clamped_instance(rng)
     with pytest.raises(CalibrationError):
-        calibrate_rho(loss, cset, trainer, data, 1e6, seed=0)
+        calibrate_rho(loss, trainer, data,
+                      wild_refit(loss, cset, trainer, data, 1.0, seed=0), 1e6)
 
 
 def test_calibrate_analytic_rho_saturated(rng):
@@ -160,7 +162,8 @@ def test_calibrate_analytic_rho_saturated(rng):
     pushed_in = (signs.values * residues) * np.sign(fhat.values) > 0
     c = np.sqrt(np.sum((residues * pushed_in) ** 2) / (2 * data.n))
     target = 0.05
-    out = calibrate_rho(loss, cset, trainer, data, target, seed=6)
+    out = calibrate_rho(loss, trainer, data,
+                        wild_refit(loss, cset, trainer, data, 1.0, seed=6), target)
     assert out["rho"] == pytest.approx(target / c, rel=1e-3)
 
 
@@ -174,21 +177,26 @@ def _assert_same_result(a, b):
 
 
 def test_calibrated_result_is_wild_refit_at_rho(rng):
-    # squared_l2 on a truncating box (no clipping) and sqrt_bernoulli pushed
-    # out of its domain (clipped wild responses): calibration's result must
-    # be the wild refit at the rho it returns, bit for bit
+    # squared_l2 on a truncating box (no clipping), started at rho = 1 and at
+    # rho = 3, and sqrt_bernoulli pushed out of its domain (clipped wild
+    # responses): calibration's result must be the wild refit at the rho it
+    # returns, bit for bit, and its first point is the start itself
     loss, cset, trainer, data = clamped_instance(rng, n=60)
-    target = 0.8 * wild_refit(loss, cset, trainer, data, 1.0, seed=4).radius(loss)
-    out = calibrate_rho(loss, cset, trainer, data, target, seed=4)
-    _assert_same_result(out["result"],
-                        wild_refit(loss, cset, trainer, data, out["rho"], seed=4))
+    probe = wild_refit(loss, cset, trainer, data, 1.0, seed=4)
+    target = 0.8 * probe.radius(loss)
+    for start in (probe, wild_refit(loss, cset, trainer, data, 3.0, seed=4)):
+        out = calibrate_rho(loss, trainer, data, start, target)
+        assert out["trace"][0] == (start.rho, start.radius(loss))
+        _assert_same_result(
+            out["result"], wild_refit(loss, cset, trainer, data, out["rho"], seed=4))
 
     loss = builtin_loss("sqrt_bernoulli", 1, eps0=0.1)
     cset = Box(np.array([0.3]), np.array([0.7]))
     trainer = SaturatedTrainer(loss, cset)
     data = FixedDesignDataset(None, rng.uniform(0.1, 0.9, size=(40, 1)))
     target = wild_refit(loss, cset, trainer, data, 20.0, seed=8).radius(loss)
-    out = calibrate_rho(loss, cset, trainer, data, target, seed=8)
+    out = calibrate_rho(loss, trainer, data,
+                        wild_refit(loss, cset, trainer, data, 1.0, seed=8), target)
     assert out["result"].clip_count > 0
     _assert_same_result(out["result"],
                         wild_refit(loss, cset, trainer, data, out["rho"], seed=8))
@@ -203,10 +211,10 @@ def test_calibrate_linear_no_clip_takes_two_steps(rng):
     Y = X @ rng.normal(size=(3, 2)) + 0.3 * rng.normal(size=(70, 2))
     data = FixedDesignDataset(X, Y)
     trainer = LinearTrainer(loss, cset)
+    probe = wild_refit(loss, cset, trainer, data, 1.0, seed=3)
     for factor in (0.01, 2.5, 400.0):
-        target = factor * wild_refit(loss, cset, trainer, data, 1.0,
-                                     seed=3).radius(loss)
-        out = calibrate_rho(loss, cset, trainer, data, target, seed=3)
+        target = factor * probe.radius(loss)
+        out = calibrate_rho(loss, trainer, data, probe, target)
         assert len(out["trace"]) <= 2
         assert abs(out["achieved_radius"] - target) <= wildfit._TOL_REL * target
         _assert_same_result(out["result"],
@@ -226,7 +234,9 @@ def test_calibrate_clipped_maps_hit_target(rng, rho_star):
     for loss, cset, trainer, data in (sat, bern):
         target = wild_refit(loss, cset, trainer, data, rho_star,
                             seed=2).radius(loss)
-        out = calibrate_rho(loss, cset, trainer, data, target, seed=2)
+        out = calibrate_rho(loss, trainer, data,
+                            wild_refit(loss, cset, trainer, data, 1.0, seed=2),
+                            target)
         assert abs(out["achieved_radius"] - target) <= wildfit._TOL_REL * target
         assert len(out["trace"]) <= 10
         _assert_same_result(out["result"],
@@ -247,6 +257,18 @@ def test_calibrate_radius_jump_raises_with_trace(rng):
     Y = rng.uniform(-0.5, 0.5, size=(30, 1))
     data = FixedDesignDataset(None, Y)
     jump = np.sqrt(0.5 * np.mean(Y ** 2)) / np.max(np.abs(Y))
+    start = wild_refit(loss, box(1, 10.0), _JumpTrainer(), data, 1.0, seed=0)
     with pytest.raises(CalibrationError) as err:
-        calibrate_rho(loss, box(1, 10.0), _JumpTrainer(), data, 0.5 * jump)
+        calibrate_rho(loss, _JumpTrainer(), data, start, 0.5 * jump)
     assert len(err.value.trace) > 0
+
+
+def test_calibrate_refuses_start_of_other_data(rng):
+    # the search continues start's fit and signs, so start must be a wild
+    # refit of the same responses
+    loss, cset, trainer, data = clamped_instance(rng)
+    for other in (data.with_responses(-data.responses),
+                  FixedDesignDataset(None, data.responses[:-1])):
+        start = wild_refit(loss, cset, trainer, other, 1.0, seed=0)
+        with pytest.raises(RejectedInputError):
+            calibrate_rho(loss, trainer, data, start, start.radius(loss))
