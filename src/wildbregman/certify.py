@@ -53,9 +53,12 @@ def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
                              responses: np.ndarray,
                              calibration_tol: float = 5e-3) -> RiskCertificate:
     """Fixed-design certificate: training error + 2 (|wild optimism| + pilot
-    + deviation), valid with probability 1 - 8 delta when calibrated."""
+    + deviation), valid with probability 1 - 8 delta when calibrated.
+    pilot, misspec, w_inf and calibration_tol must be finite and >= 0."""
     if not 0 < delta < 1.0 / 8.0:
         raise RejectedInputError("fixed design requires 0 < delta < 1/8")
+    if not all(math.isfinite(v) and v >= 0 for v in (pilot, calibration_tol)):
+        raise RejectedInputError("pilot and calibration_tol must be finite and >= 0")
     achieved = refit.radius(loss)
     target = 3.0 * loss.c0 * radius.r_certified
     if target > 0 and abs(achieved - target) > calibration_tol * target:

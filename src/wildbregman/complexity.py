@@ -216,8 +216,8 @@ def deviation_term(loss: BregmanLoss, misspec: float, r: float, w_inf: float,
     """
     if not 0 < delta < 1:
         raise RejectedInputError("delta must lie in (0, 1)")
-    if min(misspec, r, w_inf) < 0:
-        raise RejectedInputError("misspec, r, w_inf must be >= 0")
+    if not all(math.isfinite(v) and v >= 0 for v in (misspec, r, w_inf)):
+        raise RejectedInputError("misspec, r, w_inf must be finite and >= 0")
     a, b = loss.alpha, loss.beta
     t = math.sqrt(math.log(1.0 / delta))
     num = (misspec + 5.0 * r) * 2.0 * w_inf * max(b ** 1.5, b ** 2) * math.sqrt(d) * t
@@ -282,8 +282,8 @@ def rhat_bound_convex(wn_evaluator, r_diamond: float, delta: float, n: int,
         raise RejectedInputError("requires delta <= e^-9")
     if r_diamond <= 0:
         raise RejectedInputError("r_diamond must be > 0")
-    if min(w_inf, pilot) < 0:
-        raise RejectedInputError("w_inf and pilot must be >= 0")
+    if not all(math.isfinite(v) and v >= 0 for v in (w_inf, pilot)):
+        raise RejectedInputError("w_inf and pilot must be finite and >= 0")
     log_inv = math.log(1.0 / delta)
     factor = loss.c0 * (2.0 + 1.0 / math.sqrt(log_inv))
     stab = 6.0 * w_inf * loss.beta ** 1.5 * math.sqrt(d) / (loss.alpha * math.sqrt(log_inv))

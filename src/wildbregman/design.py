@@ -141,10 +141,16 @@ def _read_table(path, names) -> list[np.ndarray]:
 
 
 def _write_json(path, payload):
-    """The package's one JSON writer: sorted keys, 2-space indent."""
+    """The package's one JSON writer.  A JSON object of sorted keys, each
+    on its own line after a 2-space indent, and each value written on that
+    line by one `json.dumps(value, sort_keys=True)`.  A flat payload comes
+    out as `json.dump(payload, sort_keys=True, indent=2)` would write it,
+    while nested values (the arrays of a refit file) go through the C
+    encoder, which `indent` would turn off."""
+    lines = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
+                       for key, value in sorted(payload.items()))
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(f"{{\n{lines}\n}}\n")
 
 
 def _read_json(path, parse=lambda payload: payload):

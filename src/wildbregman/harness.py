@@ -43,12 +43,20 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (all(isinstance(v, int) and v >= 1 for v in (self.n, self.d))
+        ints = (self.n, self.d, self.p, self.seed)
+        scales = (self.fstar_scale, self.noise_scale)
+        if not (all(isinstance(v, int) and not isinstance(v, bool)
+                    for v in ints)
+                and min(self.n, self.d, self.p) >= 1 and self.seed >= 0
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                        and math.isfinite(v) and v >= 0 for v in scales)
                 and self.fstar_family in _FSTAR_FAMILIES
                 and self.noise_family in _NOISE_FAMILIES):
             raise RejectedInputError(
-                f"bad spec {self}: n and d are integers >= 1, and the "
-                f"families are {_FSTAR_FAMILIES} and {_NOISE_FAMILIES}")
+                f"bad spec {self}: n, d and p are integers >= 1, seed an "
+                f"integer >= 0, fstar_scale and noise_scale finite numbers "
+                f">= 0, and the families are {_FSTAR_FAMILIES} and "
+                f"{_NOISE_FAMILIES}")
 
 
 @dataclass(frozen=True)

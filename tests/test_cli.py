@@ -274,29 +274,72 @@ def test_unreadable_input_exits_2_with_one_line(dataset, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_certify_refuses_dataset_changed_after_refit(tmp_path, capsys):
-    # the refit was fit on the seed-5 responses; certifying it against the
-    # seed-6 dataset written to the same path would mix two datasets
-    prefix = tmp_path / "data"
-    data, refit = prefix.with_suffix(".csv"), tmp_path / "refit.json"
-    assert run(["simulate", "--n", 60, "--seed", 5, "--out", prefix]) == 0
+@pytest.fixture
+def certify(dataset, tmp_path):
+    """A fixed-design `certify` command on the seed-5 dataset, with a refit
+    and a radius report it is calibrated to, as in the pipeline test."""
+    refit = tmp_path / "refit.json"
     assert run(["refit", "--rho", 1.0, "--seed", 3, "--cset-bound", 0.3,
-                "--data", data, "--out", refit]) == 0
-    # a radius report the refit is calibrated to, as in the pipeline test
+                "--data", dataset, "--out", refit]) == 0
     r_dia = json.loads(refit.read_text())["achieved_radius"]
     radius = tmp_path / "radius.json"
     radius.write_text(json.dumps({"r_hat_n": r_dia / 3.0, "r_diamond_rho": r_dia,
                                   "r_certified": r_dia / 3.0,
                                   "method": "oracle"}))
-    certify = ["certify", "--mode", "fixed", "--delta", 1e-4,
-               "--refit-result", refit, "--radius-report", radius,
-               "--pilot", 0.0, "--misspec", 0.0, "--out", tmp_path / "cert.json"]
+    return ["certify", "--mode", "fixed", "--delta", 1e-4,
+            "--refit-result", refit, "--radius-report", radius,
+            "--pilot", 0.0, "--misspec", 0.0, "--out", tmp_path / "cert.json"]
+
+
+def test_certify_refuses_dataset_changed_after_refit(certify, tmp_path, capsys):
+    # the refit was fit on the seed-5 responses; certifying it against the
+    # seed-6 dataset written to the same path would mix two datasets
     assert run(certify) == 0
-    assert run(["simulate", "--n", 60, "--seed", 6, "--out", prefix]) == 0
+    assert run(["simulate", "--n", 60, "--d", 2, "--seed", 6,
+                "--out", tmp_path / "data"]) == 0
     capsys.readouterr()
     assert run(certify) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: RejectedInputError") and "data.csv" in err
+
+
+# a certificate input that is negative or not finite makes a total that is
+# no upper bound, or no JSON number; a NaN tolerance turns the
+# calibration gate off
+@pytest.mark.parametrize("flag, value", [
+    ("--pilot", -5), ("--pilot", "nan"), ("--misspec", "nan"),
+    ("--w-inf", "nan"), ("--w-inf", "inf"), ("--calibration-tol", "nan")])
+def test_certify_refuses_input_that_is_no_upper_bound(certify, tmp_path,
+                                                      capsys, flag, value):
+    capsys.readouterr()
+    assert run(certify + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RejectedInputError"), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "cert.json").exists()
+
+
+# fields SyntheticSpec refuses beyond n, d and the families: through the
+# simulate flags and through a validate config, both exit 2 before any work
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--noise-scale", -1], ["simulate", "--noise-scale", "nan"],
+    ["simulate", "--fstar-scale", "inf"], ["simulate", "--p", 0],
+    ["simulate", "--seed", -1],
+    {"fstar_scale": "x"}, {"noise_scale": "x"}, {"p": "x"}, {"p": True},
+    {"n": True}, {"fstar_scale": False}, {"noise_scale": -0.5},
+    {"noise_scale": float("nan")}], ids=str)
+def test_spec_fields_refused_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    if isinstance(argv, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spec": argv}))
+        argv = ["validate", "--theorem", "lemma_5_1", "--reps", 5,
+                "--delta", 0.05, "--config", cfg]
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RejectedInputError"), err
+    assert err.count("\n") == 1
+    assert list(tmp_path.glob("out*")) == []
 
 
 def _kl_dataset(path):

@@ -429,7 +429,9 @@ def test_radius_solver_values_and_wn_calls_pinned():
 
 def test_rhat_bound_rejects_negative_noise_and_pilot():
     loss = builtin_loss("squared_l2", 1)
-    for w_inf, pilot in ((-0.1, 0.0), (0.0, -0.1)):
+    # NaN compares False with 0, so a bare `< 0` test would let it through
+    for w_inf, pilot in ((-0.1, 0.0), (0.0, -0.1), (0.0, math.nan),
+                         (math.nan, 0.0), (0.0, math.inf)):
         with pytest.raises(RejectedInputError):
             rhat_bound_convex(lambda s: 0.0, 0.2, math.exp(-9.0), 100, w_inf,
                               1, pilot, loss)

@@ -6,7 +6,7 @@ import pytest
 
 from wildbregman.cli import main
 from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
-                                SignMatrix, empirical_discrepancy,
+                                SignMatrix, _write_json, empirical_discrepancy,
                                 load_dataset, sample_sign_matrix, save_dataset)
 from wildbregman.errors import RejectedInputError
 from wildbregman.geometry import Box
@@ -121,6 +121,22 @@ def test_dataset_file_format_frozen(tmp_path, data):
                 "seed": 7, "potential_kind": "squared_l2"}
     assert (tmp_path / "ds.json").read_text() == json.dumps(
         manifest, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_layout_frozen(tmp_path):
+    # one sorted top-level key a line; each value on that line, nested
+    # values with sorted keys and the default separators
+    payload = {"rows": [[0.1, -2.5], [1e-07, 1.0 / 3.0]], "total": 2.0,
+               "config": {"trainer": "linear", "bound": 2.5, "data": None}}
+    _write_json(tmp_path / "out.json", payload)
+    text = (tmp_path / "out.json").read_text()
+    assert text == (
+        '{\n'
+        '  "config": {"bound": 2.5, "data": null, "trainer": "linear"},\n'
+        '  "rows": [[0.1, -2.5], [1e-07, 0.3333333333333333]],\n'
+        '  "total": 2.0\n'
+        '}\n')
+    assert json.loads(text) == payload
 
 
 @pytest.mark.parametrize("n", [1, 9])
