@@ -12,7 +12,7 @@ import numpy as np
 from wildbregman.certify import (fixed_design_certificate,
                                  random_design_certificate,
                                  stability_constants)
-from wildbregman.complexity import RadiusReport, pilot_error_oracle
+from wildbregman.complexity import RadiusReport, pilot_sup
 from wildbregman.geometry import Box
 from wildbregman.harness import SyntheticSpec, generate_synthetic
 from wildbregman.potentials import builtin_loss
@@ -45,8 +45,8 @@ def main():
     print(f"calibrated rho               {cal['rho']:.6f}")
     print(f"achieved wild radius         {cal['achieved_radius']:.6f}")
 
-    pilot = pilot_error_oracle(loss, cset, fhat, oracle.fstar_preds,
-                               result.signs, r_hat)
+    pilot = pilot_sup(loss, cset, fhat, oracle.fstar_preds, result.signs,
+                      3.0 * loss.c0 * r_hat)
     report = RadiusReport(r_hat_n=r_hat, r_diamond_rho=cal["achieved_radius"],
                           r_certified=r_hat, method="oracle")
     fixed = fixed_design_certificate(loss, result, report, args.delta, pilot,

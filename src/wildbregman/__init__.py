@@ -6,12 +6,11 @@ in fixed and random design, plus a synthetic-oracle validation harness.
 """
 
 from .certify import (RiskCertificate, StabilityConstants,
-                      fixed_design_certificate, oracle_excess_decomposition,
-                      random_design_certificate, random_design_tail,
-                      stability_constants, true_optimism_oracle)
+                      fixed_design_certificate, random_design_certificate,
+                      random_design_tail, stability_constants)
 from .complexity import (RadiusReport, ball_sup, convex_class_bracket,
-                         deviation_term, fixed_point_radius,
-                         pilot_error_oracle, pilot_sup, rhat_bound_convex, wn)
+                         deviation_term, fixed_point_radius, pilot_sup,
+                         rhat_bound_convex, wn)
 from .design import (FixedDesignDataset, PredictionMatrix, SignMatrix,
                      empirical_discrepancy, load_dataset, sample_sign_matrix,
                      save_dataset)
@@ -19,11 +18,10 @@ from .errors import (CalibrationError, ConvergenceError, RejectedInputError,
                      UnboundedRadiusError, UnsupportedConfigurationError)
 from .geometry import Box, ClippedSimplex
 from .harness import (CoverageExperiment, CoverageReport, OracleContext,
-                      SyntheticSpec, generate_synthetic, realized_excess_risk,
-                      run_coverage)
+                      SyntheticSpec, generate_synthetic, run_coverage)
 from .potentials import BregmanLoss, Potential, builtin_loss, builtin_potential
 from .trainers import (LinearPredictor, LinearTrainer, SaturatedTrainer,
-                       build_model, check_nonexpansive)
+                       build_model)
 from .wildfit import WildRefitResult, calibrate_rho, wild_optimism, wild_refit
 
 __version__ = "0.1.0"
@@ -36,12 +34,10 @@ __all__ = [
     "RiskCertificate", "SaturatedTrainer", "SignMatrix", "StabilityConstants",
     "SyntheticSpec", "UnboundedRadiusError", "UnsupportedConfigurationError",
     "WildRefitResult", "ball_sup", "build_model", "builtin_loss",
-    "builtin_potential", "calibrate_rho", "check_nonexpansive",
-    "convex_class_bracket", "deviation_term", "empirical_discrepancy",
-    "fixed_design_certificate", "fixed_point_radius", "generate_synthetic",
-    "load_dataset", "oracle_excess_decomposition", "pilot_error_oracle",
-    "pilot_sup", "random_design_certificate", "random_design_tail",
-    "realized_excess_risk", "rhat_bound_convex", "run_coverage",
-    "sample_sign_matrix", "save_dataset", "stability_constants",
-    "true_optimism_oracle", "wild_optimism", "wild_refit", "wn",
+    "builtin_potential", "calibrate_rho", "convex_class_bracket",
+    "deviation_term", "empirical_discrepancy", "fixed_design_certificate",
+    "fixed_point_radius", "generate_synthetic", "load_dataset", "pilot_sup",
+    "random_design_certificate", "random_design_tail", "rhat_bound_convex",
+    "run_coverage", "sample_sign_matrix", "save_dataset",
+    "stability_constants", "wild_optimism", "wild_refit", "wn",
 ]

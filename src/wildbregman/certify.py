@@ -8,7 +8,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .complexity import RadiusReport, deviation_term
-from .design import PredictionMatrix, empirical_discrepancy
 from .errors import RejectedInputError, UnsupportedConfigurationError
 from .geometry import Box, CompactSet
 from .potentials import BregmanLoss
@@ -34,17 +33,6 @@ class StabilityConstants:
     M: float  # sup of the divergence over the set squared
     L: float  # sup of the potential gradient norm over the set
     eps_sta: float
-
-
-def true_optimism_oracle(loss: BregmanLoss, fhat: PredictionMatrix,
-                         fstar_preds: PredictionMatrix, W: np.ndarray) -> float:
-    """(1/n) sum <gradphi(fstar_i) - gradphi(fhat_i), w_i> (oracle mode)."""
-    W = np.asarray(W, dtype=float)
-    if W.shape != fhat.values.shape or fstar_preds.values.shape != fhat.values.shape:
-        raise RejectedInputError("shape mismatch in optimism computation")
-    g = loss.potential.gradient
-    return float(np.mean(np.sum((g(fstar_preds.values) - g(fhat.values)) * W,
-                                axis=-1)))
 
 
 def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
@@ -144,11 +132,3 @@ def random_design_certificate(fixed: RiskCertificate, consts: StabilityConstants
     return replace(fixed, stability_addend=addend, total=fixed.total + addend,
                    delta=delta, failure_budget=11.0 * delta,
                    mode="random_design", provenance=prov)
-
-
-def oracle_excess_decomposition(loss: BregmanLoss, fhat: PredictionMatrix,
-                                fstar_preds: PredictionMatrix,
-                                W: np.ndarray) -> float:
-    """L_n(fstar, fhat) + <gradphi(fstar) - gradphi(fhat), w> (oracle identity)."""
-    return (empirical_discrepancy(loss, fstar_preds, fhat)
-            + true_optimism_oracle(loss, fhat, fstar_preds, W))

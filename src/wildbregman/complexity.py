@@ -188,23 +188,16 @@ def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
 
 
 def wn(loss: BregmanLoss, cset: CompactSet, fhat: PredictionMatrix,
-       Z: np.ndarray, r: float, **kw):
+       Z: np.ndarray, r: float):
     """Wild noise complexity at radius r, with Z = eps (.) residues."""
-    return ball_sup(loss, cset, fhat, Z, r, **kw)
+    return ball_sup(loss, cset, fhat, Z, r)
 
 
 def pilot_sup(loss: BregmanLoss, cset: CompactSet, fhat: PredictionMatrix,
-              fstar_preds: PredictionMatrix, eps: SignMatrix, radius: float, **kw):
+              fstar_preds: PredictionMatrix, eps: SignMatrix, radius: float):
     """Supremum coupling signs with the estimation-error matrix fhat - fstar."""
     Z = eps.values * (fhat.values - fstar_preds.values)
-    return ball_sup(loss, cset, fhat, Z, radius, **kw)
-
-
-def pilot_error_oracle(loss: BregmanLoss, cset: CompactSet, fhat: PredictionMatrix,
-                       fstar_preds: PredictionMatrix, eps: SignMatrix,
-                       r: float, **kw):
-    """Pilot error at the theorem's inflated radius 3 sqrt(beta/alpha) r."""
-    return pilot_sup(loss, cset, fhat, fstar_preds, eps, 3.0 * loss.c0 * r, **kw)
+    return ball_sup(loss, cset, fhat, Z, radius)
 
 
 def deviation_term(loss: BregmanLoss, misspec: float, r: float, w_inf: float,
@@ -238,8 +231,8 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
     Geometric grid from log(1/delta)/sqrt(n) up to r_max, refined by
     bisection between the last failing and first passing grid points.
     """
-    if delta > math.exp(-9.0):
-        raise RejectedInputError("requires delta <= e^-9")
+    if not 0 < delta <= math.exp(-9.0):  # refuses NaN too
+        raise RejectedInputError("requires 0 < delta <= e^-9")
     log_inv = math.log(1.0 / delta)
     factor = 2.0 + 1.0 / log_inv
     r_min = log_inv / math.sqrt(n)
@@ -278,8 +271,8 @@ def rhat_bound_convex(wn_evaluator, r_diamond: float, delta: float, n: int,
              + r^2 stab + pilot,
     which dominates every feasible value of the true radius.
     """
-    if delta > math.exp(-9.0):
-        raise RejectedInputError("requires delta <= e^-9")
+    if not 0 < delta <= math.exp(-9.0):  # refuses NaN too
+        raise RejectedInputError("requires 0 < delta <= e^-9")
     if r_diamond <= 0:
         raise RejectedInputError("r_diamond must be > 0")
     if not all(math.isfinite(v) and v >= 0 for v in (w_inf, pilot)):

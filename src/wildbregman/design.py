@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import RejectedInputError
-from .geometry import CompactSet
 from .potentials import BregmanLoss
 
 
@@ -74,11 +73,6 @@ class PredictionMatrix:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-    def check_in_set(self, cset: CompactSet):
-        if not np.all(cset.contains_rows(self.values)):
-            raise RejectedInputError("prediction rows leave the compact set")
-        return self
 
 
 @dataclass(frozen=True)

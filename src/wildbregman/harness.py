@@ -15,9 +15,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .certify import (fixed_design_certificate, random_design_certificate,
-                      stability_constants, true_optimism_oracle)
-from .complexity import (RadiusReport, deviation_term, pilot_error_oracle,
-                         pilot_sup, wn)
+                      stability_constants)
+from .complexity import RadiusReport, deviation_term, pilot_sup, wn
 from .design import (FixedDesignDataset, PredictionMatrix,
                      empirical_discrepancy, sample_sign_matrix)
 from .errors import RejectedInputError
@@ -113,16 +112,6 @@ def generate_synthetic(spec: SyntheticSpec,
     return dataset, oracle
 
 
-def realized_excess_risk(loss: BregmanLoss, data: FixedDesignDataset,
-                         fhat: PredictionMatrix, oracle: OracleContext) -> float:
-    """Training-loss gap between the fit and the conditional-mean predictor."""
-    Y = data.responses
-    if fhat.values.shape != Y.shape:
-        raise RejectedInputError("prediction shape does not match responses")
-    return float(np.mean(loss.divergence_rows(Y, fhat.values))
-                 - np.mean(loss.divergence_rows(Y, oracle.fstar_preds.values)))
-
-
 # rho cycle of the lemma's refits, held-out sample size of the random-design
 # check, and the absolute slack every bound check allows for rounding
 _RHOS = (0.25, 0.5, 1.0, 2.0)
@@ -211,8 +200,8 @@ def _fixed_design_pipeline(ctx: _RepContext):
     r_cert = max(r_hat, 1e-8)
     cal = calibrate_rho(loss, trainer, data, start, 3.0 * loss.c0 * r_cert)
     result = cal["result"]
-    pilot = pilot_error_oracle(loss, cset, result.fhat, ctx.oracle.fstar_preds,
-                               result.signs, r_cert)
+    pilot = pilot_sup(loss, cset, result.fhat, ctx.oracle.fstar_preds,
+                      result.signs, 3.0 * loss.c0 * r_cert)
     misspec = math.sqrt(empirical_discrepancy(loss, ctx.oracle.fstar_preds,
                                               fdagger))
     report = RadiusReport(r_hat_n=r_hat, r_diamond_rho=cal["achieved_radius"],
@@ -234,17 +223,40 @@ def _check_lemma_5_1(ctx: _RepContext):
     return lhs, rhs, lhs <= rhs + _SLACK
 
 
+def _true_optimism(loss: BregmanLoss, fhat: PredictionMatrix,
+                   fstar_preds: PredictionMatrix, W: np.ndarray) -> float:
+    """(1/n) sum <gradphi(fstar_i) - gradphi(fhat_i), w_i>."""
+    g = loss.potential.gradient
+    return float(np.mean(np.sum((g(fstar_preds.values) - g(fhat.values)) * W,
+                                axis=-1)))
+
+
 def _check_thm_5_1(ctx: _RepContext, which: str):
+    """Theorem 5.1 in fixed design, either half.
+
+    "optimism": |true optimism| against |wild optimism| + pilot + deviation.
+    "excess": the fixed-design excess risk L_n(fstar, fhat) against the
+    certificate total.  That is the excess risk over fresh noise at the
+    same design: with Y' = fstar + W', E W' = 0 and fhat held fixed, the
+    terms of D(y, fhat) - D(y, fstar) that depend on y are linear in it, so
+      E' D(Y', fhat) - E' D(Y', fstar)
+        = phi(fstar) - phi(fhat) - <grad phi(fhat), fstar - fhat>
+        = D(fstar, fhat),
+    and averaging the rows gives L_n(fstar, fhat).  (The training-loss gap
+    L_n(Y, fhat) - L_n(Y, fstar) is no test: it is at most the training
+    error, which the total contains.)
+    """
     pipe = _fixed_design_pipeline(ctx)
     if which == "optimism":
-        opt_star = true_optimism_oracle(ctx.loss, pipe["fhat"],
-                                        ctx.oracle.fstar_preds, ctx.oracle.noise)
+        opt_star = _true_optimism(ctx.loss, pipe["fhat"],
+                                  ctx.oracle.fstar_preds, ctx.oracle.noise)
         dev = deviation_term(ctx.loss, pipe["misspec"], pipe["r_cert"],
                              ctx.oracle.w_inf, ctx.data.n, ctx.data.d, ctx.delta)
         lhs = abs(opt_star)
         rhs = abs(wild_optimism(ctx.loss, pipe["result"])) + pipe["pilot"] + dev
     else:
-        lhs = realized_excess_risk(ctx.loss, ctx.data, pipe["fhat"], ctx.oracle)
+        lhs = empirical_discrepancy(ctx.loss, ctx.oracle.fstar_preds,
+                                    pipe["fhat"])
         rhs = pipe["cert"].total
     return lhs, rhs, lhs <= rhs + _SLACK
 
@@ -312,6 +324,10 @@ def run_coverage(exp: CoverageExperiment) -> CoverageReport:
     if exp.theorem != "lemma_5_1" and exp.reps < 100:
         raise RejectedInputError("probabilistic checks need reps >= 100")
     check, budget = _CHECKS[exp.theorem]
+    if not (0 < exp.delta < 1 and budget * exp.delta < 1):  # refuses NaN too
+        raise RejectedInputError(
+            f"{exp.theorem} needs 0 < delta < 1 and its failure budget "
+            f"{budget:g} * delta below 1, got delta = {exp.delta}")
     loss, cset, trainer = build_model(exp.spec.d, exp.potential_kind,
                                       exp.potential_params, exp.cset_bound,
                                       exp.trainer)

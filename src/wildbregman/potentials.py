@@ -77,11 +77,6 @@ class BregmanLoss:
                     f"point outside the certified domain of {self.potential.kind}"
                 )
 
-    def divergence(self, x, y) -> float:
-        """D_phi(x, y) = phi(x) - phi(y) - <grad phi(y), x - y> >= 0."""
-        self._check_domain(x, y)
-        return float(self._div_raw(np.asarray(x, float), np.asarray(y, float)))
-
     def divergence_rows(self, X, Y) -> np.ndarray:
         """Row-wise divergences for (n, d) prediction arrays."""
         X = np.asarray(X, dtype=float)
@@ -100,12 +95,6 @@ class BregmanLoss:
         out = p.value(X) - p.value(Y) - np.sum(g * (X - Y), axis=-1)
         # round-off can leave tiny negatives at x ~ y
         return np.maximum(out, 0.0)
-
-    def grad1_divergence(self, x, y) -> np.ndarray:
-        """Gradient in the first slot: grad phi(x) - grad phi(y)."""
-        self._check_domain(x, y)
-        p = self.potential
-        return p.gradient(np.asarray(x, float)) - p.gradient(np.asarray(y, float))
 
 
 def _bregman_projection(loss: BregmanLoss, cset: CompactSet, A) -> np.ndarray:

@@ -142,25 +142,3 @@ def build_model(d: int, potential: str, potential_params: dict,
     cset = (loss.domain if potential == "clipped_simplex_kl" else
             Box(np.full(d, -cset_bound), np.full(d, cset_bound)))
     return loss, cset, _TRAINERS[kind](loss, cset)
-
-
-def check_nonexpansive(loss: BregmanLoss, trainer, fstar_preds: PredictionMatrix,
-                       noise: np.ndarray, inputs: np.ndarray | None = None) -> dict:
-    """Diagnostic for the non-expansiveness contract of a training procedure.
-
-    Fits on the noiseless and the noisy dataset and compares the discrepancy
-    between the two fits against the gradient-noise inner product.  Reported,
-    not asserted: no verification recipe exists for general procedures.
-    """
-    F = fstar_preds.values
-    U = np.asarray(noise, dtype=float)
-    if U.shape != F.shape:
-        raise RejectedInputError("noise shape must match predictions")
-    clean = FixedDesignDataset(inputs, F)
-    noisy = FixedDesignDataset(inputs, F + U)
-    fdag = trainer.fit(clean).values
-    ftil = trainer.fit(noisy).values
-    p = loss.potential
-    lhs = float(np.mean(loss._div_raw(fdag, ftil)))
-    rhs = float(np.mean(np.sum((p.gradient(ftil) - p.gradient(fdag)) * U, axis=-1)))
-    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + 1e-9)}

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from wildbregman.certify import (fixed_design_certificate,
-                                 oracle_excess_decomposition,
                                  random_design_certificate, random_design_tail,
-                                 stability_constants, true_optimism_oracle)
-from wildbregman.complexity import RadiusReport, deviation_term, pilot_error_oracle
-from wildbregman.design import FixedDesignDataset, PredictionMatrix
+                                 stability_constants)
+from wildbregman.complexity import RadiusReport, deviation_term, pilot_sup
+from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
+                                empirical_discrepancy)
 from wildbregman.errors import (RejectedInputError,
                                 UnsupportedConfigurationError)
 from wildbregman.geometry import Box, ClippedSimplex
+from wildbregman.harness import _true_optimism
 from wildbregman.potentials import builtin_loss
 from wildbregman.trainers import SaturatedTrainer
 from wildbregman.wildfit import calibrate_rho, wild_refit
@@ -29,12 +30,12 @@ def test_true_optimism_closed_form(rng):
     G = PredictionMatrix(rng.uniform(-1, 1, size=(20, 2)))
     W = rng.uniform(-0.5, 0.5, size=(20, 2))
     expect = float(np.mean(np.sum((G.values - F.values) * W, axis=1)))
-    assert true_optimism_oracle(loss, F, G, W) == pytest.approx(expect, rel=1e-12)
+    assert _true_optimism(loss, F, G, W) == pytest.approx(expect, rel=1e-12)
 
 
 def test_oracle_excess_decomposition_matches_direct(rng):
-    # three-point identity: training-loss gap equals proxy discrepancy plus
-    # the gradient-noise inner product
+    # three-point identity: the training-loss gap equals L_n(fstar, fhat)
+    # plus the true optimism, the gradient-noise inner product
     loss = builtin_loss("squared_l2", 2)
     n = 40
     Fstar = rng.uniform(-1, 1, size=(n, 2))
@@ -43,8 +44,8 @@ def test_oracle_excess_decomposition_matches_direct(rng):
     fhat = PredictionMatrix(rng.uniform(-1, 1, size=(n, 2)))
     direct = (float(np.mean(loss.divergence_rows(Y, fhat.values)))
               - float(np.mean(loss.divergence_rows(Y, Fstar))))
-    decomposed = oracle_excess_decomposition(loss, fhat,
-                                             PredictionMatrix(Fstar), W)
+    decomposed = (empirical_discrepancy(loss, PredictionMatrix(Fstar), fhat)
+                  + _true_optimism(loss, fhat, PredictionMatrix(Fstar), W))
     assert decomposed == pytest.approx(direct, abs=1e-9)
 
 
@@ -62,8 +63,8 @@ def _calibrated_setup(rng, n=60, d=2, b=0.4, delta=0.05):
                                                          fhat.values))))
     cal = calibrate_rho(loss, trainer, data, start, 3.0 * loss.c0 * r_hat)
     result = cal["result"]
-    pilot = pilot_error_oracle(loss, cset, fhat, PredictionMatrix(Fstar),
-                               result.signs, r_hat)
+    pilot = pilot_sup(loss, cset, fhat, PredictionMatrix(Fstar), result.signs,
+                      3.0 * loss.c0 * r_hat)
     misspec = 0.0
     w_inf = float(np.max(np.abs(W)))
     report = RadiusReport(r_hat_n=r_hat, r_diamond_rho=cal["achieved_radius"],

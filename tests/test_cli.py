@@ -209,6 +209,42 @@ def test_unbounded_radius_exits_3_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("delta", ["nan", 0, -1, 0.5])
+@pytest.mark.parametrize("mode", ["fixed-point", "convex-class"])
+def test_radius_refuses_delta_outside_the_range(dataset, tmp_path, capsys,
+                                                mode, delta):
+    # both solvers need 0 < delta <= e^-9; NaN fails every comparison
+    refit = tmp_path / "refit.json"
+    assert run(["refit", "--rho", 1.0, "--seed", 1, "--cset-bound", 0.3,
+                "--data", dataset, "--out", refit]) == 0
+    capsys.readouterr()
+    out = tmp_path / "radius.json"
+    assert run(["radius", "--mode", mode, "--delta", delta,
+                "--refit-result", refit, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RejectedInputError"), err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# a delta outside (0, 1), or whose failure budget b delta reaches 1, leaves
+# no coverage target: refused before the first rep
+@pytest.mark.parametrize("theorem, reps, delta", [
+    ("lemma_5_1", 5, 5), ("lemma_5_1", 5, "nan"), ("lemma_5_1", 5, 0),
+    ("thm_5_1_excess", 100, 0.2), ("thm_5_1_optimism", 100, 0.125),
+    ("thm_6_1_rhat", 100, 0.5), ("thm_5_2_excess", 100, 0.1)])
+def test_validate_refuses_delta_without_a_target(tmp_path, capsys, theorem,
+                                                 reps, delta):
+    out = tmp_path / "run"
+    assert run(["validate", "--theorem", theorem, "--reps", reps,
+                "--delta", delta, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RejectedInputError"), err
+    assert "delta" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def _edit_json(src, dst, edit):
     payload = json.loads(Path(src).read_text())
     edit(payload)

@@ -5,8 +5,7 @@ import pytest
 
 from wildbregman.complexity import (ball_sup, convex_class_bracket,
                                     deviation_term, fixed_point_radius,
-                                    pilot_error_oracle, rhat_bound_convex,
-                                    wn)
+                                    pilot_sup, rhat_bound_convex, wn)
 from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
                                 sample_sign_matrix)
 from wildbregman.errors import (RejectedInputError, UnboundedRadiusError,
@@ -296,7 +295,7 @@ def test_pilot_error_zero_when_exact(rng):
     loss = builtin_loss("squared_l2", 2)
     F = PredictionMatrix(rng.uniform(-1, 1, size=(20, 2)))
     eps = sample_sign_matrix(20, 2, 0)
-    assert pilot_error_oracle(loss, box(2, 5.0), F, F, eps, 0.5) == 0.0
+    assert pilot_sup(loss, box(2, 5.0), F, F, eps, 3.0 * loss.c0 * 0.5) == 0.0
 
 
 def test_pilot_error_closed_form(rng):
@@ -308,7 +307,7 @@ def test_pilot_error_closed_form(rng):
     r = 0.1
     Z = eps.values * (F.values - G.values)
     expect = closed_form(Z, 3.0 * loss.c0 * r, n)
-    got = pilot_error_oracle(loss, box(2, 100.0), F, G, eps, r)
+    got = pilot_sup(loss, box(2, 100.0), F, G, eps, 3.0 * loss.c0 * r)
     assert got == pytest.approx(expect, rel=1e-9)
 
 
@@ -463,8 +462,8 @@ def test_rhat_bound_covers_oracle_radius(rng):
                                                              fdia.values))))
         if r_dia == 0.0:
             continue
-        pilot = pilot_error_oracle(loss, cset, fhat,
-                                   PredictionMatrix(F), eps, r_hat)
+        pilot = pilot_sup(loss, cset, fhat, PredictionMatrix(F), eps,
+                          3.0 * loss.c0 * r_hat)
         bound = rhat_bound_convex(
             lambda s: wn(loss, cset, fhat, Z, s), r_dia, delta, 60,
             float(np.max(np.abs(W))), 2, pilot, loss)

@@ -9,7 +9,6 @@ from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
                                 SignMatrix, _write_json, empirical_discrepancy,
                                 load_dataset, sample_sign_matrix, save_dataset)
 from wildbregman.errors import RejectedInputError
-from wildbregman.geometry import Box
 from wildbregman.harness import SyntheticSpec, generate_synthetic
 from wildbregman.potentials import builtin_loss
 
@@ -54,13 +53,6 @@ def test_sign_matrix_entries_and_determinism():
 def test_sign_matrix_rejects_non_pm_one():
     with pytest.raises(RejectedInputError):
         SignMatrix(np.array([[1.0, 0.5]]), seed=0)
-
-
-def test_prediction_matrix_check_in_set():
-    box = Box(np.array([0.0]), np.array([1.0]))
-    PredictionMatrix(np.array([[0.5]])).check_in_set(box)
-    with pytest.raises(RejectedInputError):
-        PredictionMatrix(np.array([[2.0]])).check_in_set(box)
 
 
 def test_empirical_discrepancy_squared_l2():

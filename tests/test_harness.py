@@ -1,14 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from wildbregman import harness
 from wildbregman.errors import RejectedInputError
 from wildbregman.harness import (CoverageExperiment, SyntheticSpec,
-                                 generate_synthetic, realized_excess_risk,
-                                 run_coverage)
+                                 generate_synthetic, run_coverage)
 from wildbregman.potentials import builtin_loss
-from wildbregman.trainers import LinearTrainer, SaturatedTrainer
-from wildbregman.geometry import Box
+from wildbregman.trainers import LinearTrainer
 
 
 def test_generate_deterministic():
@@ -71,32 +71,6 @@ def test_conditional_mean_empirical(rng):
     assert np.all(np.abs(mean) <= 4.0 * a / np.sqrt(100_000))
 
 
-def test_realized_excess_risk_zero_for_fstar():
-    loss = builtin_loss("squared_l2", 2)
-    data, oracle = generate_synthetic(SyntheticSpec(n=20, d=2, seed=3), loss)
-    assert realized_excess_risk(loss, data, oracle.fstar_preds,
-                                oracle) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_realized_excess_risk_nonpositive_for_erm():
-    # the saturated trainer minimizes the training loss exactly, so its
-    # training-loss gap to any other predictor is <= 0
-    loss = builtin_loss("squared_l2", 2)
-    data, oracle = generate_synthetic(SyntheticSpec(n=30, d=2, seed=5), loss)
-    trainer = SaturatedTrainer(loss, Box(np.full(2, -10.0), np.full(2, 10.0)))
-    fhat = trainer.fit(data)
-    assert realized_excess_risk(loss, data, fhat, oracle) <= 1e-12
-
-
-def test_realized_excess_risk_shape_mismatch():
-    loss = builtin_loss("squared_l2", 2)
-    data, oracle = generate_synthetic(SyntheticSpec(n=10, d=2, seed=0), loss)
-    from wildbregman.design import PredictionMatrix
-    bad = PredictionMatrix(np.zeros((5, 2)))
-    with pytest.raises(RejectedInputError):
-        realized_excess_risk(loss, data, bad, oracle)
-
-
 def test_run_coverage_rejects_zero_reps():
     exp = CoverageExperiment(theorem="lemma_5_1", reps=0, delta=0.05,
                              spec=SyntheticSpec(n=10, d=1))
@@ -155,6 +129,21 @@ def test_run_coverage_thm51_passes_small():
     assert report.errors == 0
     assert report.passed
     assert report.target_coverage == pytest.approx(0.6)
+
+
+def test_thm51_excess_fails_on_a_zero_certificate(monkeypatch):
+    # the excess check must be able to fail: a certificate of 0 is below
+    # L_n(fstar, fhat) > 0 in every rep
+    certificate = harness.fixed_design_certificate
+    monkeypatch.setattr(harness, "fixed_design_certificate",
+                        lambda *a, **kw: dataclasses.replace(
+                            certificate(*a, **kw), total=0.0))
+    exp = CoverageExperiment(theorem="thm_5_1_excess", reps=100, delta=0.05,
+                             spec=SyntheticSpec(n=60, d=2, seed=3),
+                             trainer={"kind": "linear"})
+    report = run_coverage(exp)
+    assert report.errors == 0
+    assert report.successes == 0 and not report.passed
 
 
 def test_fixed_design_replication_fits_fhat_once(monkeypatch):

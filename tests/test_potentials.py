@@ -52,7 +52,7 @@ def test_params_of_another_kind_rejected():
 def test_squared_l2_divergence_value():
     loss = builtin_loss("squared_l2", 2)
     x, y = np.array([1.0, 2.0]), np.array([0.0, 0.0])
-    assert loss.divergence(x, y) == pytest.approx(2.5)
+    assert loss.divergence_rows([x], [y])[0] == pytest.approx(2.5)
 
 
 def test_kl_divergence_matches_formula():
@@ -60,7 +60,7 @@ def test_kl_divergence_matches_formula():
     p = np.array([0.2, 0.3, 0.5])
     q = np.array([0.4, 0.4, 0.2])
     kl = float(np.sum(p * np.log(p / q)))
-    assert loss.divergence(p, q) == pytest.approx(kl, rel=1e-12)
+    assert loss.divergence_rows([p], [q])[0] == pytest.approx(kl, rel=1e-12)
 
 
 def test_sqrt_bernoulli_divergence_matches_formula():
@@ -68,13 +68,14 @@ def test_sqrt_bernoulli_divergence_matches_formula():
     p1, p2 = 0.3, 0.6
     expect = ((math.sqrt(p1) - math.sqrt(p2)) ** 2 / (2 * math.sqrt(p2))
               + (math.sqrt(1 - p1) - math.sqrt(1 - p2)) ** 2 / (2 * math.sqrt(1 - p2)))
-    assert loss.divergence([p1], [p2]) == pytest.approx(expect, rel=1e-12)
+    got = loss.divergence_rows([[p1]], [[p2]])[0]
+    assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_domain_check_rejects_outside_points():
     loss = builtin_loss("sqrt_bernoulli", 1, eps0=0.1)
     with pytest.raises(RejectedInputError):
-        loss.divergence([0.01], [0.5])
+        loss.divergence_rows([[0.01]], [[0.5]])
 
 
 def test_divergence_identity_of_indiscernibles(rng):
@@ -90,15 +91,6 @@ def test_divergence_nonnegative(rng):
         X = sample_domain(loss, rng, 200)
         Y = sample_domain(loss, rng, 200)
         assert np.all(loss.divergence_rows(X, Y) >= 0.0)
-
-
-def test_grad1_divergence_is_gradient_difference(rng):
-    for kind in BUILTINS:
-        loss = make_loss(kind)
-        x = sample_domain(loss, rng, 1)[0]
-        y = sample_domain(loss, rng, 1)[0]
-        g = loss.potential.gradient
-        assert np.allclose(loss.grad1_divergence(x, y), g(x) - g(y))
 
 
 def test_curvature_sandwich(rng):

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from wildbregman import trainers
-from wildbregman.design import FixedDesignDataset, PredictionMatrix
+from wildbregman.design import FixedDesignDataset
 from wildbregman.errors import (RejectedInputError,
                                 UnsupportedConfigurationError)
 from wildbregman.geometry import Box, ClippedSimplex
 from wildbregman.potentials import builtin_loss
-from wildbregman.trainers import (LinearTrainer, SaturatedTrainer,
-                                  build_model, check_nonexpansive)
+from wildbregman.trainers import LinearTrainer, SaturatedTrainer, build_model
 
 from conftest import simplex_grid
 
@@ -180,50 +179,6 @@ def test_linear_predictor_evaluates_off_design():
     pred = trainer.fit_predictor(FixedDesignDataset(X, Y))
     Xnew = rng.uniform(-1, 1, size=(10, 2))
     assert np.allclose(pred.predict(Xnew), Xnew @ theta, atol=1e-4)
-
-
-def test_nonexpansive_zero_noise():
-    loss = builtin_loss("squared_l2", 1)
-    trainer = SaturatedTrainer(loss, box(1, 10.0))
-    F = PredictionMatrix(np.array([[0.1], [0.2]]))
-    out = check_nonexpansive(loss, trainer, F, np.zeros((2, 1)))
-    assert out["lhs"] == 0.0 and out["rhs"] == 0.0 and out["holds"]
-
-
-def test_nonexpansive_saturated_interior_closed_form(rng):
-    # interior data: fdagger = fstar, ftilde = fstar + u, so
-    # lhs = 0.5 mean||u||^2 and rhs = mean||u||^2
-    loss = builtin_loss("squared_l2", 2)
-    trainer = SaturatedTrainer(loss, box(2, 10.0))
-    F = PredictionMatrix(rng.uniform(-1, 1, size=(30, 2)))
-    U = rng.uniform(-0.5, 0.5, size=(30, 2))
-    out = check_nonexpansive(loss, trainer, F, U)
-    m = float(np.mean(np.sum(U * U, axis=1)))
-    assert out["lhs"] == pytest.approx(0.5 * m, rel=1e-9)
-    assert out["rhs"] == pytest.approx(m, rel=1e-9)
-    assert out["holds"]
-
-
-def test_nonexpansive_saturated_clamped_holds(rng):
-    # clamp is monotone and 1-Lipschitz per coordinate, so the contract
-    # holds even when rows saturate the box
-    loss = builtin_loss("squared_l2", 2)
-    trainer = SaturatedTrainer(loss, box(2, 0.4))
-    F = PredictionMatrix(np.clip(rng.uniform(-0.6, 0.6, size=(50, 2)), -0.4, 0.4))
-    U = rng.uniform(-0.5, 0.5, size=(50, 2))
-    out = check_nonexpansive(loss, trainer, F, U)
-    assert out["holds"]
-
-
-def test_linear_nonexpansive_diagnostic_reports(rng):
-    loss = builtin_loss("squared_l2", 2)
-    trainer = LinearTrainer(loss, box(2, 10.0))
-    X = rng.uniform(-1, 1, size=(50, 3))
-    F = PredictionMatrix(X @ rng.normal(size=(3, 2)) * 0.3)
-    U = rng.uniform(-0.3, 0.3, size=(50, 2))
-    out = check_nonexpansive(loss, trainer, F, U, inputs=X)
-    assert set(out) == {"lhs", "rhs", "holds"}
-    assert isinstance(out["holds"], bool)
 
 
 def test_build_model_sets_and_trainers():
