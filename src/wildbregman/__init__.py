@@ -19,7 +19,7 @@ from .errors import (CalibrationError, ConvergenceError, RejectedInputError,
 from .geometry import Box, ClippedSimplex
 from .harness import (CoverageExperiment, CoverageReport, OracleContext,
                       SyntheticSpec, generate_synthetic, run_coverage)
-from .potentials import BregmanLoss, Potential, builtin_loss, builtin_potential
+from .potentials import BregmanLoss, builtin_loss
 from .trainers import (LinearPredictor, LinearTrainer, SaturatedTrainer,
                        build_model)
 from .wildfit import WildRefitResult, calibrate_rho, wild_optimism, wild_refit
@@ -30,11 +30,11 @@ __all__ = [
     "Box", "BregmanLoss", "CalibrationError", "ClippedSimplex",
     "ConvergenceError", "CoverageExperiment", "CoverageReport",
     "FixedDesignDataset", "LinearPredictor", "LinearTrainer", "OracleContext",
-    "Potential", "PredictionMatrix", "RadiusReport", "RejectedInputError",
+    "PredictionMatrix", "RadiusReport", "RejectedInputError",
     "RiskCertificate", "SaturatedTrainer", "SignMatrix", "StabilityConstants",
     "SyntheticSpec", "UnboundedRadiusError", "UnsupportedConfigurationError",
     "WildRefitResult", "ball_sup", "build_model", "builtin_loss",
-    "builtin_potential", "calibrate_rho", "convex_class_bracket",
+    "calibrate_rho", "convex_class_bracket",
     "deviation_term", "empirical_discrepancy", "fixed_design_certificate",
     "fixed_point_radius", "generate_synthetic", "load_dataset", "pilot_sup",
     "random_design_certificate", "random_design_tail", "rhat_bound_convex",

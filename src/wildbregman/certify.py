@@ -49,7 +49,7 @@ def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
         raise RejectedInputError("pilot and calibration_tol must be finite and >= 0")
     achieved = refit.radius(loss)
     target = 3.0 * loss.c0 * radius.r_certified
-    if target > 0 and abs(achieved - target) > calibration_tol * target:
+    if not abs(achieved - target) <= calibration_tol * target:  # NaN too
         raise RejectedInputError(
             f"calibration mismatch: achieved wild radius {achieved:.6g} vs "
             f"required 3 sqrt(beta/alpha) r = {target:.6g}")
@@ -85,7 +85,6 @@ def stability_constants(loss: BregmanLoss, cset: CompactSet,
     """
     if n < 2:
         raise RejectedInputError("stability constants need n >= 2")
-    p = loss.potential
     if isinstance(cset, Box):
         lo, hi = cset.lo, cset.hi
         # row j moves coordinate j alone from lo_j to hi_j, so its two
@@ -94,18 +93,18 @@ def stability_constants(loss: BregmanLoss, cset: CompactSet,
         base = np.broadcast_to(lo, edge.shape)
         M = float(np.sum(np.maximum(loss.divergence_rows(edge, base),
                                     loss.divergence_rows(base, edge))))
-        g2 = np.square(p.gradient(np.stack([lo, hi])))
+        g2 = np.square(loss.gradient(np.stack([lo, hi])))
         L = math.sqrt(float(np.sum(np.max(g2, axis=0))))
-    elif p.kind in ("squared_l2", "clipped_simplex_kl"):
+    elif loss.kind in ("squared_l2", "clipped_simplex_kl"):
         d = cset.dim
         V = np.full((d, d), cset.eta0)
         np.fill_diagonal(V, 1.0 - (d - 1) * cset.eta0)
         M = float(np.max(loss.divergence_rows(np.repeat(V, d, axis=0),
                                               np.tile(V, (d, 1)))))
-        L = float(np.max(np.linalg.norm(p.gradient(V), axis=-1)))
+        L = float(np.max(np.linalg.norm(loss.gradient(V), axis=-1)))
     else:
         raise UnsupportedConfigurationError(
-            f"no exact stability constants for {p.kind} on "
+            f"no exact stability constants for {loss.kind} on "
             f"{type(cset).__name__}")
     eps_sta = 2.0 * L * L / (loss.alpha * (n - 1))
     return StabilityConstants(M=M, L=L, eps_sta=eps_sta)

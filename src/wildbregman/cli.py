@@ -33,7 +33,7 @@ _POTENTIAL_DEFAULTS = {"sqrt_bernoulli": {"eps0": 0.05},
 
 def _potential_params(args) -> dict:
     """The chosen potential's default parameter, overridden by the flags
-    given; `builtin_potential` refuses the flag of another potential."""
+    given; `builtin_loss` refuses the flag of another potential."""
     given = {flag: getattr(args, flag) for flag in ("eps0", "eta0")
              if getattr(args, flag) is not None}
     return _POTENTIAL_DEFAULTS.get(args.potential, {}) | given

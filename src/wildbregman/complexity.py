@@ -28,15 +28,16 @@ class RadiusReport:
     method: str  # oracle | fixed_point | convex_class_bound
 
     def __post_init__(self):
-        if min(self.r_hat_n, self.r_diamond_rho, self.r_certified) < 0:
-            raise RejectedInputError("radii must be >= 0")
+        if not all(math.isfinite(r) and r >= 0 for r in
+                   (self.r_hat_n, self.r_diamond_rho, self.r_certified)):
+            raise RejectedInputError("radii must be finite and >= 0")
         if self.method not in ("oracle", "fixed_point", "convex_class_bound"):
             raise RejectedInputError(f"unknown radius method {self.method!r}")
 
 
 def _objective(loss: BregmanLoss, center: np.ndarray, U: np.ndarray,
                Z: np.ndarray) -> float:
-    g = loss.potential.gradient
+    g = loss.gradient
     return float(np.mean(np.sum((g(center) - g(U)) * Z, axis=-1)))
 
 
@@ -180,7 +181,7 @@ def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
         raise RejectedInputError(f"shape mismatch: {Z.shape} vs {C.shape}")
     if r == 0.0 or not np.any(Z):
         val, info = 0.0, {"method": "trivial"}
-    elif loss.potential.kind == "squared_l2" and isinstance(cset, Box):
+    elif loss.kind == "squared_l2" and isinstance(cset, Box):
         val, info = _sup_box_sql2(cset, C, Z, r), {"method": "closed_form"}
     else:
         val, info, _ = _sup_dual(loss, cset, C, Z, r)

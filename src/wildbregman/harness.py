@@ -226,7 +226,7 @@ def _check_lemma_5_1(ctx: _RepContext):
 def _true_optimism(loss: BregmanLoss, fhat: PredictionMatrix,
                    fstar_preds: PredictionMatrix, W: np.ndarray) -> float:
     """(1/n) sum <gradphi(fstar_i) - gradphi(fhat_i), w_i>."""
-    g = loss.potential.gradient
+    g = loss.gradient
     return float(np.mean(np.sum((g(fstar_preds.values) - g(fhat.values)) * W,
                                 axis=-1)))
 

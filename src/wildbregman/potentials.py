@@ -1,16 +1,25 @@
-"""Convex potentials, their Bregman divergences, and certified curvature.
+"""Bregman losses of convex potentials, with certified curvature.
 
-A potential carries value/gradient/diagonal-Hessian oracles together with
-strong-convexity and smoothness constants (alpha, beta) that are valid on a
-declared compact domain.  All downstream bounds consume exactly these
-constants, so evaluation outside the domain is refused rather than silently
-extrapolated.
+A loss carries divergence/gradient/diagonal-Hessian oracles of its
+potential together with strong-convexity and smoothness constants (alpha,
+beta) that are valid on a declared compact domain.  All downstream bounds
+consume exactly these constants, so evaluation outside the domain is
+refused rather than silently extrapolated.
+
+Each divergence is summed from coordinate terms written without the
+cancellation of phi(x) - phi(y) - <grad phi(y), x - y> at x ~ y; with
+d = x - y they are
+  squared_l2:      d^2 / 2;
+  sqrt_bernoulli:  (d^2 / 2) [1 / ((sqrt x + sqrt y)^2 sqrt y)
+                   + 1 / ((sqrt(1-x) + sqrt(1-y))^2 sqrt(1-y))];
+  KL:              y h(d / y), h(t) = (1 + t) log1p(t) - t, from its
+                   Taylor series through t^8 when |t| < 1e-2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,22 +31,23 @@ Array = np.ndarray
 
 
 @dataclass(frozen=True)
-class Potential:
-    """Convex generator phi with (alpha, beta) certified on `domain`.
+class BregmanLoss:
+    """Loss l(x, y) = D_phi(x, y) of a convex generator phi, with (alpha,
+    beta) certified on `domain` and quasi-triangle constant c0.
 
-    `value` maps (..., d) arrays to (...) scalars; `gradient` and
-    `hessian_diag` are elementwise maps of the same shape as their input.
-    All built-ins are coordinate-separable, hence the diagonal Hessian.
+    `divergence_terms` maps two (..., d) arrays to the (..., d) coordinate
+    terms of D_phi; `gradient` and `hessian_diag` are elementwise maps of
+    the same shape as their input.  All built-ins are coordinate-separable,
+    hence the diagonal Hessian.
     """
 
     kind: str
-    value: Callable[[Array], Array]
+    divergence_terms: Callable[[Array, Array], Array]
     gradient: Callable[[Array], Array]
     hessian_diag: Callable[[Array], Array]
     alpha: float
     beta: float
     domain: CompactSet
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0 < self.alpha <= self.beta):
@@ -45,28 +55,9 @@ class Potential:
                 f"need 0 < alpha <= beta, got alpha={self.alpha}, beta={self.beta}"
             )
 
-
-@dataclass(frozen=True)
-class BregmanLoss:
-    """Loss l(x, y) = D_phi(x, y) with quasi-triangle constant c0."""
-
-    potential: Potential
-
     @property
     def c0(self) -> float:
-        return math.sqrt(self.potential.beta / self.potential.alpha)
-
-    @property
-    def alpha(self) -> float:
-        return self.potential.alpha
-
-    @property
-    def beta(self) -> float:
-        return self.potential.beta
-
-    @property
-    def domain(self) -> CompactSet:
-        return self.potential.domain
+        return math.sqrt(self.beta / self.alpha)
 
     def _check_domain(self, *points):
         for z in points:
@@ -74,7 +65,7 @@ class BregmanLoss:
             rows = np.atleast_2d(z)
             if not np.all(self.domain.contains_rows(rows)):
                 raise RejectedInputError(
-                    f"point outside the certified domain of {self.potential.kind}"
+                    f"point outside the certified domain of {self.kind}"
                 )
 
     def divergence_rows(self, X, Y) -> np.ndarray:
@@ -87,14 +78,7 @@ class BregmanLoss:
         return self._div_raw(X, Y)
 
     def _div_raw(self, X, Y):
-        p = self.potential
-        if p.kind == "squared_l2":
-            # the textbook form below cancels on sets far from the origin
-            return 0.5 * np.sum(np.square(X - Y), axis=-1)
-        g = p.gradient(Y)
-        out = p.value(X) - p.value(Y) - np.sum(g * (X - Y), axis=-1)
-        # round-off can leave tiny negatives at x ~ y
-        return np.maximum(out, 0.0)
+        return np.sum(self.divergence_terms(X, Y), axis=-1)
 
 
 def _bregman_projection(loss: BregmanLoss, cset: CompactSet, A) -> np.ndarray:
@@ -109,7 +93,7 @@ def _bregman_projection(loss: BregmanLoss, cset: CompactSet, A) -> np.ndarray:
     other pair raises UnsupportedConfigurationError.  It is the saturated fit
     and the inner argmax of the ball supremum's Lagrangian dual.
     """
-    kind = loss.potential.kind
+    kind = loss.kind
     if isinstance(cset, Box) or kind == "squared_l2":
         return cset.project(A)
     if kind == "clipped_simplex_kl":
@@ -118,28 +102,26 @@ def _bregman_projection(loss: BregmanLoss, cset: CompactSet, A) -> np.ndarray:
         f"no closed-form Bregman projection for {kind} on {type(cset).__name__}")
 
 
-def _squared_l2(dim: int, bound: float) -> Potential:
-    lo = np.full(dim, -bound)
-    hi = np.full(dim, bound)
-    return Potential(
+def _squared_l2(dim: int, bound: float) -> BregmanLoss:
+    return BregmanLoss(
         kind="squared_l2",
-        value=lambda u: 0.5 * np.sum(np.square(u), axis=-1),
+        divergence_terms=lambda x, y: 0.5 * np.square(x - y),
         gradient=lambda u: np.asarray(u, dtype=float),
         hessian_diag=lambda u: np.ones_like(np.asarray(u, dtype=float)),
         alpha=1.0,
         beta=1.0,
-        domain=Box(lo, hi),
-        params={"bound": bound},
+        domain=Box(np.full(dim, -bound), np.full(dim, bound)),
     )
 
 
-def _sqrt_bernoulli(dim: int, eps0: float) -> Potential:
+def _sqrt_bernoulli(dim: int, eps0: float) -> BregmanLoss:
     if not 0 < eps0 < 0.5:
         raise RejectedInputError("sqrt_bernoulli requires 0 < eps0 < 0.5")
 
-    def value(u):
-        u = np.asarray(u, dtype=float)
-        return np.sum(-np.sqrt(u) - np.sqrt(1.0 - u), axis=-1)
+    def divergence_terms(x, y):
+        sx, sy, cx, cy = np.sqrt(x), np.sqrt(y), np.sqrt(1.0 - x), np.sqrt(1.0 - y)
+        return 0.5 * np.square(x - y) * (1.0 / (np.square(sx + sy) * sy)
+                                         + 1.0 / (np.square(cx + cy) * cy))
 
     def gradient(u):
         u = np.asarray(u, dtype=float)
@@ -149,24 +131,31 @@ def _sqrt_bernoulli(dim: int, eps0: float) -> Potential:
         u = np.asarray(u, dtype=float)
         return 0.25 * u ** -1.5 + 0.25 * (1.0 - u) ** -1.5
 
-    return Potential(
+    return BregmanLoss(
         kind="sqrt_bernoulli",
-        value=value,
+        divergence_terms=divergence_terms,
         gradient=gradient,
         hessian_diag=hessian_diag,
         alpha=math.sqrt(2.0),
         beta=0.5 * eps0 ** -1.5,
         domain=Box(np.full(dim, eps0), np.full(dim, 1.0 - eps0)),
-        params={"eps0": eps0},
     )
 
 
-def _clipped_simplex_kl(dim: int, eta0: float) -> Potential:
+# h(t) = (1 + t) log1p(t) - t = sum_{k>=2} (-1)^k t^k / (k (k - 1)): the
+# coefficients of t^8 ... t^2, and the |t| below which the series is used
+_KL_SERIES = [(-1) ** k / (k * (k - 1)) for k in range(8, 1, -1)]
+_KL_SERIES_BELOW = 1e-2
+
+
+def _clipped_simplex_kl(dim: int, eta0: float) -> BregmanLoss:
     # negative entropy on the floor-clipped simplex; D_phi restricted there
     # is exactly the KL divergence, with Hessian diag(1/p_j) in [1, 1/eta0]
-    def value(u):
-        u = np.asarray(u, dtype=float)
-        return np.sum(u * np.log(u), axis=-1)
+    def divergence_terms(x, y):
+        t = (x - y) / y
+        h = (1.0 + t) * np.log1p(t) - t
+        small = np.abs(t) < _KL_SERIES_BELOW
+        return y * np.where(small, t * t * np.polyval(_KL_SERIES, t), h)
 
     def gradient(u):
         u = np.asarray(u, dtype=float)
@@ -175,15 +164,14 @@ def _clipped_simplex_kl(dim: int, eta0: float) -> Potential:
     def hessian_diag(u):
         return 1.0 / np.asarray(u, dtype=float)
 
-    return Potential(
+    return BregmanLoss(
         kind="clipped_simplex_kl",
-        value=value,
+        divergence_terms=divergence_terms,
         gradient=gradient,
         hessian_diag=hessian_diag,
         alpha=1.0,
         beta=1.0 / eta0,
         domain=ClippedSimplex(eta0=eta0, dim=dim),
-        params={"eta0": eta0},
     )
 
 
@@ -191,8 +179,8 @@ _PARAMS = {"squared_l2": "bound", "sqrt_bernoulli": "eps0",
            "clipped_simplex_kl": "eta0"}
 
 
-def builtin_potential(kind: str, dim: int, **params) -> Potential:
-    """Construct one of the built-in potentials by name.
+def builtin_loss(kind: str, dim: int, **params) -> BregmanLoss:
+    """Construct one of the built-in losses by name.
 
     kind: "squared_l2" (optional bound, default 1e6), "sqrt_bernoulli"
     (requires eps0), or "clipped_simplex_kl" (requires eta0).  A parameter
@@ -214,7 +202,3 @@ def builtin_potential(kind: str, dim: int, **params) -> Potential:
     if "eta0" not in params:
         raise RejectedInputError("clipped_simplex_kl needs eta0")
     return _clipped_simplex_kl(dim, float(params["eta0"]))
-
-
-def builtin_loss(kind: str, dim: int, **params) -> BregmanLoss:
-    return BregmanLoss(builtin_potential(kind, dim, **params))

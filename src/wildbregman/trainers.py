@@ -76,19 +76,19 @@ class LinearTrainer:
         X, Y = data.inputs, data.responses
         n, d = Y.shape
         Xa = np.hstack([X, np.ones((n, 1))])
-        p = self.loss.potential
-        if p.kind == "squared_l2":
+        loss = self.loss
+        if loss.kind == "squared_l2":
             return np.linalg.lstsq(Xa, Y, rcond=None)[0]
         theta = np.zeros((Xa.shape[1], d))
         # start from the domain center so the Hessian oracle is evaluable
-        theta[-1] = p.domain.center()
+        theta[-1] = loss.domain.center()
         obj = self._objective(Xa, Y, theta)
         trace = [obj]
         # conservative Lipschitz guess for the step; refined by backtracking
-        step = 1.0 / (p.beta * max(1.0, float(np.linalg.norm(Xa, 2) ** 2) / n))
+        step = 1.0 / (loss.beta * max(1.0, float(np.linalg.norm(Xa, 2) ** 2) / n))
         for _ in range(_MAX_ITERS):
             Z = self._domain_clip(Xa @ theta)
-            G = Xa.T @ (p.hessian_diag(Z) * (Z - Y)) / n
+            G = Xa.T @ (loss.hessian_diag(Z) * (Z - Y)) / n
             gnorm = float(np.linalg.norm(G))
             if gnorm <= _TOL:
                 break

@@ -60,8 +60,10 @@ def _wild_responses(loss, fhat, residues, signs, rho):
     """(wild responses, clip_count) at noise scale rho.  squared_l2 lives on
     a large box; restricted-domain potentials need their wild responses
     pulled back inside, and the pulled-back rows are counted."""
+    if not 0 < rho < math.inf:  # refuses NaN too
+        raise RejectedInputError(f"rho must be finite and > 0, got {rho}")
     Y_wild = fhat.values - rho * signs.values * residues
-    if loss.potential.kind == "squared_l2":
+    if loss.kind == "squared_l2":
         return Y_wild, 0
     projected = loss.domain.project(Y_wild)
     return projected, int(np.sum(np.any(projected != Y_wild, axis=1)))
@@ -80,8 +82,6 @@ def _wild_result(loss, trainer, data, fhat, signs, rho) -> WildRefitResult:
 def wild_refit(loss: BregmanLoss, cset: CompactSet, trainer,
                data: FixedDesignDataset, rho: float, seed: int) -> WildRefitResult:
     """Run the full wild-refitting procedure at noise scale rho."""
-    if rho <= 0:
-        raise RejectedInputError("rho must be > 0")
     fhat = _refit_stage(trainer, data, "initial fit")
     signs = sample_sign_matrix(data.n, data.d, seed)
     return _wild_result(loss, trainer, data, fhat, signs, rho)
@@ -124,8 +124,9 @@ def calibrate_rho(loss: BregmanLoss, trainer, data: FixedDesignDataset,
     (Dowell & Jarratt, 1971), bisecting whenever the secant point leaves
     the bracket.  The result is the one wild_refit gives at the returned rho.
     """
-    if target_radius <= 0:
-        raise RejectedInputError("target_radius must be > 0")
+    if not 0 < target_radius < math.inf:  # refuses NaN too
+        raise RejectedInputError(
+            f"target_radius must be finite and > 0, got {target_radius}")
     _require_same_data(start, data, "start is a wild refit of other data")
     trace: list[tuple[float, float]] = []
     t_lo, t_hi = math.log(_RHO_LO), math.log(_RHO_HI)

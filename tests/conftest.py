@@ -21,11 +21,11 @@ def make_loss(kind, dim=None, **extra):
 def sample_domain(loss, rng, size):
     """Uniform-ish points strictly inside the loss domain, shape (size, d)."""
     dom = loss.domain
-    kind = loss.potential.kind
+    kind = loss.kind
     if kind == "squared_l2":
         return rng.uniform(-2.0, 2.0, size=(size, dom.dim))
     if kind == "sqrt_bernoulli":
-        eps0 = loss.potential.params["eps0"]
+        eps0 = float(dom.lo[0])
         return rng.uniform(eps0, 1.0 - eps0, size=(size, dom.dim))
     raw = rng.uniform(0.0, 1.0, size=(size, dom.dim))
     return dom.project(raw)

@@ -41,21 +41,20 @@ def test_criterion_01_bregman_identity_suite():
     ok = True
     for kind in BUILTINS:
         loss = make_loss(kind)
-        p = loss.potential
         X = sample_domain(loss, rng, 1000)
         Y = sample_domain(loss, rng, 1000)
         Z = sample_domain(loss, rng, 1000)
         # three-point equality
         lhs = loss._div_raw(X, Z)
         rhs = (loss._div_raw(X, Y) + loss._div_raw(Y, Z)
-               + np.sum((p.gradient(Y) - p.gradient(Z)) * (X - Y), axis=-1))
+               + np.sum((loss.gradient(Y) - loss.gradient(Z)) * (X - Y), axis=-1))
         ok &= bool(rel_close(lhs, rhs, 1e-9))
         # first-argument smoothness: gradient of D(., y) is beta-Lipschitz
-        gdiff = np.linalg.norm(p.gradient(X) - p.gradient(Y), axis=-1)
-        ok &= bool(np.all(gdiff <= p.beta * np.linalg.norm(X - Y, axis=-1) + 1e-9))
+        gdiff = np.linalg.norm(loss.gradient(X) - loss.gradient(Y), axis=-1)
+        ok &= bool(np.all(gdiff <= loss.beta * np.linalg.norm(X - Y, axis=-1) + 1e-9))
         # PL inequality with constant alpha^2 / beta
-        pl = 0.5 * np.sum((p.gradient(X) - p.gradient(Y)) ** 2, axis=-1)
-        ok &= bool(np.all(pl >= (p.alpha ** 2 / p.beta) * loss._div_raw(X, Y) - 1e-9))
+        pl = 0.5 * np.sum((loss.gradient(X) - loss.gradient(Y)) ** 2, axis=-1)
+        ok &= bool(np.all(pl >= (loss.alpha ** 2 / loss.beta) * loss._div_raw(X, Y) - 1e-9))
         # quasi-triangle with C0 = sqrt(beta/alpha)
         ok &= bool(np.all(np.sqrt(lhs) <= loss.c0 * (np.sqrt(loss._div_raw(X, Y))
                                                      + np.sqrt(loss._div_raw(Y, Z)))

@@ -117,7 +117,7 @@ def test_stability_constants_analytic_squared_l2():
 
 def _brute_sups(loss, pts, chunk=250):
     """max ||grad phi|| over the points and max D_phi over all their pairs."""
-    L = float(np.max(np.linalg.norm(loss.potential.gradient(pts), axis=-1)))
+    L = float(np.max(np.linalg.norm(loss.gradient(pts), axis=-1)))
     M = 0.0
     for i in range(0, len(pts), chunk):
         X = pts[i:i + chunk, None, :]

@@ -355,6 +355,48 @@ def test_certify_refuses_input_that_is_no_upper_bound(certify, tmp_path,
     assert not (tmp_path / "cert.json").exists()
 
 
+# a radius report the refit is not calibrated to: at r = 0 the calibration
+# check was skipped, and NaN passed as a radius
+@pytest.mark.parametrize("r_certified", [0.0, math.nan])
+def test_certify_refuses_zero_and_nan_radius(certify, tmp_path, capsys,
+                                             r_certified):
+    radius = tmp_path / "radius.json"
+    radius.write_text(json.dumps(json.loads(radius.read_text())
+                                 | {"r_certified": r_certified}))
+    capsys.readouterr()
+    assert run(certify) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RejectedInputError"), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "cert.json").exists()
+
+
+# a noise scale or target radius that is not finite and > 0 is refused by
+# name: an infinite target passed calibration at its first point, NaN was
+# blamed on the responses, and a NaN rho in a refit file on the domain
+@pytest.mark.parametrize("case, value", [
+    ("--rho", "nan"), ("--rho", "inf"), ("--target-radius", "nan"),
+    ("--target-radius", "inf"), ("rho", math.nan), ("rho", math.inf)])
+def test_rho_and_target_radius_refused_unless_finite_and_positive(
+        certify, dataset, tmp_path, capsys, case, value):
+    out = tmp_path / "refit2.json"
+    if case.startswith("--"):
+        argv = ["refit", case, value, "--cset-bound", 0.3, "--data", dataset,
+                "--out", out]
+    else:  # a refit file edited by hand, read by certify
+        refit = tmp_path / "refit.json"
+        refit.write_text(json.dumps(json.loads(refit.read_text())
+                                    | {case: value}))
+        argv, out = certify, tmp_path / "cert.json"
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RejectedInputError"), err
+    assert err.count("\n") == 1
+    assert case.strip("-").replace("-", "_") in err
+    assert not out.exists()
+
+
 # fields SyntheticSpec refuses beyond n, d and the families: through the
 # simulate flags and through a validate config, both exit 2 before any work
 @pytest.mark.parametrize("argv", [

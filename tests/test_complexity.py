@@ -138,8 +138,8 @@ def _check_dual_against_grid(loss, cset, c, z, r, G, h):
     from wildbregman.complexity import _sup_dual
     val, info, _ = _sup_dual(loss, cset, c, z, r)
     assert info["method"] == "dual_simplex"
-    hmax = 1.0 / cset.eta0 if loss.potential.kind == "clipped_simplex_kl" else 1.0
-    g = loss.potential.gradient
+    hmax = 1.0 / cset.eta0 if loss.kind == "clipped_simplex_kl" else 1.0
+    g = loss.gradient
     f = np.sum((g(c) - g(G)) * z, axis=1)
     B = loss._div_raw(np.broadcast_to(c, G.shape), G)
     Lf = hmax * float(np.linalg.norm(z))
@@ -197,21 +197,27 @@ def test_dual_simplex_primal_feasible_and_tight(kind):
         assert ball_sup(loss, cset, PredictionMatrix(C), Z, r) == val
 
 
-@pytest.mark.parametrize("kind, r", [("clipped_simplex_kl", 1e-9),
-                                     ("clipped_simplex_kl", 1e-12),
-                                     ("squared_l2", 1e-17),
-                                     ("clipped_simplex_kl", 1e-250)])
-def test_dual_below_rounding_floor_still_bounds(kind, r):
-    # r^2 lies below the rounding floor of the projected center's ball value
-    # (1.3e-17 for KL, 2e-33 for squared_l2), so no multiplier is feasible:
-    # the dual must fall back to a true upper bound, not to q at a huge
-    # infeasible multiplier, which is hugely negative
-    from wildbregman.complexity import _sup_dual
+def _simplex_repro(kind="clipped_simplex_kl"):
+    """KL (or squared_l2) on ClippedSimplex(0.1, 3) with a projected center
+    C and a Gaussian perturbation Z, 50 rows each."""
     cset = ClippedSimplex(0.1, 3)
     loss = builtin_loss(kind, 3, eta0=0.1) if kind != "squared_l2" \
         else builtin_loss(kind, 3)
     C = cset.project(np.random.default_rng(1).uniform(0, 1, (50, 3)))
     Z = np.random.default_rng(2).normal(size=(50, 3))
+    return loss, cset, C, Z
+
+
+@pytest.mark.parametrize("kind, r", [("clipped_simplex_kl", 1e-17),
+                                     ("squared_l2", 1e-17),
+                                     ("clipped_simplex_kl", 1e-250)])
+def test_dual_below_rounding_floor_still_bounds(kind, r):
+    # r^2 lies below the rounding floor of the projected center's ball value
+    # (1.3e-32 for KL, 2e-33 for squared_l2), so no multiplier is feasible:
+    # the dual must fall back to a true upper bound, not to q at a huge
+    # infeasible multiplier, which is hugely negative
+    from wildbregman.complexity import _sup_dual
+    loss, cset, C, Z = _simplex_repro(kind)
     q, info, U = _sup_dual(loss, cset, C, Z, r)
     assert q >= 0.0
     assert math.isfinite(info["gap"]) and info["gap"] >= 0.0
@@ -219,6 +225,22 @@ def test_dual_below_rounding_floor_still_bounds(kind, r):
     # the bound is the supremum over the whole set, so it dominates the
     # supremum over any larger ball
     assert q >= ball_sup(loss, cset, PredictionMatrix(C), Z, 0.5)
+
+
+@pytest.mark.parametrize("r", [1e-9, 1e-12])
+def test_dual_kl_at_tiny_radius_is_not_the_fallback(r):
+    # above the KL rounding floor the dual finds a feasible multiplier: the
+    # ball supremum scales like r, so q / r matches its value at r = 1e-6.
+    # The gap is limited by the rounding of U - C (about 1e-17 on a step
+    # of r), 8e-7 q at r = 1e-12
+    from wildbregman.complexity import _ball_value, _sup_dual
+    loss, cset, C, Z = _simplex_repro()
+    q, info, U = _sup_dual(loss, cset, C, Z, r)
+    assert not np.array_equal(U, C)
+    assert _ball_value(loss, C, U) <= r * r
+    assert 0.0 <= info["gap"] <= 1e-5 * q
+    q_ref = _sup_dual(loss, cset, C, Z, 1e-6)[0]
+    assert q / r == pytest.approx(q_ref / 1e-6, rel=1e-4)
 
 
 def test_ball_sup_unsupported_pair_raises():
