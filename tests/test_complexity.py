@@ -208,37 +208,39 @@ def _simplex_repro(kind="clipped_simplex_kl"):
     return loss, cset, C, Z
 
 
-@pytest.mark.parametrize("kind, r", [("clipped_simplex_kl", 1e-17),
+# rounding floor of the projected center's ball value: no multiplier is
+# feasible once r^2 lies below it
+_BALL_VALUE_FLOOR = {"clipped_simplex_kl": 1.3e-32, "squared_l2": 2e-33}
+
+
+@pytest.mark.parametrize("kind, r", [("clipped_simplex_kl", 1e-9),
+                                     ("clipped_simplex_kl", 1e-12),
+                                     ("clipped_simplex_kl", 1e-17),
                                      ("squared_l2", 1e-17),
                                      ("clipped_simplex_kl", 1e-250)])
 def test_dual_below_rounding_floor_still_bounds(kind, r):
-    # r^2 lies below the rounding floor of the projected center's ball value
-    # (1.3e-32 for KL, 2e-33 for squared_l2), so no multiplier is feasible:
-    # the dual must fall back to a true upper bound, not to q at a huge
-    # infeasible multiplier, which is hugely negative
-    from wildbregman.complexity import _sup_dual
+    # At every tiny radius the dual returns a true upper bound with a finite,
+    # non-negative gap.  Below the rounding floor the dual must fall back to
+    # the set-wide bound, not to q at a huge infeasible multiplier, which is
+    # hugely negative.  Above it (KL at r = 1e-9, 1e-12, since the KL
+    # divergence no longer cancels) it finds a feasible multiplier.
+    from wildbregman.complexity import _ball_value, _sup_dual
     loss, cset, C, Z = _simplex_repro(kind)
     q, info, U = _sup_dual(loss, cset, C, Z, r)
     assert q >= 0.0
     assert math.isfinite(info["gap"]) and info["gap"] >= 0.0
-    assert np.array_equal(U, C)
-    # the bound is the supremum over the whole set, so it dominates the
-    # supremum over any larger ball
-    assert q >= ball_sup(loss, cset, PredictionMatrix(C), Z, 0.5)
-
-
-@pytest.mark.parametrize("r", [1e-9, 1e-12])
-def test_dual_kl_at_tiny_radius_is_not_the_fallback(r):
-    # above the KL rounding floor the dual finds a feasible multiplier: the
-    # ball supremum scales like r, so q / r matches its value at r = 1e-6.
-    # The gap is limited by the rounding of U - C (about 1e-17 on a step
-    # of r), 8e-7 q at r = 1e-12
-    from wildbregman.complexity import _ball_value, _sup_dual
-    loss, cset, C, Z = _simplex_repro()
-    q, info, U = _sup_dual(loss, cset, C, Z, r)
+    if r * r < _BALL_VALUE_FLOOR[kind]:
+        assert np.array_equal(U, C)
+        # the bound is the supremum over the whole set, so it dominates the
+        # supremum over any larger ball
+        assert q >= ball_sup(loss, cset, PredictionMatrix(C), Z, 0.5)
+        return
+    # the ball supremum scales like r, so q / r matches its value at
+    # r = 1e-6.  The gap is limited by the rounding of U - C (about 1e-17 on
+    # a step of r), 8e-7 q at r = 1e-12
     assert not np.array_equal(U, C)
     assert _ball_value(loss, C, U) <= r * r
-    assert 0.0 <= info["gap"] <= 1e-5 * q
+    assert info["gap"] <= 1e-5 * q
     q_ref = _sup_dual(loss, cset, C, Z, 1e-6)[0]
     assert q / r == pytest.approx(q_ref / 1e-6, rel=1e-4)
 
