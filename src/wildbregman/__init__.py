@@ -8,9 +8,8 @@ in fixed and random design, plus a synthetic-oracle validation harness.
 from .certify import (RiskCertificate, StabilityConstants,
                       fixed_design_certificate, random_design_certificate,
                       random_design_tail, stability_constants)
-from .complexity import (RadiusReport, ball_sup, convex_class_bracket,
-                         deviation_term, fixed_point_radius, pilot_sup,
-                         rhat_bound_convex, wn)
+from .complexity import (RadiusReport, ball_sup, deviation_term,
+                         fixed_point_radius, pilot_sup, rhat_bound_convex, wn)
 from .design import (FixedDesignDataset, PredictionMatrix, SignMatrix,
                      empirical_discrepancy, load_dataset, sample_sign_matrix,
                      save_dataset)
@@ -34,7 +33,7 @@ __all__ = [
     "RiskCertificate", "SaturatedTrainer", "SignMatrix", "StabilityConstants",
     "SyntheticSpec", "UnboundedRadiusError", "UnsupportedConfigurationError",
     "WildRefitResult", "ball_sup", "build_model", "builtin_loss",
-    "calibrate_rho", "convex_class_bracket",
+    "calibrate_rho",
     "deviation_term", "empirical_discrepancy", "fixed_design_certificate",
     "fixed_point_radius", "generate_synthetic", "load_dataset", "pilot_sup",
     "random_design_certificate", "random_design_tail", "rhat_bound_convex",

@@ -7,11 +7,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .complexity import RadiusReport, deviation_term
+from .complexity import RadiusReport, _vertices, deviation_term
 from .errors import RejectedInputError, UnsupportedConfigurationError
 from .geometry import Box, CompactSet
 from .potentials import BregmanLoss
-from .wildfit import WildRefitResult, wild_optimism
+from .wildfit import WildRefitResult, _require_same_data, wild_optimism
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,10 @@ def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
                              calibration_tol: float = 5e-3) -> RiskCertificate:
     """Fixed-design certificate: training error + 2 (|wild optimism| + pilot
     + deviation), valid with probability 1 - 8 delta when calibrated.
-    pilot, misspec, w_inf and calibration_tol must be finite and >= 0."""
+    pilot, misspec, w_inf and calibration_tol must be finite and >= 0, and
+    responses the data refit was fit on (responses - fhat = residues)."""
+    Y = np.asarray(responses, dtype=float)
+    _require_same_data(refit, Y)
     if not 0 < delta < 1.0 / 8.0:
         raise RejectedInputError("fixed design requires 0 < delta < 1/8")
     if not all(math.isfinite(v) and v >= 0 for v in (pilot, calibration_tol)):
@@ -54,7 +57,6 @@ def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
             f"calibration mismatch: achieved wild radius {achieved:.6g} vs "
             f"required 3 sqrt(beta/alpha) r = {target:.6g}")
     n = refit.fhat.n
-    Y = np.asarray(responses, dtype=float)
     training = float(np.mean(loss.divergence_rows(Y, refit.fhat.values)))
     opt_abs = abs(wild_optimism(loss, refit))
     dev = deviation_term(loss, misspec, radius.r_certified, w_inf, n,
@@ -85,22 +87,20 @@ def stability_constants(loss: BregmanLoss, cset: CompactSet,
     """
     if n < 2:
         raise RejectedInputError("stability constants need n >= 2")
+    V = _vertices(loss, cset)
     if isinstance(cset, Box):
-        lo, hi = cset.lo, cset.hi
+        lo, hi = V
         # row j moves coordinate j alone from lo_j to hi_j, so its two
         # divergences are the separable terms D_j(hi_j, lo_j), D_j(lo_j, hi_j)
         edge = np.where(np.eye(lo.size, dtype=bool), hi, lo)
         base = np.broadcast_to(lo, edge.shape)
         M = float(np.sum(np.maximum(loss.divergence_rows(edge, base),
                                     loss.divergence_rows(base, edge))))
-        g2 = np.square(loss.gradient(np.stack([lo, hi])))
+        g2 = np.square(loss.gradient(V))
         L = math.sqrt(float(np.sum(np.max(g2, axis=0))))
     elif loss.kind in ("squared_l2", "clipped_simplex_kl"):
-        d = cset.dim
-        V = np.full((d, d), cset.eta0)
-        np.fill_diagonal(V, 1.0 - (d - 1) * cset.eta0)
-        M = float(np.max(loss.divergence_rows(np.repeat(V, d, axis=0),
-                                              np.tile(V, (d, 1)))))
+        M = float(np.max(loss.divergence_rows(np.repeat(V, len(V), axis=0),
+                                              np.tile(V, (len(V), 1)))))
         L = float(np.max(np.linalg.norm(loss.gradient(V), axis=-1)))
     else:
         raise UnsupportedConfigurationError(

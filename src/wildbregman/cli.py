@@ -20,30 +20,26 @@ from .errors import (CalibrationError, ConvergenceError, RejectedInputError,
 from .harness import (_FSTAR_FAMILIES, _NOISE_FAMILIES, THEOREMS,
                       CoverageExperiment, SyntheticSpec, generate_synthetic,
                       run_coverage)
-from .potentials import builtin_loss
+from .potentials import _BUILTINS, builtin_loss
 from .trainers import build_model
-from .wildfit import (WildRefitResult, _require_same_data, _wild_responses,
+from .wildfit import (WildRefitResult, _require_positive, _wild_responses,
                       calibrate_rho, wild_optimism, wild_refit)
 
 
-# the default parameter of each potential that takes one
-_POTENTIAL_DEFAULTS = {"sqrt_bernoulli": {"eps0": 0.05},
-                       "clipped_simplex_kl": {"eta0": 0.1}}
-
-
 def _potential_params(args) -> dict:
-    """The chosen potential's default parameter, overridden by the flags
-    given; `builtin_loss` refuses the flag of another potential."""
-    given = {flag: getattr(args, flag) for flag in ("eps0", "eta0")
-             if getattr(args, flag) is not None}
-    return _POTENTIAL_DEFAULTS.get(args.potential, {}) | given
+    """The --eps0/--eta0 flags given; `builtin_loss` supplies the defaults
+    and refuses the flag of another potential."""
+    return {flag: getattr(args, flag) for flag in ("eps0", "eta0")
+            if getattr(args, flag) is not None}
 
 
 def _add_potential_flags(p):
     p.add_argument("--potential", default="squared_l2",
-                   choices=["squared_l2", *_POTENTIAL_DEFAULTS])
-    p.add_argument("--eps0", type=float, help="sqrt_bernoulli; default 0.05")
-    p.add_argument("--eta0", type=float, help="clipped_simplex_kl; default 0.1")
+                   choices=list(_BUILTINS))
+    for kind in ("sqrt_bernoulli", "clipped_simplex_kl"):
+        _, flag, default = _BUILTINS[kind]
+        p.add_argument(f"--{flag}", type=float,
+                       help=f"{kind}; default {default}")
 
 
 def _add_model_flags(p):
@@ -97,6 +93,8 @@ def _cmd_refit(args) -> int:
     loss, cset, trainer = build_model(data.d, args.potential,
                                       _potential_params(args), args.cset_bound,
                                       {"kind": args.trainer})
+    if args.target_radius is not None:  # refused before any fit
+        _require_positive("target_radius", args.target_radius)
     result = wild_refit(loss, cset, trainer, data,
                         1.0 if args.rho is None else args.rho, seed=args.seed)
     if args.target_radius is not None:
@@ -157,14 +155,15 @@ def _cmd_certify(args) -> int:
     report = _read_json(args.radius_report, lambda rep: RadiusReport(
         **{f.name: rep[f.name] for f in dataclasses.fields(RadiusReport)}))
     data = load_dataset(data_path)
-    _require_same_data(result, data, f"{data_path} changed since it was refit")
-    w_inf = args.w_inf
-    if w_inf is None:
-        w_inf = float(np.max(np.abs(result.residues)))
-    cert = fixed_design_certificate(loss, result, report, args.delta,
-                                    args.pilot, args.misspec, w_inf,
-                                    responses=data.responses,
-                                    calibration_tol=args.calibration_tol)
+    w_inf = (float(np.max(np.abs(result.residues))) if args.w_inf is None
+             else args.w_inf)
+    try:
+        cert = fixed_design_certificate(loss, result, report, args.delta,
+                                        args.pilot, args.misspec, w_inf,
+                                        responses=data.responses,
+                                        calibration_tol=args.calibration_tol)
+    except RejectedInputError as err:  # name the file the responses are from
+        raise RejectedInputError(f"certifying on {data_path}: {err}") from None
     if args.mode == "random":
         consts = stability_constants(loss, cset, data.n)
         cert = random_design_certificate(cert, consts, data.n, args.delta,

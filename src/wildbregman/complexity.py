@@ -162,6 +162,19 @@ def _sup_dual(loss, cset, center, Z, r):
     return result(bracket[1], *hit)
 
 
+def _vertices(loss: BregmanLoss, cset: CompactSet) -> np.ndarray:
+    """A box's corners lo, hi or a clipped simplex's d vertices.  Raises
+    RejectedInputError unless they, and so the set, lie in the loss domain."""
+    if isinstance(cset, Box):
+        V = np.stack([cset.lo, cset.hi])
+    else:
+        d = cset.dim
+        V = np.full((d, d), cset.eta0)
+        np.fill_diagonal(V, 1.0 - (d - 1) * cset.eta0)
+    loss._check_domain(V)
+    return V
+
+
 def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
              Z: np.ndarray, r: float, *, full_output: bool = False):
     """sup over {U : rows in cset, L_n(center, U) <= r^2} of the averaged
@@ -171,10 +184,12 @@ def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
     the box raises RejectedInputError; every other supported (potential, set)
     pair by its Lagrangian dual, whose value is an upper bound and whose
     `gap` in `full_output` bounds the distance to the supremum.  A pair with
-    no exact inner argmax raises UnsupportedConfigurationError.
+    no exact inner argmax raises UnsupportedConfigurationError, and a set
+    with a vertex outside the loss domain RejectedInputError.
     """
     if r < 0:
         raise RejectedInputError("radius must be >= 0")
+    _vertices(loss, cset)
     C = center.values
     Z = np.asarray(Z, dtype=float)
     if Z.shape != C.shape:
@@ -255,13 +270,6 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
     return bracket[1]
 
 
-def convex_class_bracket(wn_evaluator, r_diamond: float, delta: float,
-                         loss: BregmanLoss) -> float:
-    """Initial upper bracket max{r_dia, W_n(c0 (2 + 1/sqrt(log 1/delta)) r_dia)/r_dia}."""
-    factor = loss.c0 * (2.0 + 1.0 / math.sqrt(math.log(1.0 / delta)))
-    return max(r_diamond, wn_evaluator(factor * r_diamond) / r_diamond)
-
-
 def rhat_bound_convex(wn_evaluator, r_diamond: float, delta: float, n: int,
                       w_inf: float, d: int, pilot: float,
                       loss: BregmanLoss) -> float:
@@ -290,7 +298,7 @@ def rhat_bound_convex(wn_evaluator, r_diamond: float, delta: float, n: int,
         trace.append((r, holds))
         return not holds
 
-    r_top = 4.0 * max(convex_class_bracket(wn_evaluator, r_diamond, delta, loss),
+    r_top = 4.0 * max(r_diamond, wn_evaluator(factor * r_diamond) / r_diamond,
                       math.sqrt(floor + pilot))
     r0 = max(r_diamond, log_inv / math.sqrt(n)) * 1e-3  # r0^2 < floor: holds
     bracket = _walk_bisect(violated, r0, r0 * _CONVEX_GRID_RATIO,

@@ -175,30 +175,26 @@ def _clipped_simplex_kl(dim: int, eta0: float) -> BregmanLoss:
     )
 
 
-_PARAMS = {"squared_l2": "bound", "sqrt_bernoulli": "eps0",
-           "clipped_simplex_kl": "eta0"}
+# each built-in: its constructor, the one parameter it takes, and that
+# parameter's default
+_BUILTINS = {"squared_l2": (_squared_l2, "bound", 1e6),
+             "sqrt_bernoulli": (_sqrt_bernoulli, "eps0", 0.05),
+             "clipped_simplex_kl": (_clipped_simplex_kl, "eta0", 0.1)}
 
 
 def builtin_loss(kind: str, dim: int, **params) -> BregmanLoss:
     """Construct one of the built-in losses by name.
 
-    kind: "squared_l2" (optional bound, default 1e6), "sqrt_bernoulli"
-    (requires eps0), or "clipped_simplex_kl" (requires eta0).  A parameter
-    the kind does not take is rejected.
+    kind: "squared_l2" (parameter bound, default 1e6), "sqrt_bernoulli"
+    (eps0, default 0.05) or "clipped_simplex_kl" (eta0, default 0.1).  A
+    parameter the kind does not take is rejected.
     """
     if dim < 1:
         raise RejectedInputError("dim must be >= 1")
-    if kind not in _PARAMS:
+    if kind not in _BUILTINS:
         raise RejectedInputError(f"unknown potential kind: {kind!r}")
-    if set(params) - {_PARAMS[kind]}:
+    make, name, default = _BUILTINS[kind]
+    if set(params) - {name}:
         raise RejectedInputError(
-            f"{kind} takes only {_PARAMS[kind]!r}, got {sorted(params)}")
-    if kind == "squared_l2":
-        return _squared_l2(dim, float(params.get("bound", 1e6)))
-    if kind == "sqrt_bernoulli":
-        if "eps0" not in params:
-            raise RejectedInputError("sqrt_bernoulli needs eps0")
-        return _sqrt_bernoulli(dim, float(params["eps0"]))
-    if "eta0" not in params:
-        raise RejectedInputError("clipped_simplex_kl needs eta0")
-    return _clipped_simplex_kl(dim, float(params["eta0"]))
+            f"{kind} takes only {name!r}, got {sorted(params)}")
+    return make(dim, float(params.get(name, default)))

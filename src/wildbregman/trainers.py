@@ -63,11 +63,8 @@ class LinearTrainer:
     loss: BregmanLoss
     cset: CompactSet
 
-    def _domain_clip(self, Z: np.ndarray) -> np.ndarray:
-        return self.loss.domain.project(Z)
-
     def _objective(self, Xa, Y, theta) -> float:
-        Z = self._domain_clip(Xa @ theta)
+        Z = self.loss.domain.project(Xa @ theta)
         return float(np.mean(self.loss._div_raw(Y, Z)))
 
     def fit_theta(self, data: FixedDesignDataset) -> np.ndarray:
@@ -87,7 +84,7 @@ class LinearTrainer:
         # conservative Lipschitz guess for the step; refined by backtracking
         step = 1.0 / (loss.beta * max(1.0, float(np.linalg.norm(Xa, 2) ** 2) / n))
         for _ in range(_MAX_ITERS):
-            Z = self._domain_clip(Xa @ theta)
+            Z = loss.domain.project(Xa @ theta)
             G = Xa.T @ (loss.hessian_diag(Z) * (Z - Y)) / n
             gnorm = float(np.linalg.norm(G))
             if gnorm <= _TOL:
@@ -122,8 +119,8 @@ def build_model(d: int, potential: str, potential_params: dict,
                 cset_bound: float, trainer: dict):
     """(loss, compact set, trainer) for a model description.
 
-    The set is the loss domain for clipped_simplex_kl and the box
-    [-cset_bound, cset_bound]^d otherwise.  trainer is a descriptor dict,
+    The set is the loss domain, cut to the box [-cset_bound, cset_bound]^d
+    when the domain is a box.  trainer is a descriptor dict,
     {"kind": "saturated"} (the default) or {"kind": "linear"}; other kinds or
     keys, and values of the wrong type, raise RejectedInputError.
     """
@@ -139,6 +136,7 @@ def build_model(d: int, potential: str, potential_params: dict,
             f"bad trainer descriptor {trainer!r}: the kinds are 'saturated' "
             "and 'linear', and kind is its only key")
     loss = builtin_loss(potential, d, **potential_params)
-    cset = (loss.domain if potential == "clipped_simplex_kl" else
-            Box(np.full(d, -cset_bound), np.full(d, cset_bound)))
+    dom = loss.domain
+    cset = (Box(np.maximum(dom.lo, -cset_bound),
+                np.minimum(dom.hi, cset_bound)) if isinstance(dom, Box) else dom)
     return loss, cset, _TRAINERS[kind](loss, cset)

@@ -56,15 +56,17 @@ def _refit_stage(trainer, data, stage):
         raise
 
 
+def _require_positive(name: str, value: float):
+    """Refuse a value that is not finite and > 0, NaN included."""
+    if not 0 < value < math.inf:
+        raise RejectedInputError(f"{name} must be finite and > 0, got {value}")
+
+
 def _wild_responses(loss, fhat, residues, signs, rho):
-    """(wild responses, clip_count) at noise scale rho.  squared_l2 lives on
-    a large box; restricted-domain potentials need their wild responses
-    pulled back inside, and the pulled-back rows are counted."""
-    if not 0 < rho < math.inf:  # refuses NaN too
-        raise RejectedInputError(f"rho must be finite and > 0, got {rho}")
+    """(wild responses, clip_count) at noise scale rho: the rows are pulled
+    back onto the loss domain, and the pulled-back rows counted."""
+    _require_positive("rho", rho)
     Y_wild = fhat.values - rho * signs.values * residues
-    if loss.kind == "squared_l2":
-        return Y_wild, 0
     projected = loss.domain.project(Y_wild)
     return projected, int(np.sum(np.any(projected != Y_wild, axis=1)))
 
@@ -82,6 +84,7 @@ def _wild_result(loss, trainer, data, fhat, signs, rho) -> WildRefitResult:
 def wild_refit(loss: BregmanLoss, cset: CompactSet, trainer,
                data: FixedDesignDataset, rho: float, seed: int) -> WildRefitResult:
     """Run the full wild-refitting procedure at noise scale rho."""
+    _require_positive("rho", rho)
     fhat = _refit_stage(trainer, data, "initial fit")
     signs = sample_sign_matrix(data.n, data.d, seed)
     return _wild_result(loss, trainer, data, fhat, signs, rho)
@@ -93,8 +96,7 @@ def wild_optimism(loss: BregmanLoss, result: WildRefitResult) -> float:
     (1/(n rho)) sum l(fhat_i, fdia_i) - (1/(n rho)) sum l(ywild_i, fdia_i)
     + beta rho mean ||eps_i (.) res_i||^2, with the certified beta.
     """
-    if result.rho <= 0:
-        raise RejectedInputError("result has non-positive rho")
+    _require_positive("rho", result.rho)
     rho = result.rho
     Fh, Fd = result.fhat.values, result.fdiamond.values
     term1 = float(np.mean(loss.divergence_rows(Fh, Fd))) / rho
@@ -104,12 +106,11 @@ def wild_optimism(loss: BregmanLoss, result: WildRefitResult) -> float:
     return term1 - term2 + term3
 
 
-def _require_same_data(result: WildRefitResult, data: FixedDesignDataset,
-                       message: str):
-    """Refuse data whose responses minus result.fhat are not result.residues."""
-    if data.responses.shape != result.residues.shape or not np.array_equal(
-            data.responses - result.fhat.values, result.residues):
-        raise RejectedInputError(message)
+def _require_same_data(result: WildRefitResult, responses: np.ndarray):
+    """Refuse responses that differ from result.fhat by other than residues."""
+    if responses.shape != result.residues.shape or not np.array_equal(
+            responses - result.fhat.values, result.residues):
+        raise RejectedInputError("responses are not the data of the refit")
 
 
 def calibrate_rho(loss: BregmanLoss, trainer, data: FixedDesignDataset,
@@ -124,10 +125,8 @@ def calibrate_rho(loss: BregmanLoss, trainer, data: FixedDesignDataset,
     (Dowell & Jarratt, 1971), bisecting whenever the secant point leaves
     the bracket.  The result is the one wild_refit gives at the returned rho.
     """
-    if not 0 < target_radius < math.inf:  # refuses NaN too
-        raise RejectedInputError(
-            f"target_radius must be finite and > 0, got {target_radius}")
-    _require_same_data(start, data, "start is a wild refit of other data")
+    _require_positive("target_radius", target_radius)
+    _require_same_data(start, data.responses)
     trace: list[tuple[float, float]] = []
     t_lo, t_hi = math.log(_RHO_LO), math.log(_RHO_HI)
     t, result = math.log(start.rho), start

@@ -98,6 +98,16 @@ def test_fixed_certificate_rejects_uncalibrated(rng):
                                  w_inf, responses=data.responses)
 
 
+def test_fixed_certificate_rejects_responses_of_other_data(rng):
+    # fhat's own values as responses would give a training error of 0
+    (loss, cset, data, result, report, pilot, misspec, w_inf,
+     delta) = _calibrated_setup(rng)
+    for responses in (result.fhat.values, data.responses[:-1]):
+        with pytest.raises(RejectedInputError, match="not the data"):
+            fixed_design_certificate(loss, result, report, delta, pilot,
+                                     misspec, w_inf, responses=responses)
+
+
 def test_fixed_certificate_delta_range(rng):
     (loss, cset, data, result, report, pilot, misspec, w_inf,
      _) = _calibrated_setup(rng)

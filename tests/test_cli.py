@@ -11,7 +11,7 @@ import pytest
 from wildbregman.cli import _as_refit, _potential_params, build_parser, main
 from wildbregman.design import (FixedDesignDataset, _read_json, load_dataset,
                                 save_dataset)
-from wildbregman.trainers import build_model
+from wildbregman.trainers import LinearTrainer, build_model
 from wildbregman.wildfit import wild_refit
 
 
@@ -173,12 +173,12 @@ def test_flags_that_change_nothing_exit_2(dataset, tmp_path, capsys):
         assert err.startswith("error: RejectedInputError"), err
         assert flag in err and err.count("\n") == 1
     assert list(tmp_path.glob("out*")) == []
-    # unset, a potential's own flag takes its default
+    # only the flags given are passed on: `builtin_loss` holds the defaults
     parse = build_parser().parse_args
     base = ["refit", "--rho", "1", "--data", "d.csv", "--out", "o.json"]
     assert _potential_params(parse(base)) == {}
     assert _potential_params(parse(base + ["--potential", "sqrt_bernoulli"])) \
-        == {"eps0": 0.05}
+        == {}
     assert _potential_params(parse(base + ["--potential", "clipped_simplex_kl",
                                            "--eta0", "0.2"])) == {"eta0": 0.2}
 
@@ -395,6 +395,36 @@ def test_rho_and_target_radius_refused_unless_finite_and_positive(
     assert err.count("\n") == 1
     assert case.strip("-").replace("-", "_") in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--rho", "--target-radius"])
+def test_bad_rho_or_target_radius_refused_before_any_fit(dataset, tmp_path,
+                                                         monkeypatch, flag):
+    fits = []
+    fit = LinearTrainer.fit
+    monkeypatch.setattr(LinearTrainer, "fit",
+                        lambda self, data: fits.append(1) or fit(self, data))
+    assert run(["refit", flag, "nan", "--trainer", "linear", "--data", dataset,
+                "--out", tmp_path / "refit.json"]) == 2
+    assert fits == []
+
+
+def test_sqrt_bernoulli_linear_refit_then_fixed_point_radius(tmp_path):
+    # a dataset inside (0.05, 0.95)^2 written by hand; the linear model's
+    # set is that domain, so the radius solve stays on it
+    x = np.linspace(-1.0, 1.0, 300)
+    w = 0.1 * (-1.0) ** np.arange(300)
+    Y = np.column_stack([0.5 + 0.3 * x + w, 0.5 - 0.2 * x - w])
+    data = save_dataset(tmp_path / "sb", FixedDesignDataset(x[:, None], Y))
+    refit, radius = tmp_path / "refit.json", tmp_path / "radius.json"
+    assert run(["refit", "--rho", 1, "--potential", "sqrt_bernoulli",
+                "--trainer", "linear", "--data", data, "--out", refit]) == 0
+    assert run(["radius", "--mode", "fixed-point", "--delta", 1e-4,
+                "--refit-result", refit, "--out", radius]) == 0
+    r = json.loads(radius.read_text())["r_certified"]
+    assert math.isfinite(r) and r > 0
+    # eps0 was not given, so the refit file records no parameter
+    assert json.loads(refit.read_text())["config"]["potential_params"] == {}
 
 
 # fields SyntheticSpec refuses beyond n, d and the families: through the

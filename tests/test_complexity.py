@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from wildbregman.complexity import (ball_sup, convex_class_bracket,
-                                    deviation_term, fixed_point_radius,
-                                    pilot_sup, rhat_bound_convex, wn)
+from wildbregman.complexity import (ball_sup, deviation_term,
+                                    fixed_point_radius, pilot_sup,
+                                    rhat_bound_convex, wn)
 from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
                                 sample_sign_matrix)
 from wildbregman.errors import (RejectedInputError, UnboundedRadiusError,
@@ -49,6 +49,23 @@ def test_ball_sup_rejects_center_outside_box():
     F = PredictionMatrix(np.array([[0.0, 0.0], [0.0, 0.7]]))
     with pytest.raises(RejectedInputError):
         ball_sup(loss, box(2, 0.5), F, np.ones((2, 2)), 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_ball_sup_rejects_set_outside_domain(rng):
+    # the box +-10 leaves sqrt_bernoulli's domain (0.05, 0.95)^2, where its
+    # gradient is NaN: refused, as stability_constants refuses it, before
+    # any value is computed
+    loss = builtin_loss("sqrt_bernoulli", 2, eps0=0.05)
+    inside = Box(np.full(2, 0.05), np.full(2, 0.95))
+    F = PredictionMatrix(inside.project(rng.uniform(0, 1, size=(30, 2))))
+    Z = rng.normal(size=(30, 2))
+    assert 0 < ball_sup(loss, inside, F, Z, 3.0) < math.inf
+    for sup in (ball_sup, wn):
+        with pytest.raises(RejectedInputError):
+            sup(loss, box(2, 10.0), F, Z, 3.0)
+    with pytest.raises(RejectedInputError):
+        pilot_sup(loss, box(2, 10.0), F, F, sample_sign_matrix(30, 2, 0), 3.0)
 
 
 def test_wn_matches_closed_form_interior(rng):
@@ -386,17 +403,6 @@ def test_fixed_point_radius_rejects_large_delta():
 def test_fixed_point_radius_unbounded():
     with pytest.raises(UnboundedRadiusError):
         fixed_point_radius(lambda s: 100.0 + s, math.exp(-9.0), 100, r_max=5.0)
-
-
-def test_convex_class_bracket_analytic():
-    loss = builtin_loss("squared_l2", 1)
-    delta = math.exp(-9.0)
-    k = 0.3
-    r_dia = 0.1
-    factor = loss.c0 * (2.0 + 1.0 / 3.0)
-    expect = max(r_dia, k * factor * r_dia / r_dia)
-    got = convex_class_bracket(lambda s: k * s, r_dia, delta, loss)
-    assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_rhat_bound_zero_process_floor():

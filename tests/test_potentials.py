@@ -33,11 +33,16 @@ def test_unknown_kind_rejected():
         builtin_loss("huber", 2)
 
 
-def test_missing_params_rejected():
-    with pytest.raises(RejectedInputError):
-        builtin_loss("sqrt_bernoulli", 2)
-    with pytest.raises(RejectedInputError):
-        builtin_loss("clipped_simplex_kl", 2)
+def test_missing_params_take_defaults():
+    # one default per built-in (bound 1e6, eps0 0.05, eta0 0.1), the same
+    # for every caller
+    for kind, given in [("squared_l2", {"bound": 1e6}),
+                        ("sqrt_bernoulli", {"eps0": 0.05}),
+                        ("clipped_simplex_kl", {"eta0": 0.1})]:
+        default, explicit = builtin_loss(kind, 2), builtin_loss(kind, 2, **given)
+        assert (default.alpha, default.beta) == (explicit.alpha, explicit.beta)
+        assert np.array_equal(default.domain.center(), explicit.domain.center())
+        assert default.domain.diameter() == explicit.domain.diameter()
 
 
 def test_params_of_another_kind_rejected():

@@ -184,7 +184,9 @@ def test_linear_predictor_evaluates_off_design():
 def test_build_model_sets_and_trainers():
     loss, cset, trainer = build_model(2, "sqrt_bernoulli", {"eps0": 0.05}, 3.0,
                                       {"kind": "linear"})
-    assert isinstance(cset, Box) and np.array_equal(cset.hi, [3.0, 3.0])
+    # the loss domain (0.05, 0.95)^2 cut to the box +-3
+    assert isinstance(cset, Box) and np.array_equal(cset.lo, [0.05, 0.05])
+    assert np.array_equal(cset.hi, [0.95, 0.95])
     assert isinstance(trainer, LinearTrainer)
     assert (trainer.loss, trainer.cset) == (loss, cset)
     assert [f.name for f in dataclasses.fields(trainer)] == ["loss", "cset"]
