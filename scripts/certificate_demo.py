@@ -10,8 +10,7 @@ import math
 import numpy as np
 
 from wildbregman.certify import (fixed_design_certificate,
-                                 random_design_certificate,
-                                 stability_constants)
+                                 random_design_certificate)
 from wildbregman.complexity import RadiusReport, pilot_sup
 from wildbregman.geometry import Box
 from wildbregman.harness import SyntheticSpec, generate_synthetic
@@ -57,9 +56,7 @@ def main():
     print(f"  wild optimism    {fixed.wild_optimism_abs:.6f}")
     print(f"  certificate      {fixed.total:.6f}")
 
-    consts = stability_constants(loss, cset, data.n)
-    rand = random_design_certificate(fixed, consts, data.n, args.delta,
-                                     loss.alpha)
+    rand = random_design_certificate(fixed, loss, cset, data.n, args.delta)
     print(f"\nrandom design (budget {rand.failure_budget:.3f}):")
     print(f"  stability addend {rand.stability_addend:.6f}")
     print(f"  certificate      {rand.total:.6f}")

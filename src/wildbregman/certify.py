@@ -13,6 +13,11 @@ from .geometry import Box, CompactSet
 from .potentials import BregmanLoss
 from .wildfit import WildRefitResult, _require_same_data, wild_optimism
 
+# failure budgets b of the two certificates: each holds with probability
+# 1 - b delta, so delta must lie below 1/b
+_FIXED_BUDGET = 8.0
+_RANDOM_BUDGET = 11.0
+
 
 @dataclass(frozen=True)
 class RiskCertificate:
@@ -46,7 +51,7 @@ def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
     responses the data refit was fit on (responses - fhat = residues)."""
     Y = np.asarray(responses, dtype=float)
     _require_same_data(refit, Y)
-    if not 0 < delta < 1.0 / 8.0:
+    if not 0 < delta < 1.0 / _FIXED_BUDGET:
         raise RejectedInputError("fixed design requires 0 < delta < 1/8")
     if not all(math.isfinite(v) and v >= 0 for v in (pilot, calibration_tol)):
         raise RejectedInputError("pilot and calibration_tol must be finite and >= 0")
@@ -66,7 +71,8 @@ def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
             "t_substitution": "t = sqrt(log(1/delta))"}
     return RiskCertificate(training_error=training, wild_optimism_abs=opt_abs,
                            pilot=pilot, deviation=dev, stability_addend=0.0,
-                           total=total, delta=delta, failure_budget=8.0 * delta,
+                           total=total, delta=delta,
+                           failure_budget=_FIXED_BUDGET * delta,
                            mode="fixed_design", provenance=prov)
 
 
@@ -118,16 +124,19 @@ def random_design_tail(consts: StabilityConstants, alpha: float, n: int,
             + M * math.sqrt(math.log(2.0 / delta) / (2.0 * n)))
 
 
-def random_design_certificate(fixed: RiskCertificate, consts: StabilityConstants,
-                              n: int, delta: float, alpha: float) -> RiskCertificate:
-    """Lift a fixed-design certificate to random design via stability tails."""
+def random_design_certificate(fixed: RiskCertificate, loss: BregmanLoss,
+                              cset: CompactSet, n: int,
+                              delta: float) -> RiskCertificate:
+    """Lift a fixed-design certificate to random design via the stability
+    tail of the loss on the set, valid with probability 1 - 11 delta."""
     if fixed.mode != "fixed_design":
         raise RejectedInputError("random design lifts a fixed-design certificate")
-    if not 0 < delta < 1.0 / 11.0:
+    if not 0 < delta < 1.0 / _RANDOM_BUDGET:
         raise RejectedInputError("random design requires 0 < delta < 1/11")
-    addend = random_design_tail(consts, alpha, n, delta)
+    consts = stability_constants(loss, cset, n)
+    addend = random_design_tail(consts, loss.alpha, n, delta)
     prov = fixed.provenance | {"iid_assumption": "declared, unverified",
                                "stability": asdict(consts)}
     return replace(fixed, stability_addend=addend, total=fixed.total + addend,
-                   delta=delta, failure_budget=11.0 * delta,
+                   delta=delta, failure_budget=_RANDOM_BUDGET * delta,
                    mode="random_design", provenance=prov)

@@ -9,8 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import (fixed_design_certificate, random_design_certificate,
-                      stability_constants)
+from .certify import fixed_design_certificate, random_design_certificate
 from .complexity import (RadiusReport, fixed_point_radius, rhat_bound_convex,
                          wn)
 from .design import (PredictionMatrix, SignMatrix, _read_json, _write_json,
@@ -21,7 +20,7 @@ from .harness import (_FSTAR_FAMILIES, _NOISE_FAMILIES, THEOREMS,
                       CoverageExperiment, SyntheticSpec, generate_synthetic,
                       run_coverage)
 from .potentials import _BUILTINS, builtin_loss
-from .trainers import build_model
+from .trainers import _TRAINERS, build_model
 from .wildfit import (WildRefitResult, _require_positive, _wild_responses,
                       calibrate_rho, wild_optimism, wild_refit)
 
@@ -44,8 +43,7 @@ def _add_potential_flags(p):
 
 def _add_model_flags(p):
     _add_potential_flags(p)
-    p.add_argument("--trainer", default="saturated",
-                   choices=["saturated", "linear"])
+    p.add_argument("--trainer", default="saturated", choices=list(_TRAINERS))
     p.add_argument("--cset-bound", type=float, default=10.0)
 
 
@@ -165,33 +163,26 @@ def _cmd_certify(args) -> int:
     except RejectedInputError as err:  # name the file the responses are from
         raise RejectedInputError(f"certifying on {data_path}: {err}") from None
     if args.mode == "random":
-        consts = stability_constants(loss, cset, data.n)
-        cert = random_design_certificate(cert, consts, data.n, args.delta,
-                                         loss.alpha)
+        cert = random_design_certificate(cert, loss, cset, data.n, args.delta)
     _write_json(args.out, dataclasses.asdict(cert))
     print(f"wrote {args.out}")
     return 0
 
 
-def _reject_unknown(what: str, keys, cls, set_by_flags: set):
-    unknown = set(keys) - ({f.name for f in dataclasses.fields(cls)}
-                           - set_by_flags)
-    if unknown:
-        raise RejectedInputError(f"unknown {what} keys: {sorted(unknown)}")
-
-
 def _cmd_validate(args) -> int:
     overrides = _read_json(args.config) if args.config else {}
-    if not (isinstance(overrides, dict)
-            and isinstance(overrides.get("spec", {}), dict)):
-        raise RejectedInputError("config and its spec must be JSON objects")
-    spec_kw = {"n": 200, "d": 2, **overrides.pop("spec", {})}
-    _reject_unknown("spec", spec_kw, SyntheticSpec, {"seed"})
-    _reject_unknown("config", overrides, CoverageExperiment,
-                    {"theorem", "reps", "delta", "spec"})
-    report = run_coverage(CoverageExperiment(
-        theorem=args.theorem, reps=args.reps, delta=args.delta,
-        spec=SyntheticSpec(**spec_kw, seed=args.seed), **overrides))
+    if not isinstance(overrides, dict):
+        raise RejectedInputError("config must be a JSON object")
+    try:  # an unknown key, a key a flag sets, or a spec that is no object
+        spec = SyntheticSpec(**{"n": 200, "d": 2, **overrides.pop("spec", {})},
+                             seed=args.seed)
+        exp = CoverageExperiment(theorem=args.theorem, reps=args.reps,
+                                 delta=args.delta, spec=spec, **overrides)
+    except TypeError as err:
+        raise RejectedInputError(
+            f"config keys are experiment fields no flag sets, and its spec an "
+            f"object of spec fields: {err}") from None
+    report = run_coverage(exp)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "coverage.json", report.to_dict())

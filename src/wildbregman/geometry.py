@@ -16,15 +16,16 @@ from .errors import RejectedInputError
 _CONTAIN_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
-    """Coordinate-wise box {z : lo <= z <= hi}."""
+    """Coordinate-wise box {z : lo <= z <= hi}, compared and hashed by
+    identity (field-wise == would ask numpy for the truth of an array)."""
 
     lo: np.ndarray
     hi: np.ndarray
     # (lo, hi), scalars if all coordinates share them: a flat np.clip pass is
     # many times faster than broadcasting (n, d) against (d,) bounds
-    _bounds: tuple = field(init=False, repr=False, compare=False)
+    _bounds: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .certify import (fixed_design_certificate, random_design_certificate,
-                      stability_constants)
-from .complexity import RadiusReport, deviation_term, pilot_sup, wn
+from .certify import (_FIXED_BUDGET, _RANDOM_BUDGET, fixed_design_certificate,
+                      random_design_certificate)
+from .complexity import RadiusReport, pilot_sup, wn
 from .design import (FixedDesignDataset, PredictionMatrix,
                      empirical_discrepancy, sample_sign_matrix)
 from .errors import RejectedInputError
@@ -193,7 +193,8 @@ def _noiseless_radius(ctx: _RepContext, fhat: PredictionMatrix):
 
 
 def _fixed_design_pipeline(ctx: _RepContext):
-    """Shared wild refit -> noiseless fit -> calibration -> certificate."""
+    """Shared wild refit -> noiseless fit -> calibration -> certificate;
+    returns (certificate, fhat)."""
     loss, cset, trainer, data = ctx.loss, ctx.cset, ctx.trainer, ctx.data
     start = wild_refit(loss, cset, trainer, data, 1.0, seed=ctx.sign_seed)
     fdagger, r_hat = _noiseless_radius(ctx, start.fhat)
@@ -209,8 +210,7 @@ def _fixed_design_pipeline(ctx: _RepContext):
     cert = fixed_design_certificate(
         loss, result, report, ctx.delta, pilot, misspec, ctx.oracle.w_inf,
         responses=data.responses)
-    return {"fhat": result.fhat, "r_cert": r_cert, "result": result,
-            "pilot": pilot, "misspec": misspec, "cert": cert}
+    return cert, result.fhat
 
 
 def _check_lemma_5_1(ctx: _RepContext):
@@ -219,8 +219,7 @@ def _check_lemma_5_1(ctx: _RepContext):
                         seed=ctx.sign_seed)
     r_dia = result.radius(ctx.loss)
     lhs = wn(ctx.loss, ctx.cset, result.fhat, result.symmetrized, r_dia)
-    rhs = wild_optimism(ctx.loss, result)
-    return lhs, rhs, lhs <= rhs + _SLACK
+    return lhs, wild_optimism(ctx.loss, result)
 
 
 def _true_optimism(loss: BregmanLoss, fhat: PredictionMatrix,
@@ -234,7 +233,8 @@ def _true_optimism(loss: BregmanLoss, fhat: PredictionMatrix,
 def _check_thm_5_1(ctx: _RepContext, which: str):
     """Theorem 5.1 in fixed design, either half.
 
-    "optimism": |true optimism| against |wild optimism| + pilot + deviation.
+    "optimism": |true optimism| against the certificate's |wild optimism|
+    + pilot + deviation.
     "excess": the fixed-design excess risk L_n(fstar, fhat) against the
     certificate total.  That is the excess risk over fresh noise at the
     same design: with Y' = fstar + W', E W' = 0 and fhat held fixed, the
@@ -246,19 +246,13 @@ def _check_thm_5_1(ctx: _RepContext, which: str):
     L_n(Y, fhat) - L_n(Y, fstar) is no test: it is at most the training
     error, which the total contains.)
     """
-    pipe = _fixed_design_pipeline(ctx)
+    cert, fhat = _fixed_design_pipeline(ctx)
     if which == "optimism":
-        opt_star = _true_optimism(ctx.loss, pipe["fhat"],
-                                  ctx.oracle.fstar_preds, ctx.oracle.noise)
-        dev = deviation_term(ctx.loss, pipe["misspec"], pipe["r_cert"],
-                             ctx.oracle.w_inf, ctx.data.n, ctx.data.d, ctx.delta)
-        lhs = abs(opt_star)
-        rhs = abs(wild_optimism(ctx.loss, pipe["result"])) + pipe["pilot"] + dev
-    else:
-        lhs = empirical_discrepancy(ctx.loss, ctx.oracle.fstar_preds,
-                                    pipe["fhat"])
-        rhs = pipe["cert"].total
-    return lhs, rhs, lhs <= rhs + _SLACK
+        return (abs(_true_optimism(ctx.loss, fhat, ctx.oracle.fstar_preds,
+                                   ctx.oracle.noise)),
+                cert.wild_optimism_abs + cert.pilot + cert.deviation)
+    return (empirical_discrepancy(ctx.loss, ctx.oracle.fstar_preds, fhat),
+            cert.total)
 
 
 def _check_thm_6_1(ctx: _RepContext):
@@ -273,17 +267,13 @@ def _check_thm_6_1(ctx: _RepContext):
     pilot = pilot_sup(loss, cset, fhat, ctx.oracle.fstar_preds, eps, radius)
     stab = (r_hat ** 2 * 6.0 * ctx.oracle.w_inf * loss.beta ** 1.5
             * math.sqrt(data.d) / (loss.alpha * math.sqrt(log_inv)))
-    lhs = r_hat ** 2
-    rhs = max(log_inv ** 2 / data.n, wn_term) + stab + pilot
-    return lhs, rhs, lhs <= rhs + _SLACK
+    return r_hat ** 2, max(log_inv ** 2 / data.n, wn_term) + stab + pilot
 
 
 def _check_thm_5_2(ctx: _RepContext):
     loss, trainer, data = ctx.loss, ctx.trainer, ctx.data
-    pipe = _fixed_design_pipeline(ctx)
-    consts = stability_constants(loss, ctx.cset, data.n)
-    cert = random_design_certificate(pipe["cert"], consts, data.n, ctx.delta,
-                                     loss.alpha)
+    fixed, _ = _fixed_design_pipeline(ctx)
+    cert = random_design_certificate(fixed, loss, ctx.cset, data.n, ctx.delta)
     predictor = trainer.fit_predictor(data)
     rng = np.random.default_rng(ctx.heldout_seed)
     m = _HELDOUT_M
@@ -295,17 +285,17 @@ def _check_thm_5_2(ctx: _RepContext):
     Ph = predictor.predict(Xh)
     lhs = float(np.mean(loss.divergence_rows(Yh, Ph))
                 - np.mean(loss.divergence_rows(Yh, Fh)))
-    rhs = cert.total
-    return lhs, rhs, lhs <= rhs + _SLACK
+    return lhs, cert.total
 
 
-# each theorem's check and failure budget b: its target coverage is 1 - b delta
+# each theorem's check, returning (lhs, rhs) of its bound, and failure budget
+# b: its target coverage is 1 - b delta
 _CHECKS = {
     "lemma_5_1": (_check_lemma_5_1, 0.0),
-    "thm_5_1_optimism": (lambda c: _check_thm_5_1(c, "optimism"), 8.0),
-    "thm_5_1_excess": (lambda c: _check_thm_5_1(c, "excess"), 8.0),
+    "thm_5_1_optimism": (lambda c: _check_thm_5_1(c, "optimism"), _FIXED_BUDGET),
+    "thm_5_1_excess": (lambda c: _check_thm_5_1(c, "excess"), _FIXED_BUDGET),
     "thm_6_1_rhat": (_check_thm_6_1, 4.0),
-    "thm_5_2_excess": (_check_thm_5_2, 11.0),
+    "thm_5_2_excess": (_check_thm_5_2, _RANDOM_BUDGET),
 }
 THEOREMS = tuple(_CHECKS)
 
@@ -346,8 +336,8 @@ def run_coverage(exp: CoverageExperiment) -> CoverageReport:
             ctx = _RepContext(loss=loss, cset=cset, trainer=trainer, data=data,
                               oracle=oracle, delta=exp.delta, sign_seed=s_signs,
                               heldout_seed=s_held, exp=exp, rep=rep)
-            lhs, rhs, holds = check(ctx)
-            rec.update(lhs=float(lhs), rhs=float(rhs), holds=bool(holds))
+            lhs, rhs = (float(v) for v in check(ctx))
+            rec.update(lhs=lhs, rhs=rhs, holds=lhs <= rhs + _SLACK)
         except Exception as err:  # isolated, and counted as a violation
             rec["error"] = f"{type(err).__name__}: {err}"
         records.append(rec)

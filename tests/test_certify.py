@@ -267,8 +267,8 @@ def test_random_certificate_adds_tail(rng):
      delta) = _calibrated_setup(rng, delta=0.05)
     fixed = fixed_design_certificate(loss, result, report, delta, pilot,
                                      misspec, w_inf, responses=data.responses)
+    rand = random_design_certificate(fixed, loss, cset, data.n, delta)
     consts = stability_constants(loss, cset, data.n)
-    rand = random_design_certificate(fixed, consts, data.n, delta, loss.alpha)
     tail = random_design_tail(consts, loss.alpha, data.n, delta)
     assert rand.total == pytest.approx(fixed.total + tail, rel=1e-12)
     assert rand.failure_budget == pytest.approx(11 * delta)
@@ -280,6 +280,5 @@ def test_random_certificate_delta_range(rng):
      _) = _calibrated_setup(rng)
     fixed = fixed_design_certificate(loss, result, report, 0.05, pilot,
                                      misspec, w_inf, responses=data.responses)
-    consts = stability_constants(loss, cset, data.n)
-    with pytest.raises(RejectedInputError):
-        random_design_certificate(fixed, consts, data.n, 0.5, loss.alpha)
+    with pytest.raises(RejectedInputError, match="1/11"):
+        random_design_certificate(fixed, loss, cset, data.n, 0.5)

@@ -36,6 +36,14 @@ def test_box_rejects_bad_bounds():
         Box(np.array([1.0]), np.array([0.0]))
 
 
+def test_box_compares_and_hashes_by_identity():
+    # field-wise == would compare the bound arrays, which numpy refuses
+    a = Box(np.zeros(2), np.ones(2))
+    b = Box(np.zeros(2), np.ones(2))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_simplex_projection_known_value():
     cs = ClippedSimplex(eta0=0.1, dim=2)
     # nearest clipped-simplex point to (0.95, 0.05)

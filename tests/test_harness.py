@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wildbregman import harness
+from wildbregman.certify import fixed_design_certificate
 from wildbregman.errors import RejectedInputError
 from wildbregman.harness import (CoverageExperiment, SyntheticSpec,
                                  generate_synthetic, run_coverage)
@@ -189,7 +190,7 @@ def test_run_coverage_counts_errors_as_violations(monkeypatch):
     def check(ctx):
         if ctx.rep % 10:
             raise RuntimeError("injected")
-        return 0.0, 1.0, True
+        return 0.0, 1.0
 
     monkeypatch.setitem(harness._CHECKS, "thm_6_1_rhat", (check, 4.0))
     exp = CoverageExperiment(theorem="thm_6_1_rhat", reps=200, delta=0.01,
@@ -200,5 +201,20 @@ def test_run_coverage_counts_errors_as_violations(monkeypatch):
     assert not report.passed
 
     monkeypatch.setitem(harness._CHECKS, "thm_6_1_rhat",
-                        (lambda ctx: (0.0, 1.0, True), 4.0))
+                        (lambda ctx: (0.0, 1.0), 4.0))
     assert run_coverage(exp).passed
+
+
+def test_optimism_check_reads_the_certificate(monkeypatch):
+    # the right side is the emitted certificate's |wild optimism| + pilot +
+    # deviation, so a certificate with those terms zeroed must fail the check
+    def zeroed(*args, **kwargs):
+        cert = fixed_design_certificate(*args, **kwargs)
+        return dataclasses.replace(cert, wild_optimism_abs=0.0, pilot=0.0,
+                                   deviation=0.0, total=0.0)
+
+    monkeypatch.setattr(harness, "fixed_design_certificate", zeroed)
+    report = run_coverage(CoverageExperiment(
+        theorem="thm_5_1_optimism", reps=100, delta=0.01,
+        spec=SyntheticSpec(n=60, d=2, seed=3), trainer={"kind": "linear"}))
+    assert (report.errors, report.successes) == (0, 0)
