@@ -35,8 +35,8 @@ def main():
 
     start = wild_refit(loss, cset, trainer, data, 1.0, seed=args.seed)
     fhat = start.fhat
-    fdagger = trainer.fit(data.with_responses(oracle.fstar_preds.values))
-    r_hat = math.sqrt(float(np.mean(loss.divergence_rows(fdagger.values,
+    fdagger = trainer.fit(data.inputs, oracle.fstar_preds.values)
+    r_hat = math.sqrt(float(np.mean(loss.divergence_rows(fdagger,
                                                          fhat.values))))
     cal = calibrate_rho(loss, trainer, data, start, 3.0 * loss.c0 * r_hat)
     result = cal["result"]
@@ -46,8 +46,7 @@ def main():
 
     pilot = pilot_sup(loss, cset, fhat, oracle.fstar_preds, result.signs,
                       3.0 * loss.c0 * r_hat)
-    report = RadiusReport(r_hat_n=r_hat, r_diamond_rho=cal["achieved_radius"],
-                          r_certified=r_hat, method="oracle")
+    report = RadiusReport(r_certified=r_hat, method="oracle")
     fixed = fixed_design_certificate(loss, result, report, args.delta, pilot,
                                      0.0, oracle.w_inf,
                                      responses=data.responses)

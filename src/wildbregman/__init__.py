@@ -10,7 +10,7 @@ from .certify import (RiskCertificate, StabilityConstants,
                       random_design_tail, stability_constants)
 from .complexity import (RadiusReport, ball_sup, deviation_term,
                          fixed_point_radius, pilot_sup, rhat_bound_convex, wn)
-from .design import (FixedDesignDataset, PredictionMatrix, SignMatrix,
+from .design import (FixedDesignDataset, PredictionMatrix,
                      empirical_discrepancy, load_dataset, sample_sign_matrix,
                      save_dataset)
 from .errors import (CalibrationError, ConvergenceError, RejectedInputError,
@@ -30,7 +30,7 @@ __all__ = [
     "ConvergenceError", "CoverageExperiment", "CoverageReport",
     "FixedDesignDataset", "LinearPredictor", "LinearTrainer", "OracleContext",
     "PredictionMatrix", "RadiusReport", "RejectedInputError",
-    "RiskCertificate", "SaturatedTrainer", "SignMatrix", "StabilityConstants",
+    "RiskCertificate", "SaturatedTrainer", "StabilityConstants",
     "SyntheticSpec", "UnboundedRadiusError", "UnsupportedConfigurationError",
     "WildRefitResult", "ball_sup", "build_model", "builtin_loss",
     "calibrate_rho",

@@ -12,8 +12,8 @@ import numpy as np
 from .certify import fixed_design_certificate, random_design_certificate
 from .complexity import (RadiusReport, fixed_point_radius, rhat_bound_convex,
                          wn)
-from .design import (PredictionMatrix, SignMatrix, _read_json, _write_json,
-                     _write_table, load_dataset, save_dataset)
+from .design import (PredictionMatrix, _read_json, _write_json, _write_table,
+                     load_dataset, save_dataset)
 from .errors import (CalibrationError, ConvergenceError, RejectedInputError,
                      UnboundedRadiusError, UnsupportedConfigurationError)
 from .harness import (_FSTAR_FAMILIES, _NOISE_FAMILIES, THEOREMS,
@@ -69,13 +69,13 @@ def _refit_payload(loss, result: WildRefitResult, args) -> dict:
     return {
         "rho": result.rho,
         "clip_count": result.clip_count,
-        "sign_seed": result.signs.seed,
+        "sign_seed": args.seed,
         "achieved_radius": result.radius(loss),
         "wild_optimism": wild_optimism(loss, result),
         "fhat": result.fhat.values.tolist(),
         "fdiamond": result.fdiamond.values.tolist(),
         "residues": result.residues.tolist(),
-        "signs": result.signs.values.tolist(),
+        "signs": result.signs.tolist(),
         "config": {
             "potential": args.potential,
             "potential_params": _potential_params(args),
@@ -104,13 +104,16 @@ def _cmd_refit(args) -> int:
 
 
 def _as_refit(payload):
-    """(data path, loss, set, result) of a refit file; rebuilds wild responses."""
+    """(data path, loss, set, result) of a refit file; rebuilds wild responses.
+    The one place signs arrive from outside the program, so they are
+    checked to be +/-1 here."""
     cfg = payload["config"]
     fhat, fdiamond, residues, signs = np.asarray(  # one shape, or ValueError
         [payload[key] for key in ("fhat", "fdiamond", "residues", "signs")],
         dtype=float)
     fhat = PredictionMatrix(fhat)
-    signs = SignMatrix(signs, seed=payload["sign_seed"])
+    if not np.all(np.abs(signs) == 1):
+        raise RejectedInputError("sign matrix entries must be exactly +/-1")
     loss, cset, _ = build_model(fhat.d, cfg["potential"],
                                 cfg["potential_params"], cfg["cset_bound"],
                                 {"kind": cfg["trainer"]})
@@ -129,7 +132,6 @@ def _cmd_radius(args) -> int:
     def evaluator(r):
         return wn(loss, cset, result.fhat, Z, r)
 
-    r_dia = result.radius(loss)
     if args.mode == "fixed-point":
         if args.pilot is not None:
             raise RejectedInputError("--pilot applies to --mode convex-class only")
@@ -138,11 +140,11 @@ def _cmd_radius(args) -> int:
         method = "fixed_point"
     else:
         w_inf = float(np.max(np.abs(result.residues)))
-        r = rhat_bound_convex(evaluator, max(r_dia, 1e-8), args.delta, n,
-                              w_inf, result.fhat.d, args.pilot or 0.0, loss)
+        r = rhat_bound_convex(evaluator, max(result.radius(loss), 1e-8),
+                              args.delta, n, w_inf, result.fhat.d,
+                              args.pilot or 0.0, loss)
         method = "convex_class_bound"
-    report = RadiusReport(r_hat_n=r, r_diamond_rho=r_dia, r_certified=r,
-                          method=method)
+    report = RadiusReport(r_certified=r, method=method)
     _write_json(args.out, dataclasses.asdict(report) | {"delta": args.delta})
     print(f"wrote {args.out}")
     return 0

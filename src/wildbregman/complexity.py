@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import PredictionMatrix, SignMatrix
+from .design import PredictionMatrix
 from .errors import RejectedInputError, UnboundedRadiusError
 from .geometry import Box, CompactSet
 from .potentials import BregmanLoss, _bregman_projection
@@ -22,15 +22,12 @@ from .potentials import BregmanLoss, _bregman_projection
 
 @dataclass(frozen=True)
 class RadiusReport:
-    r_hat_n: float
-    r_diamond_rho: float
     r_certified: float
     method: str  # oracle | fixed_point | convex_class_bound
 
     def __post_init__(self):
-        if not all(math.isfinite(r) and r >= 0 for r in
-                   (self.r_hat_n, self.r_diamond_rho, self.r_certified)):
-            raise RejectedInputError("radii must be finite and >= 0")
+        if not (math.isfinite(self.r_certified) and self.r_certified >= 0):
+            raise RejectedInputError("r_certified must be finite and >= 0")
         if self.method not in ("oracle", "fixed_point", "convex_class_bound"):
             raise RejectedInputError(f"unknown radius method {self.method!r}")
 
@@ -210,9 +207,10 @@ def wn(loss: BregmanLoss, cset: CompactSet, fhat: PredictionMatrix,
 
 
 def pilot_sup(loss: BregmanLoss, cset: CompactSet, fhat: PredictionMatrix,
-              fstar_preds: PredictionMatrix, eps: SignMatrix, radius: float):
-    """Supremum coupling signs with the estimation-error matrix fhat - fstar."""
-    Z = eps.values * (fhat.values - fstar_preds.values)
+              fstar_preds: PredictionMatrix, eps: np.ndarray, radius: float):
+    """Supremum coupling the n x d signs eps with the estimation-error
+    matrix fhat - fstar."""
+    Z = eps * (fhat.values - fstar_preds.values)
     return ball_sup(loss, cset, fhat, Z, radius)
 
 

@@ -1,4 +1,4 @@
-"""Fixed-design datasets, prediction matrices, sign matrices, file formats.
+"""Fixed-design datasets, prediction matrices, the sign sampler, file formats.
 
 Everything here is immutable after construction; sampling operations are
 pure functions of (shape, seed).
@@ -48,9 +48,6 @@ class FixedDesignDataset:
     def d(self) -> int:
         return self.responses.shape[1]
 
-    def with_responses(self, Y) -> "FixedDesignDataset":
-        return FixedDesignDataset(self.inputs, np.asarray(Y, dtype=float))
-
 
 @dataclass(frozen=True)
 class PredictionMatrix:
@@ -75,35 +72,18 @@ class PredictionMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class SignMatrix:
-    """n x d matrix of +/-1 entries with the seed that produced it."""
-
-    values: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        V = np.asarray(self.values)
-        if not np.all(np.abs(V) == 1):
-            raise RejectedInputError("sign matrix entries must be exactly +/-1")
-        object.__setattr__(self, "values", V.astype(float))
-
-
-def sample_sign_matrix(n: int, d: int, seed: int) -> SignMatrix:
-    """i.i.d. Rademacher entries; deterministic given the seed."""
-    if n < 1 or d < 1:
-        raise RejectedInputError("n and d must be >= 1")
+def sample_sign_matrix(n: int, d: int, seed: int) -> np.ndarray:
+    """n x d i.i.d. Rademacher entries, as floats +/-1; deterministic given
+    the seed."""
+    if n < 1 or d < 1 or seed < 0:
+        raise RejectedInputError(
+            f"n and d must be >= 1 and the seed >= 0, got {n}, {d}, {seed}")
     rng = np.random.default_rng(seed)
-    values = rng.integers(0, 2, size=(n, d)) * 2 - 1
-    return SignMatrix(values=values, seed=int(seed))
+    return (rng.integers(0, 2, size=(n, d)) * 2 - 1).astype(float)
 
 
 def empirical_discrepancy(loss: BregmanLoss, F: PredictionMatrix, G: PredictionMatrix) -> float:
     """L_n(f, g) = (1/n) sum_i D_phi(f(x_i), g(x_i))."""
-    if F.values.shape != G.values.shape:
-        raise RejectedInputError(
-            f"shape mismatch: {F.values.shape} vs {G.values.shape}"
-        )
     return float(np.mean(loss.divergence_rows(F.values, G.values)))
 
 

@@ -1,9 +1,12 @@
 """Reference black-box training procedures.
 
-Two trainers exercise the black-box contract: an exact pointwise one (the
-"saturated" class of all functions, where each design point is fit
-independently) and a linear class (least squares for squared_l2, gradient
-descent otherwise).  Downstream code treats both as opaque procedures.
+A trainer is any object with `fit(X, Y)` returning the (n, d) array of its
+fitted values on the design, where X is the (n, p) inputs or None and Y
+the (n, d) responses.  Two trainers exercise that contract: an exact
+pointwise one (the "saturated" class of all functions, where each design
+point is fit independently) and a linear class (least squares for
+squared_l2, gradient descent otherwise).  Downstream code treats both as
+opaque procedures.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import FixedDesignDataset, PredictionMatrix
 from .errors import ConvergenceError, RejectedInputError
 from .geometry import Box, CompactSet
 from .potentials import BregmanLoss, _bregman_projection, builtin_loss
@@ -30,9 +32,8 @@ class SaturatedTrainer:
     loss: BregmanLoss
     cset: CompactSet
 
-    def fit(self, data: FixedDesignDataset) -> PredictionMatrix:
-        return PredictionMatrix(
-            _bregman_projection(self.loss, self.cset, data.responses))
+    def fit(self, X, Y) -> np.ndarray:
+        return _bregman_projection(self.loss, self.cset, Y)
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,8 @@ class LinearTrainer:
     rank-deficient designs) for squared_l2; otherwise monotone gradient
     descent with predictions clipped into the loss domain, bounded by
     _MAX_ITERS and _TOL.  Predictions are projected onto the compact set;
-    downstream it is an opaque procedure.
+    downstream it is an opaque procedure.  `fit_predictor` returns the
+    fitted LinearPredictor, whose `theta` holds the coefficients.
     """
 
     loss: BregmanLoss
@@ -67,15 +69,16 @@ class LinearTrainer:
         Z = self.loss.domain.project(Xa @ theta)
         return float(np.mean(self.loss._div_raw(Y, Z)))
 
-    def fit_theta(self, data: FixedDesignDataset) -> np.ndarray:
-        if data.inputs is None:
+    def fit_predictor(self, X, Y) -> LinearPredictor:
+        if X is None:
             raise RejectedInputError("linear trainer needs feature inputs")
-        X, Y = data.inputs, data.responses
+        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
         n, d = Y.shape
         Xa = np.hstack([X, np.ones((n, 1))])
         loss = self.loss
         if loss.kind == "squared_l2":
-            return np.linalg.lstsq(Xa, Y, rcond=None)[0]
+            return LinearPredictor(np.linalg.lstsq(Xa, Y, rcond=None)[0],
+                                   self.cset)
         theta = np.zeros((Xa.shape[1], d))
         # start from the domain center so the Hessian oracle is evaluable
         theta[-1] = loss.domain.center()
@@ -103,13 +106,10 @@ class LinearTrainer:
                 break
         if not np.isfinite(obj):
             raise ConvergenceError("linear fit diverged", trace=trace)
-        return theta
+        return LinearPredictor(theta, self.cset)
 
-    def fit_predictor(self, data: FixedDesignDataset) -> LinearPredictor:
-        return LinearPredictor(theta=self.fit_theta(data), cset=self.cset)
-
-    def fit(self, data: FixedDesignDataset) -> PredictionMatrix:
-        return PredictionMatrix(self.fit_predictor(data).predict(data.inputs))
+    def fit(self, X, Y) -> np.ndarray:
+        return self.fit_predictor(X, Y).predict(X)
 
 
 _TRAINERS = {"saturated": SaturatedTrainer, "linear": LinearTrainer}

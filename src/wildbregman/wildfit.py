@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import (FixedDesignDataset, PredictionMatrix, SignMatrix,
+from .design import (FixedDesignDataset, PredictionMatrix,
                      empirical_discrepancy, sample_sign_matrix)
 from .errors import CalibrationError, RejectedInputError
 from .geometry import CompactSet
@@ -34,23 +34,30 @@ class WildRefitResult:
     fdiamond: PredictionMatrix
     wild_responses: np.ndarray
     residues: np.ndarray
-    signs: SignMatrix
+    signs: np.ndarray  # the n x d Rademacher matrix, floats +/-1
     rho: float
     clip_count: int = 0
 
     @property
     def symmetrized(self) -> np.ndarray:
         """The sign-flipped residue matrix eps (.) residues."""
-        return self.signs.values * self.residues
+        return self.signs * self.residues
 
     def radius(self, loss: BregmanLoss) -> float:
         """sqrt L_n(fhat, fdiamond), the realized wild radius."""
         return float(np.sqrt(empirical_discrepancy(loss, self.fhat, self.fdiamond)))
 
 
-def _refit_stage(trainer, data, stage):
+def _refit_stage(trainer, X, Y, stage) -> PredictionMatrix:
+    """trainer.fit(X, Y), refused unless a finite 2-d array of Y's shape: the
+    one place trainer output enters the package.  Every error, the refusal
+    included, is prefixed with [stage]."""
     try:
-        return trainer.fit(data)
+        F = PredictionMatrix(trainer.fit(X, Y))
+        if F.values.shape != Y.shape:
+            raise RejectedInputError(f"trainer returned shape {F.values.shape} "
+                                     f"for responses of shape {Y.shape}")
+        return F
     except Exception as exc:
         exc.args = (f"[{stage}] {exc.args[0] if exc.args else exc}",) + exc.args[1:]
         raise
@@ -66,7 +73,7 @@ def _wild_responses(loss, fhat, residues, signs, rho):
     """(wild responses, clip_count) at noise scale rho: the rows are pulled
     back onto the loss domain, and the pulled-back rows counted."""
     _require_positive("rho", rho)
-    Y_wild = fhat.values - rho * signs.values * residues
+    Y_wild = fhat.values - rho * signs * residues
     projected = loss.domain.project(Y_wild)
     return projected, int(np.sum(np.any(projected != Y_wild, axis=1)))
 
@@ -75,7 +82,7 @@ def _wild_result(loss, trainer, data, fhat, signs, rho) -> WildRefitResult:
     """Build the wild responses at noise scale rho and refit on them."""
     residues = data.responses - fhat.values
     Y_wild, clip_count = _wild_responses(loss, fhat, residues, signs, rho)
-    fdiamond = _refit_stage(trainer, data.with_responses(Y_wild), "refit")
+    fdiamond = _refit_stage(trainer, data.inputs, Y_wild, "refit")
     return WildRefitResult(fhat=fhat, fdiamond=fdiamond, wild_responses=Y_wild,
                            residues=residues, signs=signs, rho=float(rho),
                            clip_count=clip_count)
@@ -83,10 +90,11 @@ def _wild_result(loss, trainer, data, fhat, signs, rho) -> WildRefitResult:
 
 def wild_refit(loss: BregmanLoss, cset: CompactSet, trainer,
                data: FixedDesignDataset, rho: float, seed: int) -> WildRefitResult:
-    """Run the full wild-refitting procedure at noise scale rho."""
+    """Run the full wild-refitting procedure at noise scale rho.  rho is
+    checked and the signs drawn before the first fit."""
     _require_positive("rho", rho)
-    fhat = _refit_stage(trainer, data, "initial fit")
     signs = sample_sign_matrix(data.n, data.d, seed)
+    fhat = _refit_stage(trainer, data.inputs, data.responses, "initial fit")
     return _wild_result(loss, trainer, data, fhat, signs, rho)
 
 

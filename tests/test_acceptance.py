@@ -147,10 +147,10 @@ def test_criterion_05_calibration_contract():
             trainer = SaturatedTrainer(loss, cset)
             Y = rng.uniform(-2.0, 2.0, size=(60, 2))
             data = FixedDesignDataset(None, Y)
-            fhat = trainer.fit(data)
-            residues = data.responses - fhat.values
+            fhat = trainer.fit(None, Y)
+            residues = data.responses - fhat
             signs = sample_sign_matrix(60, 2, k)
-            pushed_in = (signs.values * residues) * np.sign(fhat.values) > 0
+            pushed_in = (signs * residues) * np.sign(fhat) > 0
             c = math.sqrt(float(np.sum((residues * pushed_in) ** 2)) / 120.0)
             target = 0.05
             start = wild_refit(loss, cset, trainer, data, 1.0, seed=k)

@@ -6,7 +6,8 @@ import pytest
 from wildbregman.certify import (fixed_design_certificate,
                                  random_design_certificate, random_design_tail,
                                  stability_constants)
-from wildbregman.complexity import RadiusReport, deviation_term, pilot_sup
+from wildbregman.complexity import (RadiusReport, deviation_term,
+                                    fixed_point_radius, pilot_sup, wn)
 from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
                                 empirical_discrepancy)
 from wildbregman.errors import (RejectedInputError,
@@ -58,8 +59,8 @@ def _calibrated_setup(rng, n=60, d=2, b=0.4, delta=0.05):
     data = FixedDesignDataset(None, Fstar + W)
     start = wild_refit(loss, cset, trainer, data, 1.0, seed=5)
     fhat = start.fhat
-    fdagger = trainer.fit(data.with_responses(Fstar))
-    r_hat = math.sqrt(float(np.mean(loss.divergence_rows(fdagger.values,
+    fdagger = trainer.fit(None, Fstar)
+    r_hat = math.sqrt(float(np.mean(loss.divergence_rows(fdagger,
                                                          fhat.values))))
     cal = calibrate_rho(loss, trainer, data, start, 3.0 * loss.c0 * r_hat)
     result = cal["result"]
@@ -67,8 +68,7 @@ def _calibrated_setup(rng, n=60, d=2, b=0.4, delta=0.05):
                       3.0 * loss.c0 * r_hat)
     misspec = 0.0
     w_inf = float(np.max(np.abs(W)))
-    report = RadiusReport(r_hat_n=r_hat, r_diamond_rho=cal["achieved_radius"],
-                          r_certified=r_hat, method="oracle")
+    report = RadiusReport(r_certified=r_hat, method="oracle")
     return loss, cset, data, result, report, pilot, misspec, w_inf, delta
 
 
@@ -91,8 +91,7 @@ def test_fixed_certificate_assembly(rng):
 def test_fixed_certificate_rejects_uncalibrated(rng):
     (loss, cset, data, result, report, pilot, misspec, w_inf,
      delta) = _calibrated_setup(rng)
-    bad = RadiusReport(r_hat_n=report.r_hat_n, r_diamond_rho=report.r_diamond_rho,
-                       r_certified=report.r_certified * 3.0, method="oracle")
+    bad = RadiusReport(r_certified=report.r_certified * 3.0, method="oracle")
     with pytest.raises(RejectedInputError):
         fixed_design_certificate(loss, result, bad, delta, pilot, misspec,
                                  w_inf, responses=data.responses)
@@ -106,6 +105,40 @@ def test_fixed_certificate_rejects_responses_of_other_data(rng):
         with pytest.raises(RejectedInputError, match="not the data"):
             fixed_design_certificate(loss, result, report, delta, pilot,
                                      misspec, w_inf, responses=responses)
+
+
+class _NumpyRidge:
+    """Ridge regression on [X, 1], written with numpy alone."""
+
+    def fit(self, X, Y):
+        Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+        theta = np.linalg.solve(Xa.T @ Xa + np.eye(Xa.shape[1]), Xa.T @ Y)
+        return Xa @ theta
+
+
+def test_numpy_trainer_certifies_end_to_end(rng):
+    # any object with fit(X, Y) -> (n, d) array is a trainer: the wild refit,
+    # the fixed-point radius, calibration and the certificate take it as is
+    loss = builtin_loss("squared_l2", 2)
+    cset, trainer, delta = box(2, 10.0), _NumpyRidge(), 1e-4
+    X = rng.uniform(-1, 1, size=(200, 3))
+    Y = X @ rng.uniform(-0.3, 0.3, size=(3, 2)) \
+        + rng.uniform(-0.25, 0.25, size=(200, 2))
+    data = FixedDesignDataset(X, Y)
+    start = wild_refit(loss, cset, trainer, data, 1.0, seed=3)
+    r = fixed_point_radius(
+        lambda s: wn(loss, cset, start.fhat, start.symmetrized, s), delta,
+        data.n, r_max=max(10.0 * cset.diameter(), 1.0))
+    result = calibrate_rho(loss, trainer, data, start,
+                           3.0 * loss.c0 * r)["result"]
+    cert = fixed_design_certificate(
+        loss, result, RadiusReport(r_certified=r, method="fixed_point"), delta,
+        0.0, 0.0, float(np.max(np.abs(result.residues))),
+        responses=data.responses)
+    assert np.array_equal(result.fhat.values, trainer.fit(X, Y))
+    assert cert.training_error == pytest.approx(
+        np.mean(loss.divergence_rows(Y, trainer.fit(X, Y))), rel=1e-12)
+    assert math.isfinite(cert.total) and cert.total > cert.training_error
 
 
 def test_fixed_certificate_delta_range(rng):

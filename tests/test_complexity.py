@@ -6,8 +6,7 @@ import pytest
 from wildbregman.complexity import (ball_sup, deviation_term,
                                     fixed_point_radius, pilot_sup,
                                     rhat_bound_convex, wn)
-from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
-                                sample_sign_matrix)
+from wildbregman.design import PredictionMatrix, sample_sign_matrix
 from wildbregman.errors import (RejectedInputError, UnboundedRadiusError,
                                UnsupportedConfigurationError)
 from wildbregman.geometry import Box, ClippedSimplex
@@ -307,7 +306,7 @@ def test_oracle_variants_consistency(rng):
     eps = sample_sign_matrix(n, 2, 3)
     r = 0.3
     # Z_n^eps >= 0 always (the center is feasible)
-    assert wn(loss, cset, F, eps.values * W, r) >= 0.0
+    assert wn(loss, cset, F, eps * W, r) >= 0.0
     assert wn(loss, cset, F, W, r) == pytest.approx(closed_form(W, r, n),
                                                     rel=1e-12)
 
@@ -322,13 +321,12 @@ def test_lemma_e1_oracle_saturated(rng):
         r2 = np.random.default_rng(seed)
         F = r2.uniform(-0.6, 0.6, size=(50, 2))
         W = r2.uniform(-0.3, 0.3, size=(50, 2))
-        fdag = trainer.fit(FixedDesignDataset(None, F))
-        fhat = trainer.fit(FixedDesignDataset(None, F + W))
-        r_hat = math.sqrt(float(np.mean(loss.divergence_rows(fdag.values,
-                                                             fhat.values))))
+        fdag = trainer.fit(None, F)
+        fhat = trainer.fit(None, F + W)
+        r_hat = math.sqrt(float(np.mean(loss.divergence_rows(fdag, fhat))))
         if r_hat == 0.0:
             continue
-        zn = wn(loss, cset, fdag, W, r_hat)
+        zn = wn(loss, cset, PredictionMatrix(fdag), W, r_hat)
         assert r_hat ** 2 <= zn + 1e-9
 
 
@@ -346,7 +344,7 @@ def test_pilot_error_closed_form(rng):
     G = PredictionMatrix(rng.uniform(-0.5, 0.5, size=(n, 2)))
     eps = sample_sign_matrix(n, 2, 1)
     r = 0.1
-    Z = eps.values * (F.values - G.values)
+    Z = eps * (F.values - G.values)
     expect = closed_form(Z, 3.0 * loss.c0 * r, n)
     got = pilot_sup(loss, box(2, 100.0), F, G, eps, 3.0 * loss.c0 * r)
     assert got == pytest.approx(expect, rel=1e-9)
@@ -478,18 +476,17 @@ def test_rhat_bound_covers_oracle_radius(rng):
         r2 = np.random.default_rng(seed)
         F = r2.uniform(-0.6, 0.6, size=(60, 2))
         W = r2.uniform(-0.3, 0.3, size=(60, 2))
-        data = FixedDesignDataset(None, F + W)
-        fhat = trainer.fit(data)
-        fdag = trainer.fit(FixedDesignDataset(None, F))
-        r_hat = math.sqrt(float(np.mean(loss.divergence_rows(fdag.values,
+        Y = F + W
+        fhat = PredictionMatrix(trainer.fit(None, Y))
+        fdag = trainer.fit(None, F)
+        r_hat = math.sqrt(float(np.mean(loss.divergence_rows(fdag,
                                                              fhat.values))))
         eps = sample_sign_matrix(60, 2, seed + 1)
-        Z = eps.values * (data.responses - fhat.values)
+        Z = eps * (Y - fhat.values)
         rho = 1.0
-        fdia = trainer.fit(FixedDesignDataset(
-            None, fhat.values - rho * Z))
+        fdia = trainer.fit(None, fhat.values - rho * Z)
         r_dia = math.sqrt(float(np.mean(loss.divergence_rows(fhat.values,
-                                                             fdia.values))))
+                                                             fdia))))
         if r_dia == 0.0:
             continue
         pilot = pilot_sup(loss, cset, fhat, PredictionMatrix(F), eps,

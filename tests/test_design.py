@@ -6,7 +6,7 @@ import pytest
 
 from wildbregman.cli import main
 from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
-                                SignMatrix, _write_json, empirical_discrepancy,
+                                _write_json, empirical_discrepancy,
                                 load_dataset, sample_sign_matrix, save_dataset)
 from wildbregman.errors import RejectedInputError
 from wildbregman.harness import SyntheticSpec, generate_synthetic
@@ -34,25 +34,13 @@ def test_dataset_rejects_mismatched_inputs():
         FixedDesignDataset(np.zeros((4, 2)), np.zeros((5, 1)))
 
 
-def test_with_responses_keeps_inputs():
-    data = FixedDesignDataset(np.arange(6.0).reshape(3, 2), np.zeros((3, 1)))
-    other = data.with_responses(np.ones((3, 1)))
-    assert np.array_equal(other.inputs, data.inputs)
-    assert np.all(other.responses == 1.0)
-
-
 def test_sign_matrix_entries_and_determinism():
     s1 = sample_sign_matrix(50, 3, seed=7)
     s2 = sample_sign_matrix(50, 3, seed=7)
-    assert np.array_equal(s1.values, s2.values)
-    assert np.all(np.abs(s1.values) == 1.0)
+    assert np.array_equal(s1, s2)
+    assert np.all(np.abs(s1) == 1.0)
     s3 = sample_sign_matrix(50, 3, seed=8)
-    assert not np.array_equal(s1.values, s3.values)
-
-
-def test_sign_matrix_rejects_non_pm_one():
-    with pytest.raises(RejectedInputError):
-        SignMatrix(np.array([[1.0, 0.5]]), seed=0)
+    assert not np.array_equal(s1, s3)
 
 
 def test_empirical_discrepancy_squared_l2():

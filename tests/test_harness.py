@@ -109,17 +109,19 @@ def test_run_coverage_lemma_bit_identical():
         assert rec["lhs"] <= rec["rhs"] + 1e-8
 
 
-def test_run_coverage_isolates_errors():
-    # saturated trainer with a loose box interpolates, so calibration to a
-    # positive radius errors; the report must count those separately
+def test_run_coverage_isolates_errors(monkeypatch):
+    # a trainer whose output is refused inside every rep; the report must
+    # count those errors separately
+    monkeypatch.setattr(LinearTrainer, "fit", lambda self, X, Y: np.nan * Y)
     exp = CoverageExperiment(theorem="thm_5_1_excess", reps=100, delta=0.05,
                              spec=SyntheticSpec(n=20, d=1, seed=1),
-                             cset_bound=10.0)
+                             trainer={"kind": "linear"})
     report = run_coverage(exp)
     assert report.errors == 100
     assert report.replications == 0
     assert not report.passed
-    assert all(r["error"] is not None for r in report.per_replication)
+    assert all(r["error"].startswith("RejectedInputError: [initial fit]")
+               for r in report.per_replication)
 
 
 def test_run_coverage_thm51_passes_small():
@@ -157,9 +159,9 @@ def test_fixed_design_replication_fits_fhat_once(monkeypatch):
         datasets.append(generate(spec, loss))
         return datasets[-1]
 
-    def record_fit(self, data):
-        fitted.append(data.responses)
-        return fit(self, data)
+    def record_fit(self, X, Y):
+        fitted.append(Y)
+        return fit(self, X, Y)
 
     monkeypatch.setattr(harness, "generate_synthetic", record_generate)
     monkeypatch.setattr(LinearTrainer, "fit", record_fit)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wildbregman import trainers
-from wildbregman.design import FixedDesignDataset
 from wildbregman.errors import (RejectedInputError,
                                 UnsupportedConfigurationError)
 from wildbregman.geometry import Box, ClippedSimplex
@@ -20,40 +19,39 @@ def box(d, b):
 
 def test_saturated_interior_returns_responses():
     loss = builtin_loss("squared_l2", 2)
-    data = FixedDesignDataset(None, np.array([[0.5, -0.5], [1.0, 2.0]]))
-    fit = SaturatedTrainer(loss, box(2, 10.0)).fit(data)
-    assert np.array_equal(fit.values, data.responses)
+    Y = np.array([[0.5, -0.5], [1.0, 2.0]])
+    fit = SaturatedTrainer(loss, box(2, 10.0)).fit(None, Y)
+    assert np.array_equal(fit, Y)
 
 
 def test_saturated_squared_l2_clamps():
     loss = builtin_loss("squared_l2", 1)
-    data = FixedDesignDataset(None, np.array([[1.5], [-0.2], [0.3]]))
-    fit = SaturatedTrainer(loss, Box(np.array([0.0]), np.array([1.0]))).fit(data)
-    assert np.allclose(fit.values, [[1.0], [0.0], [0.3]])
+    Y = np.array([[1.5], [-0.2], [0.3]])
+    fit = SaturatedTrainer(loss, Box(np.array([0.0]), np.array([1.0]))).fit(None, Y)
+    assert np.allclose(fit, [[1.0], [0.0], [0.3]])
 
 
 def test_saturated_sqrt_bernoulli_boundary():
     # minimizer of D(0.1, .) over [0.2, 0.8]: boundary point, verified
     # against a fine 1-d grid
     loss = builtin_loss("sqrt_bernoulli", 1, eps0=0.05)
-    data = FixedDesignDataset(None, np.array([[0.1]]))
     cset = Box(np.array([0.2]), np.array([0.8]))
-    fit = SaturatedTrainer(loss, cset).fit(data)
+    fit = SaturatedTrainer(loss, cset).fit(None, np.array([[0.1]]))
     grid = np.linspace(0.2, 0.8, 60001)
     vals = loss.divergence_rows(np.full((grid.size, 1), 0.1), grid[:, None])
     best = grid[int(np.argmin(vals))]
-    assert fit.values[0, 0] == pytest.approx(best, abs=1e-5)
-    assert fit.values[0, 0] == pytest.approx(0.2, abs=1e-5)
+    assert fit[0, 0] == pytest.approx(best, abs=1e-5)
+    assert fit[0, 0] == pytest.approx(0.2, abs=1e-5)
 
 
 def test_saturated_kl_projects_onto_clipped_simplex():
     loss = builtin_loss("clipped_simplex_kl", 2, eta0=0.1)
     cset = loss.domain
-    data = FixedDesignDataset(None, np.array([[0.5, 0.5], [0.15, 0.85]]))
-    fit = SaturatedTrainer(loss, cset).fit(data)
-    assert np.all(cset.contains_rows(fit.values))
+    Y = np.array([[0.5, 0.5], [0.15, 0.85]])
+    fit = SaturatedTrainer(loss, cset).fit(None, Y)
+    assert np.all(cset.contains_rows(fit))
     # interior rows are fixed points
-    assert np.allclose(fit.values, data.responses, atol=1e-8)
+    assert np.allclose(fit, Y, atol=1e-8)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -65,7 +63,7 @@ def test_saturated_sqrt_bernoulli_matches_1d_grid(d):
     cset = Box(np.full(d, 0.3), np.full(d, 0.7))
     Y = rng.uniform(0.05, 0.95, size=(40, d))
     assert not np.all(cset.contains_rows(Y))
-    fit = SaturatedTrainer(loss, cset).fit(FixedDesignDataset(None, Y)).values
+    fit = SaturatedTrainer(loss, cset).fit(None, Y)
     loss1 = builtin_loss("sqrt_bernoulli", 1, eps0=0.05)
     grid = np.linspace(0.3, 0.7, 40001)[:, None]
     step = float(grid[1, 0] - grid[0, 0])
@@ -83,7 +81,7 @@ def test_saturated_kl_on_tighter_simplex_matches_grid():
     loss = builtin_loss("clipped_simplex_kl", 3, eta0=0.1)
     cset = ClippedSimplex(eta0, 3)
     Y = loss.domain.project(rng.dirichlet(np.ones(3), 100))
-    fit = SaturatedTrainer(loss, cset).fit(FixedDesignDataset(None, Y)).values
+    fit = SaturatedTrainer(loss, cset).fit(None, Y)
     assert np.all(cset.contains_rows(fit, tol=1e-12))
     G, h = simplex_grid(eta0, 3, N)
     grid_obj = -(Y @ np.log(G).T)
@@ -99,15 +97,15 @@ def test_saturated_unsupported_pair_raises():
     loss = builtin_loss("sqrt_bernoulli", 3, eps0=0.05)
     trainer = SaturatedTrainer(loss, ClippedSimplex(0.1, 3))
     with pytest.raises(UnsupportedConfigurationError):
-        trainer.fit(FixedDesignDataset(None, np.full((2, 3), 1.0 / 3.0)))
+        trainer.fit(None, np.full((2, 3), 1.0 / 3.0))
 
 
 def test_saturated_determinism():
     loss = builtin_loss("squared_l2", 2)
-    data = FixedDesignDataset(None, np.random.default_rng(0).normal(size=(20, 2)))
+    Y = np.random.default_rng(0).normal(size=(20, 2))
     cset = box(2, 0.5)
-    a = SaturatedTrainer(loss, cset).fit(data).values
-    b = SaturatedTrainer(loss, cset).fit(data).values
+    a = SaturatedTrainer(loss, cset).fit(None, Y)
+    b = SaturatedTrainer(loss, cset).fit(None, Y)
     assert np.array_equal(a, b)
 
 
@@ -117,9 +115,8 @@ def test_linear_recovers_realizable_data():
     X = rng.uniform(-1, 1, size=(60, 3))
     theta = rng.normal(size=(3, 2))
     Y = X @ theta + 0.3
-    data = FixedDesignDataset(X, Y)
-    fit = LinearTrainer(loss, box(2, 50.0)).fit(data)
-    train_loss = float(np.mean(loss.divergence_rows(Y, fit.values)))
+    fit = LinearTrainer(loss, box(2, 50.0)).fit(X, Y)
+    train_loss = float(np.mean(loss.divergence_rows(Y, fit)))
     assert train_loss <= 1e-8
 
 
@@ -127,8 +124,8 @@ def test_linear_zero_features_gives_mean():
     loss = builtin_loss("squared_l2", 1)
     X = np.zeros((5, 1))
     Y = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
-    fit = LinearTrainer(loss, box(1, 50.0)).fit(FixedDesignDataset(X, Y))
-    assert np.allclose(fit.values, 3.0, atol=1e-5)
+    fit = LinearTrainer(loss, box(1, 50.0)).fit(X, Y)
+    assert np.allclose(fit, 3.0, atol=1e-5)
 
 
 def test_linear_more_iters_never_worse(monkeypatch):
@@ -138,13 +135,12 @@ def test_linear_more_iters_never_worse(monkeypatch):
     X = rng.uniform(-1, 1, size=(40, 2))
     Y = 0.5 + 0.3 * np.tanh(X @ rng.normal(size=(2, 1))) \
         + 0.05 * rng.uniform(-1, 1, size=(40, 1))
-    data = FixedDesignDataset(X, Y)
     cset = loss.domain
 
     def obj(max_iters):
         monkeypatch.setattr(trainers, "_MAX_ITERS", max_iters)
-        fit = LinearTrainer(loss, cset).fit(data)
-        return float(np.mean(loss.divergence_rows(Y, fit.values)))
+        fit = LinearTrainer(loss, cset).fit(X, Y)
+        return float(np.mean(loss.divergence_rows(Y, fit)))
 
     assert obj(400) <= obj(200) + 1e-12
 
@@ -164,7 +160,7 @@ def test_linear_squared_l2_matches_normal_equations(rank_deficient):
     if rank_deficient:
         X[:, 2] = X[:, 0]
     Y = X @ rng.normal(size=(3, 2)) + 0.2 * rng.normal(size=(80, 2)) + 0.4
-    theta = LinearTrainer(loss, box(2, 50.0)).fit_theta(FixedDesignDataset(X, Y))
+    theta = LinearTrainer(loss, box(2, 50.0)).fit_predictor(X, Y).theta
     oracle = _normal_equations(X, Y)
     assert np.linalg.norm(theta - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
@@ -176,7 +172,7 @@ def test_linear_predictor_evaluates_off_design():
     theta = np.array([[1.0], [-2.0]])
     Y = X @ theta
     trainer = LinearTrainer(loss, box(1, 50.0))
-    pred = trainer.fit_predictor(FixedDesignDataset(X, Y))
+    pred = trainer.fit_predictor(X, Y)
     Xnew = rng.uniform(-1, 1, size=(10, 2))
     assert np.allclose(pred.predict(Xnew), Xnew @ theta, atol=1e-4)
 

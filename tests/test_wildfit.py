@@ -37,7 +37,7 @@ def test_wild_response_identity_no_clipping(rng):
     loss, cset, trainer, data = clamped_instance(rng)
     res = wild_refit(loss, cset, trainer, data, 0.7, seed=3)
     # reconstruction up to one rounding of the subtract-then-add pair
-    recon = res.wild_responses + 0.7 * res.signs.values * res.residues
+    recon = res.wild_responses + 0.7 * res.signs * res.residues
     assert np.max(np.abs(recon - res.fhat.values)) <= 1e-15
     assert res.clip_count == 0
 
@@ -45,7 +45,7 @@ def test_wild_response_identity_no_clipping(rng):
 def test_sign_flip_symmetry(rng):
     loss, cset, trainer, data = clamped_instance(rng)
     res = wild_refit(loss, cset, trainer, data, 1.0, seed=5)
-    flipped = res.fhat.values - 1.0 * (-res.signs.values) * (-res.residues)
+    flipped = res.fhat.values - 1.0 * (-res.signs) * (-res.residues)
     assert np.array_equal(flipped, res.wild_responses)
 
 
@@ -97,12 +97,12 @@ def test_wild_optimism_closed_form_interior():
     fhat = rng.uniform(-1, 1, size=(n, 2))
     residues = rng.uniform(-0.5, 0.5, size=(n, 2))
     signs = sample_sign_matrix(n, 2, 11)
-    ywild = fhat - rho * signs.values * residues
+    ywild = fhat - rho * signs * residues
     res = WildRefitResult(fhat=PredictionMatrix(fhat),
                           fdiamond=PredictionMatrix(ywild),
                           wild_responses=ywild, residues=residues,
                           signs=signs, rho=rho)
-    z = signs.values * residues
+    z = signs * residues
     expect = 1.5 * rho * float(np.mean(np.sum(z * z, axis=1)))
     assert wild_optimism(loss, res) == pytest.approx(expect, rel=1e-12)
 
@@ -156,10 +156,10 @@ def test_calibrate_analytic_rho_saturated(rng):
     # while no perturbed coordinate reaches the opposite wall, the radius
     # map is linear: radius(rho) = rho * c over the inward-pushed entries
     loss, cset, trainer, data = clamped_instance(rng, n=80, b=1.0)
-    fhat = trainer.fit(data)
-    residues = data.responses - fhat.values
+    fhat = trainer.fit(None, data.responses)
+    residues = data.responses - fhat
     signs = sample_sign_matrix(data.n, data.d, 6)
-    pushed_in = (signs.values * residues) * np.sign(fhat.values) > 0
+    pushed_in = (signs * residues) * np.sign(fhat) > 0
     c = np.sqrt(np.sum((residues * pushed_in) ** 2) / (2 * data.n))
     target = 0.05
     out = calibrate_rho(loss, trainer, data,
@@ -169,9 +169,9 @@ def test_calibrate_analytic_rho_saturated(rng):
 
 def _assert_same_result(a, b):
     assert a.rho == b.rho and a.clip_count == b.clip_count
-    assert a.signs.seed == b.signs.seed
-    for name in ("fhat", "fdiamond", "signs"):
+    for name in ("fhat", "fdiamond"):
         assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
+    assert np.array_equal(a.signs, b.signs)
     assert np.array_equal(a.wild_responses, b.wild_responses)
     assert np.array_equal(a.residues, b.residues)
 
@@ -247,9 +247,8 @@ class _JumpTrainer:
     """Fits 0 until some response leaves [-1, 1], then every response
     exactly: the wild radius jumps from 0 to c / max|y| at rho = 1 / max|y|."""
 
-    def fit(self, data):
-        Y = data.responses
-        return PredictionMatrix(Y if np.max(np.abs(Y)) > 1.0 else 0.0 * Y)
+    def fit(self, X, Y):
+        return Y if np.max(np.abs(Y)) > 1.0 else 0.0 * Y
 
 
 def test_calibrate_radius_jump_raises_with_trace(rng):
@@ -267,8 +266,35 @@ def test_calibrate_refuses_start_of_other_data(rng):
     # the search continues start's fit and signs, so start must be a wild
     # refit of the same responses
     loss, cset, trainer, data = clamped_instance(rng)
-    for other in (data.with_responses(-data.responses),
+    for other in (FixedDesignDataset(None, -data.responses),
                   FixedDesignDataset(None, data.responses[:-1])):
         start = wild_refit(loss, cset, trainer, other, 1.0, seed=0)
         with pytest.raises(RejectedInputError):
             calibrate_rho(loss, trainer, data, start, start.radius(loss))
+
+
+class _BadOutputTrainer:
+    """A wrapped trainer whose fit number `bad_call` returns `bad` of its
+    output."""
+
+    def __init__(self, trainer, bad_call, bad):
+        self.trainer, self.bad_call, self.bad, self.calls = (
+            trainer, bad_call, bad, 0)
+
+    def fit(self, X, Y):
+        self.calls += 1
+        F = self.trainer.fit(X, Y)
+        return self.bad(F) if self.calls == self.bad_call else F
+
+
+@pytest.mark.parametrize("bad", [lambda F: F[:-1], lambda F: F.T,
+                                 lambda F: F[:, 0], lambda F: F * np.nan],
+                         ids=["short", "transposed", "1-d", "nan"])
+@pytest.mark.parametrize("bad_call, stage", [(1, "initial fit"), (2, "refit")])
+def test_trainer_output_refused_with_its_stage(rng, bad, bad_call, stage):
+    # trainer output enters at one checked place: a finite 2-d array of the
+    # responses' shape, or RejectedInputError naming the stage
+    loss, cset, trainer, data = clamped_instance(rng)
+    bad_trainer = _BadOutputTrainer(trainer, bad_call, bad)
+    with pytest.raises(RejectedInputError, match=rf"^\[{stage}\] "):
+        wild_refit(loss, cset, bad_trainer, data, 1.0, seed=0)
