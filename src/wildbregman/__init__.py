@@ -13,11 +13,10 @@ from .complexity import (RadiusReport, ball_sup, deviation_term,
 from .design import (FixedDesignDataset, PredictionMatrix,
                      empirical_discrepancy, load_dataset, sample_sign_matrix,
                      save_dataset)
-from .errors import (CalibrationError, ConvergenceError, RejectedInputError,
-                     UnboundedRadiusError, UnsupportedConfigurationError)
+from .errors import RejectedInputError, SolveError
 from .geometry import Box, ClippedSimplex
-from .harness import (CoverageExperiment, CoverageReport, OracleContext,
-                      SyntheticSpec, generate_synthetic, run_coverage)
+from .harness import (CoverageExperiment, CoverageReport, SyntheticSpec,
+                      generate_synthetic, run_coverage)
 from .potentials import BregmanLoss, builtin_loss
 from .trainers import (LinearPredictor, LinearTrainer, SaturatedTrainer,
                        build_model)
@@ -26,17 +25,15 @@ from .wildfit import WildRefitResult, calibrate_rho, wild_optimism, wild_refit
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box", "BregmanLoss", "CalibrationError", "ClippedSimplex",
-    "ConvergenceError", "CoverageExperiment", "CoverageReport",
-    "FixedDesignDataset", "LinearPredictor", "LinearTrainer", "OracleContext",
-    "PredictionMatrix", "RadiusReport", "RejectedInputError",
-    "RiskCertificate", "SaturatedTrainer", "StabilityConstants",
-    "SyntheticSpec", "UnboundedRadiusError", "UnsupportedConfigurationError",
-    "WildRefitResult", "ball_sup", "build_model", "builtin_loss",
-    "calibrate_rho",
-    "deviation_term", "empirical_discrepancy", "fixed_design_certificate",
-    "fixed_point_radius", "generate_synthetic", "load_dataset", "pilot_sup",
-    "random_design_certificate", "random_design_tail", "rhat_bound_convex",
-    "run_coverage", "sample_sign_matrix", "save_dataset",
-    "stability_constants", "wild_optimism", "wild_refit", "wn",
+    "Box", "BregmanLoss", "ClippedSimplex", "CoverageExperiment",
+    "CoverageReport", "FixedDesignDataset", "LinearPredictor",
+    "LinearTrainer", "PredictionMatrix", "RadiusReport", "RejectedInputError",
+    "RiskCertificate", "SaturatedTrainer", "SolveError", "StabilityConstants",
+    "SyntheticSpec", "WildRefitResult", "ball_sup", "build_model",
+    "builtin_loss", "calibrate_rho", "deviation_term", "empirical_discrepancy",
+    "fixed_design_certificate", "fixed_point_radius", "generate_synthetic",
+    "load_dataset", "pilot_sup", "random_design_certificate",
+    "random_design_tail", "rhat_bound_convex", "run_coverage",
+    "sample_sign_matrix", "save_dataset", "stability_constants",
+    "wild_optimism", "wild_refit", "wn",
 ]

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .complexity import RadiusReport, _vertices, deviation_term
-from .errors import RejectedInputError, UnsupportedConfigurationError
+from .errors import RejectedInputError
 from .geometry import Box, CompactSet
 from .potentials import BregmanLoss
 from .wildfit import WildRefitResult, _require_same_data, wild_optimism
@@ -37,7 +37,6 @@ class RiskCertificate:
 class StabilityConstants:
     M: float  # sup of the divergence over the set squared
     L: float  # sup of the potential gradient norm over the set
-    eps_sta: float
 
 
 def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
@@ -78,8 +77,7 @@ def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
 
 def stability_constants(loss: BregmanLoss, cset: CompactSet,
                         n: int) -> StabilityConstants:
-    """Exact sup ||grad phi|| (L) and sup D_phi (M) over the set, and the
-    pointwise-stability constant 2 L^2 / (alpha (n - 1)).
+    """Exact sup ||grad phi|| (L) and sup D_phi (M) over the set.
 
     Both peak at the set's vertices.  phi' is monotone, so |phi'| peaks at
     an end of each coordinate; D_phi(., y) is convex and D_phi(x, .) grows
@@ -87,9 +85,8 @@ def stability_constants(loss: BregmanLoss, cset: CompactSet,
     (end, other end) pair.  On the clipped simplex, ||grad phi||^2 (for KL,
     sum_j (1 + log u_j)^2 with u_j < 1) and D_phi (squared_l2 and KL) are
     convex, hence maximal at its vertices (Rockafellar, Convex Analysis,
-    Cor. 32.3.2).  Any other potential on the simplex raises
-    UnsupportedConfigurationError, and a set outside the loss domain
-    RejectedInputError.
+    Cor. 32.3.2).  Any other potential on the simplex, and a set outside
+    the loss domain, raise RejectedInputError.
     """
     if n < 2:
         raise RejectedInputError("stability constants need n >= 2")
@@ -109,11 +106,10 @@ def stability_constants(loss: BregmanLoss, cset: CompactSet,
                                               np.tile(V, (len(V), 1)))))
         L = float(np.max(np.linalg.norm(loss.gradient(V), axis=-1)))
     else:
-        raise UnsupportedConfigurationError(
+        raise RejectedInputError(
             f"no exact stability constants for {loss.kind} on "
             f"{type(cset).__name__}")
-    eps_sta = 2.0 * L * L / (loss.alpha * (n - 1))
-    return StabilityConstants(M=M, L=L, eps_sta=eps_sta)
+    return StabilityConstants(M=M, L=L)
 
 
 def random_design_tail(consts: StabilityConstants, alpha: float, n: int,

@@ -14,8 +14,7 @@ from .complexity import (RadiusReport, fixed_point_radius, rhat_bound_convex,
                          wn)
 from .design import (PredictionMatrix, _read_json, _write_json, _write_table,
                      load_dataset, save_dataset)
-from .errors import (CalibrationError, ConvergenceError, RejectedInputError,
-                     UnboundedRadiusError, UnsupportedConfigurationError)
+from .errors import RejectedInputError, SolveError
 from .harness import (_FSTAR_FAMILIES, _NOISE_FAMILIES, THEOREMS,
                       CoverageExperiment, SyntheticSpec, generate_synthetic,
                       run_coverage)
@@ -276,9 +275,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RejectedInputError, UnsupportedConfigurationError) as err:
+    except RejectedInputError as err:
         return _error(err, 2)
-    except (UnboundedRadiusError, CalibrationError, ConvergenceError) as err:
+    except SolveError as err:
         return _error(err, 3)
 
 

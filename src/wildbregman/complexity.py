@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import PredictionMatrix
-from .errors import RejectedInputError, UnboundedRadiusError
+from .errors import RejectedInputError, SolveError
 from .geometry import Box, CompactSet
 from .potentials import BregmanLoss, _bregman_projection
 
@@ -113,11 +113,10 @@ def _sup_dual(loss, cset, center, Z, r):
     Up to terms free of u, the Lagrangian's row term is
     -lam D_phi(c - z / lam, u), so its argmax is the Bregman projection of
     A = C - Z / lam onto the set (`potentials._bregman_projection`, which
-    raises UnsupportedConfigurationError for a pair it cannot project).  On a
-    box the program is convex in mirror coordinates m = grad phi(u) (linear
-    objective, box to box, convex ball), so strong duality holds.  KL on the
-    clipped simplex is not convex in m; the reported gap bounds how far q can
-    lie above the supremum.
+    refuses a pair it cannot project).  On a box the program is convex in
+    mirror coordinates m = grad phi(u) (linear objective, box to box, convex
+    ball), so strong duality holds.  KL on the clipped simplex is not convex
+    in m; the reported gap bounds how far q can lie above the supremum.
 
     If no multiplier is feasible within 200 doublings (r^2 below the ball
     value's rounding floor at the center), q is the loose but valid bound at
@@ -181,8 +180,8 @@ def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
     the box raises RejectedInputError; every other supported (potential, set)
     pair by its Lagrangian dual, whose value is an upper bound and whose
     `gap` in `full_output` bounds the distance to the supremum.  A pair with
-    no exact inner argmax raises UnsupportedConfigurationError, and a set
-    with a vertex outside the loss domain RejectedInputError.
+    no exact inner argmax, and a set with a vertex outside the loss domain,
+    raise RejectedInputError.
     """
     if r < 0:
         raise RejectedInputError("radius must be >= 0")
@@ -263,8 +262,8 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
     bracket = _walk_bisect(passes, r_min, r_min * ratio, ratio, r_max * ratio,
                            _REFINE_REL)
     if bracket is None:
-        raise UnboundedRadiusError("no radius below r_max satisfies the "
-                                   "fixed-point condition", trace=trace)
+        raise SolveError("no radius below r_max satisfies the fixed-point "
+                         "condition", trace=trace)
     return bracket[1]
 
 
@@ -302,6 +301,6 @@ def rhat_bound_convex(wn_evaluator, r_diamond: float, delta: float, n: int,
     bracket = _walk_bisect(violated, r0, r0 * _CONVEX_GRID_RATIO,
                            _CONVEX_GRID_RATIO, r_top, _REFINE_REL)
     if bracket is None:
-        raise UnboundedRadiusError("self-bounding inequality still satisfied at "
-                                   "grid top; bound diverges", trace=trace)
+        raise SolveError("self-bounding inequality still satisfied at grid "
+                         "top; bound diverges", trace=trace)
     return bracket[0]

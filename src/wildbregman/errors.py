@@ -1,29 +1,17 @@
-"""Exception types shared across the package."""
+"""The package's two failures: a refused input (CLI exit 2) and a solve
+that finds no answer (CLI exit 3)."""
 
 
 class RejectedInputError(ValueError):
-    """An argument violates a documented precondition (domain, shape, range)."""
+    """An input or configuration the package refuses: a violated
+    precondition (domain, shape, range) or a case it does not support."""
 
 
-class _TracedError(RuntimeError):
-    """A failed fit or search, with the trace of what it evaluated."""
+class SolveError(RuntimeError):
+    """A fit or search that found no answer: a diverged fit, a calibration
+    that missed its target, a radius solver that ran off its grid.  `trace`
+    holds what it evaluated."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace or []
-
-
-class ConvergenceError(_TracedError):
-    """An iterative fit diverged; `trace` holds its objective values."""
-
-
-class CalibrationError(_TracedError):
-    """Noise-scale calibration could not bracket or hit the target radius."""
-
-
-class UnboundedRadiusError(_TracedError):
-    """A radius solver reached the top of its grid without an answer."""
-
-
-class UnsupportedConfigurationError(ValueError):
-    """A configuration is outside what this implementation supports."""

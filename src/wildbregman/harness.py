@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -270,10 +271,16 @@ def _check_thm_6_1(ctx: _RepContext):
 
 
 def _check_thm_5_2(ctx: _RepContext):
-    loss, trainer, data = ctx.loss, ctx.trainer, ctx.data
-    fixed, _ = _fixed_design_pipeline(ctx)
+    loss, data = ctx.loss, ctx.data
+    predictors = []  # one per pipeline fit; wild_refit's first fit is fhat
+
+    def fit(X, Y):
+        predictors.append(ctx.trainer.fit_predictor(X, Y))
+        return predictors[-1].predict(X)
+
+    fixed, _ = _fixed_design_pipeline(
+        replace(ctx, trainer=SimpleNamespace(fit=fit)))
     cert = random_design_certificate(fixed, loss, ctx.cset, data.n, ctx.delta)
-    predictor = trainer.fit_predictor(data.inputs, data.responses)
     rng = np.random.default_rng(ctx.heldout_seed)
     m = _HELDOUT_M
     Xh = rng.uniform(-1.0, 1.0, size=(m, ctx.exp.spec.p))
@@ -281,7 +288,7 @@ def _check_thm_5_2(ctx: _RepContext):
     Wh = _draw_noise(rng, m, data.d, ctx.exp.spec.noise_family,
                      ctx.exp.spec.noise_scale)
     Yh = Fh + Wh
-    Ph = predictor.predict(Xh)
+    Ph = predictors[0].predict(Xh)
     lhs = float(np.mean(loss.divergence_rows(Yh, Ph))
                 - np.mean(loss.divergence_rows(Yh, Fh)))
     return lhs, cert.total

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import RejectedInputError, UnsupportedConfigurationError
+from .errors import RejectedInputError
 from .geometry import Box, ClippedSimplex, CompactSet, waterfill
 
 Array = np.ndarray
@@ -90,15 +90,15 @@ def _bregman_projection(loss: BregmanLoss, cset: CompactSet, A) -> np.ndarray:
     potential, so the minimiser is the clamp.  On the clipped simplex,
     squared_l2 gives the Euclidean projection, and KL, whose u-terms are
     -sum_j a_j log u_j + const under sum u = 1, the water-filling of a.  Any
-    other pair raises UnsupportedConfigurationError.  It is the saturated fit
-    and the inner argmax of the ball supremum's Lagrangian dual.
+    other pair raises RejectedInputError.  It is the saturated fit and the
+    inner argmax of the ball supremum's Lagrangian dual.
     """
     kind = loss.kind
     if isinstance(cset, Box) or kind == "squared_l2":
         return cset.project(A)
     if kind == "clipped_simplex_kl":
         return waterfill(A, cset.eta0)
-    raise UnsupportedConfigurationError(
+    raise RejectedInputError(
         f"no closed-form Bregman projection for {kind} on {type(cset).__name__}")
 
 

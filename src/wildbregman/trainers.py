@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, RejectedInputError
+from .errors import RejectedInputError, SolveError
 from .geometry import Box, CompactSet
 from .potentials import BregmanLoss, _bregman_projection, builtin_loss
 
@@ -105,7 +105,7 @@ class LinearTrainer:
             if not moved or (len(trace) > 2 and trace[-2] - trace[-1] <= _TOL * max(1.0, obj)):
                 break
         if not np.isfinite(obj):
-            raise ConvergenceError("linear fit diverged", trace=trace)
+            raise SolveError("linear fit diverged", trace=trace)
         return LinearPredictor(theta, self.cset)
 
     def fit(self, X, Y) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .design import (FixedDesignDataset, PredictionMatrix,
                      empirical_discrepancy, sample_sign_matrix)
-from .errors import CalibrationError, RejectedInputError
+from .errors import RejectedInputError, SolveError
 from .geometry import CompactSet
 from .potentials import BregmanLoss
 
@@ -91,9 +91,11 @@ def _wild_result(loss, trainer, data, fhat, signs, rho) -> WildRefitResult:
 def wild_refit(loss: BregmanLoss, cset: CompactSet, trainer,
                data: FixedDesignDataset, rho: float, seed: int) -> WildRefitResult:
     """Run the full wild-refitting procedure at noise scale rho.  rho is
-    checked and the signs drawn before the first fit."""
+    checked, the signs drawn and the responses refused outside the loss
+    domain before the first fit."""
     _require_positive("rho", rho)
     signs = sample_sign_matrix(data.n, data.d, seed)
+    loss._check_domain(data.responses)
     fhat = _refit_stage(trainer, data.inputs, data.responses, "initial fit")
     return _wild_result(loss, trainer, data, fhat, signs, rho)
 
@@ -161,7 +163,7 @@ def calibrate_rho(loss: BregmanLoss, trainer, data: FixedDesignDataset,
             t_next = min(max(t + min(max(step, -_MAX_LOG_STEP), _MAX_LOG_STEP),
                              t_lo), t_hi)
             if t_next == t:
-                raise CalibrationError(
+                raise SolveError(
                     "target radius not bracketed below rho_hi" if g < 0 else
                     "target radius not bracketed above rho_lo", trace=trace)
         else:
@@ -170,9 +172,9 @@ def calibrate_rho(loss: BregmanLoss, trainer, data: FixedDesignDataset,
             if not min(t, b) < t_next < max(t, b):
                 t_next = 0.5 * (t + b)
                 if not min(t, b) < t_next < max(t, b):
-                    raise CalibrationError(
+                    raise SolveError(
                         "radius map jumps over the target: the bracket "
                         "closed with no rho within tolerance", trace=trace)
         prev, t = (t, g), t_next
-    raise CalibrationError(f"no rho within tolerance in {_MAX_STEPS} steps",
-                           trace=trace)
+    raise SolveError(f"no rho within tolerance in {_MAX_STEPS} steps",
+                     trace=trace)

@@ -220,8 +220,7 @@ def test_criterion_08_theorem_52_assembly_and_coverage():
         alpha = float(rng.uniform(0.5, 3.0))
         n = int(rng.integers(50, 2000))
         delta = float(rng.uniform(1e-4, 0.09))
-        got = random_design_tail(StabilityConstants(M=M, L=L, eps_sta=0.0),
-                                 alpha, n, delta)
+        got = random_design_tail(StabilityConstants(M=M, L=L), alpha, n, delta)
         Mh, Lh, ah, dh = mpmath.mpf(M), mpmath.mpf(L), mpmath.mpf(alpha), mpmath.mpf(delta)
         ref = (mpmath.sqrt((Mh ** 2 + 36 * Mh * Lh ** 2 / ah) / (2 * n * dh))
                + Mh * mpmath.sqrt(mpmath.log(2 / dh) / (2 * n)))

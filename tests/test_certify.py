@@ -10,8 +10,7 @@ from wildbregman.complexity import (RadiusReport, deviation_term,
                                     fixed_point_radius, pilot_sup, wn)
 from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
                                 empirical_discrepancy)
-from wildbregman.errors import (RejectedInputError,
-                                UnsupportedConfigurationError)
+from wildbregman.errors import RejectedInputError
 from wildbregman.geometry import Box, ClippedSimplex
 from wildbregman.harness import _true_optimism
 from wildbregman.potentials import builtin_loss
@@ -155,7 +154,6 @@ def test_stability_constants_analytic_squared_l2():
     c = stability_constants(loss, cset, n=100)
     assert c.L == pytest.approx(math.sqrt(2.0))
     assert c.M == pytest.approx(0.5 * 8.0)  # half the squared diameter
-    assert c.eps_sta == pytest.approx(2.0 * 2.0 / 99.0)
 
 
 def _brute_sups(loss, pts, chunk=250):
@@ -269,7 +267,7 @@ def test_stability_constants_simplex_grid():
 
 def test_stability_constants_unsupported_simplex_pair():
     loss = builtin_loss("sqrt_bernoulli", 3, eps0=0.05)
-    with pytest.raises(UnsupportedConfigurationError):
+    with pytest.raises(RejectedInputError):
         stability_constants(loss, ClippedSimplex(0.1, 3), n=100)
 
 
@@ -288,7 +286,7 @@ def test_stability_constants_reject_set_outside_domain(kind, kwargs, cset):
 def test_random_design_tail_formula():
     from wildbregman.certify import StabilityConstants
     M, L, alpha, n, delta = 3.0, 1.5, 2.0, 200, 0.01
-    c = StabilityConstants(M=M, L=L, eps_sta=0.0)
+    c = StabilityConstants(M=M, L=L)
     expect = (math.sqrt((M * M + 36 * M * L * L / alpha) / (2 * n * delta))
               + M * math.sqrt(math.log(2.0 / delta) / (2 * n)))
     assert random_design_tail(c, alpha, n, delta) == pytest.approx(expect,

@@ -11,7 +11,7 @@ import pytest
 from wildbregman.cli import _as_refit, _potential_params, build_parser, main
 from wildbregman.design import (FixedDesignDataset, _read_json, load_dataset,
                                 save_dataset)
-from wildbregman.trainers import LinearTrainer, build_model
+from wildbregman.trainers import LinearTrainer, SaturatedTrainer, build_model
 from wildbregman.wildfit import wild_refit
 
 
@@ -210,7 +210,7 @@ def test_unbounded_radius_exits_3_with_one_line(tmp_path, capsys):
     assert run(["radius", "--mode", "convex-class", "--delta", 0.0001234,
                 "--refit-result", refit, "--out", tmp_path / "r.json"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: UnboundedRadiusError")
+    assert err.startswith("error: SolveError")
     assert err.count("\n") == 1
 
 
@@ -416,6 +416,24 @@ def test_bad_rho_or_target_radius_refused_before_any_fit(dataset, tmp_path,
     assert run(["refit", *flags, "--trainer", "linear", "--data", dataset,
                 "--out", tmp_path / "refit.json"]) == 2
     assert fits == []
+
+
+# responses the loss cannot score are refused before any fit: the linear fit
+# used to diverge on them (exit 3), and the saturated refit to exit 0
+@pytest.mark.parametrize("trainer", ["linear", "saturated"])
+@pytest.mark.parametrize("potential", ["sqrt_bernoulli", "clipped_simplex_kl"])
+def test_responses_outside_the_loss_domain_refused_before_any_fit(
+        dataset, tmp_path, capsys, monkeypatch, potential, trainer):
+    fits = []
+    for cls in (LinearTrainer, SaturatedTrainer):
+        monkeypatch.setattr(cls, "fit", lambda self, X, Y, fit=cls.fit:
+                            fits.append(1) or fit(self, X, Y))
+    out = tmp_path / "refit.json"
+    assert run(["refit", "--rho", 1, "--potential", potential, "--trainer",
+                trainer, "--data", dataset, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RejectedInputError"), err
+    assert fits == [] and not out.exists()
 
 
 def test_sqrt_bernoulli_linear_refit_then_fixed_point_radius(tmp_path):

@@ -7,8 +7,7 @@ from wildbregman.complexity import (ball_sup, deviation_term,
                                     fixed_point_radius, pilot_sup,
                                     rhat_bound_convex, wn)
 from wildbregman.design import PredictionMatrix, sample_sign_matrix
-from wildbregman.errors import (RejectedInputError, UnboundedRadiusError,
-                               UnsupportedConfigurationError)
+from wildbregman.errors import RejectedInputError, SolveError
 from wildbregman.geometry import Box, ClippedSimplex
 from wildbregman.potentials import builtin_loss
 from wildbregman.trainers import SaturatedTrainer
@@ -265,7 +264,7 @@ def test_ball_sup_unsupported_pair_raises():
     loss = builtin_loss("sqrt_bernoulli", 3, eps0=0.05)
     cset = ClippedSimplex(0.1, 3)
     C = PredictionMatrix(np.full((4, 3), 1.0 / 3.0))
-    with pytest.raises(UnsupportedConfigurationError):
+    with pytest.raises(RejectedInputError):
         ball_sup(loss, cset, C, np.ones((4, 3)), 0.1)
 
 
@@ -399,7 +398,7 @@ def test_fixed_point_radius_rejects_large_delta():
 
 
 def test_fixed_point_radius_unbounded():
-    with pytest.raises(UnboundedRadiusError):
+    with pytest.raises(SolveError):
         fixed_point_radius(lambda s: 100.0 + s, math.exp(-9.0), 100, r_max=5.0)
 
 
@@ -435,7 +434,7 @@ def test_radius_solver_values_and_wn_calls_pinned():
     assert r == pytest.approx(1.0500045507080085, rel=1e-12)
     assert len(calls) == 19
     ev, calls = _counted(lambda s: 100.0 + s)
-    with pytest.raises(UnboundedRadiusError):
+    with pytest.raises(SolveError):
         fixed_point_radius(ev, math.exp(-9.0), 100, r_max=5.0)
     assert len(calls) == 19
     # convex class, w_inf = 0, pilot p: with a = k (2 + 1/3) / r_dia = 0.7
@@ -448,7 +447,7 @@ def test_radius_solver_values_and_wn_calls_pinned():
     assert len(calls) == 176
     # a = 7/6 >= 1: the inequality holds at every r and the bound diverges
     ev, calls = _counted(lambda s: 0.05 * s)
-    with pytest.raises(UnboundedRadiusError) as err:
+    with pytest.raises(SolveError) as err:
         rhat_bound_convex(ev, 0.1, math.exp(-9.0), 10000, 0.0, 1, 0.03, loss)
     assert len(calls) == 185
     assert len(err.value.trace) == 184 and all(ok for _, ok in err.value.trace)

@@ -20,11 +20,15 @@ def test_generate_deterministic():
     assert np.array_equal(o1.noise, o2.noise)
 
 
-def test_responses_reconstruct_exactly():
-    spec = SyntheticSpec(n=25, d=3, fstar_family="nonlinear", seed=2)
+@pytest.mark.parametrize("family", harness._FSTAR_FAMILIES)
+def test_responses_reconstruct_exactly(family):
+    spec = SyntheticSpec(n=25, d=3, fstar_family=family, seed=2)
     data, oracle = generate_synthetic(spec)
     assert np.array_equal(data.responses,
                           oracle.fstar_preds.values + oracle.noise)
+    if family == "constant":
+        F = oracle.fstar_preds.values
+        assert np.all(F == F[0])
 
 
 def test_zero_noise_amplitude():
@@ -150,10 +154,11 @@ def test_thm51_excess_fails_on_a_zero_certificate(monkeypatch):
 
 
 def test_fixed_design_replication_fits_fhat_once(monkeypatch):
-    # the pipeline's wild refit at rho = 1 supplies fhat, and calibration
-    # continues that refit instead of fitting the responses again
+    # the pipeline's wild refit at rho = 1 supplies fhat, calibration
+    # continues that refit instead of fitting the responses again, and
+    # theorem 5.2 predicts off the design with that same fit
     datasets, fitted = [], []
-    generate, fit = harness.generate_synthetic, LinearTrainer.fit
+    generate, fit = harness.generate_synthetic, LinearTrainer.fit_predictor
 
     def record_generate(spec, loss):
         datasets.append(generate(spec, loss))
@@ -164,14 +169,17 @@ def test_fixed_design_replication_fits_fhat_once(monkeypatch):
         return fit(self, X, Y)
 
     monkeypatch.setattr(harness, "generate_synthetic", record_generate)
-    monkeypatch.setattr(LinearTrainer, "fit", record_fit)
-    exp = CoverageExperiment(theorem="thm_5_1_excess", reps=100, delta=0.05,
-                             spec=SyntheticSpec(n=30, d=2, seed=4),
-                             trainer={"kind": "linear"})
-    assert run_coverage(exp).errors == 0
-    assert len(datasets) == 100
-    for data, _ in datasets:
-        assert sum(np.array_equal(Y, data.responses) for Y in fitted) == 1
+    monkeypatch.setattr(LinearTrainer, "fit_predictor", record_fit)
+    for theorem in ("thm_5_1_excess", "thm_5_2_excess"):
+        datasets.clear()
+        fitted.clear()
+        exp = CoverageExperiment(theorem=theorem, reps=100, delta=0.05,
+                                 spec=SyntheticSpec(n=30, d=2, seed=4),
+                                 trainer={"kind": "linear"})
+        assert run_coverage(exp).errors == 0
+        assert len(datasets) == 100
+        for data, _ in datasets:
+            assert sum(np.array_equal(Y, data.responses) for Y in fitted) == 1
 
 
 def test_coverage_report_csv_roundtrip(tmp_path):

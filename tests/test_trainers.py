@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from wildbregman import trainers
-from wildbregman.errors import (RejectedInputError,
-                                UnsupportedConfigurationError)
+from wildbregman.errors import RejectedInputError
 from wildbregman.geometry import Box, ClippedSimplex
 from wildbregman.potentials import builtin_loss
 from wildbregman.trainers import LinearTrainer, SaturatedTrainer, build_model
@@ -96,7 +95,7 @@ def test_saturated_kl_on_tighter_simplex_matches_grid():
 def test_saturated_unsupported_pair_raises():
     loss = builtin_loss("sqrt_bernoulli", 3, eps0=0.05)
     trainer = SaturatedTrainer(loss, ClippedSimplex(0.1, 3))
-    with pytest.raises(UnsupportedConfigurationError):
+    with pytest.raises(RejectedInputError):
         trainer.fit(None, np.full((2, 3), 1.0 / 3.0))
 
 

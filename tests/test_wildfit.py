@@ -4,7 +4,7 @@ import pytest
 from wildbregman import wildfit
 from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
                                 sample_sign_matrix)
-from wildbregman.errors import CalibrationError, RejectedInputError
+from wildbregman.errors import RejectedInputError, SolveError
 from wildbregman.geometry import Box
 from wildbregman.potentials import builtin_loss
 from wildbregman.trainers import LinearTrainer, SaturatedTrainer
@@ -147,7 +147,7 @@ def test_calibrate_unreachable_target_errors(rng):
     # saturated refit radius is bounded by the box, so a huge target
     # cannot be bracketed
     loss, cset, trainer, data = clamped_instance(rng)
-    with pytest.raises(CalibrationError):
+    with pytest.raises(SolveError):
         calibrate_rho(loss, trainer, data,
                       wild_refit(loss, cset, trainer, data, 1.0, seed=0), 1e6)
 
@@ -257,7 +257,7 @@ def test_calibrate_radius_jump_raises_with_trace(rng):
     data = FixedDesignDataset(None, Y)
     jump = np.sqrt(0.5 * np.mean(Y ** 2)) / np.max(np.abs(Y))
     start = wild_refit(loss, box(1, 10.0), _JumpTrainer(), data, 1.0, seed=0)
-    with pytest.raises(CalibrationError) as err:
+    with pytest.raises(SolveError) as err:
         calibrate_rho(loss, _JumpTrainer(), data, start, 0.5 * jump)
     assert len(err.value.trace) > 0
 
