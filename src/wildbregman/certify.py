@@ -75,8 +75,8 @@ def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
                            mode="fixed_design", provenance=prov)
 
 
-def stability_constants(loss: BregmanLoss, cset: CompactSet,
-                        n: int) -> StabilityConstants:
+def stability_constants(loss: BregmanLoss,
+                        cset: CompactSet) -> StabilityConstants:
     """Exact sup ||grad phi|| (L) and sup D_phi (M) over the set.
 
     Both peak at the set's vertices.  phi' is monotone, so |phi'| peaks at
@@ -88,8 +88,6 @@ def stability_constants(loss: BregmanLoss, cset: CompactSet,
     Cor. 32.3.2).  Any other potential on the simplex, and a set outside
     the loss domain, raise RejectedInputError.
     """
-    if n < 2:
-        raise RejectedInputError("stability constants need n >= 2")
     V = _vertices(loss, cset)
     if isinstance(cset, Box):
         lo, hi = V
@@ -129,7 +127,7 @@ def random_design_certificate(fixed: RiskCertificate, loss: BregmanLoss,
         raise RejectedInputError("random design lifts a fixed-design certificate")
     if not 0 < delta < 1.0 / _RANDOM_BUDGET:
         raise RejectedInputError("random design requires 0 < delta < 1/11")
-    consts = stability_constants(loss, cset, n)
+    consts = stability_constants(loss, cset)
     addend = random_design_tail(consts, loss.alpha, n, delta)
     prov = fixed.provenance | {"iid_assumption": "declared, unverified",
                                "stability": asdict(consts)}

@@ -42,23 +42,51 @@ def _ball_value(loss: BregmanLoss, center: np.ndarray, U: np.ndarray) -> float:
     return float(np.mean(loss._div_raw(center, U)))
 
 
-def _walk_bisect(ok, lo, x, ratio, cap, rel):
-    """Walk x, x ratio, x ratio^2, ... up to cap until the monotone predicate
-    ok holds, then bisect from the last failing point (lo at the start, where
-    ok fails) to relative width rel.  Returns (lo, hi) with ok(lo) false and
-    ok(hi) true, or None if ok fails on the whole walk."""
+def _walk_bisect(margin, lo, x, ratio, cap, rel):
+    """Walk x, x ratio, x ratio^2, ... up to cap until the monotone margin
+    is ok (margin <= 0), then close the bracket from the last failing point
+    (lo at the start, where ok fails) to relative width rel.  Returns
+    (lo, hi) with ok false at lo and true at hi and hi - lo <= rel hi, or
+    None if ok fails on the whole walk.
+
+    The bracket closes by Illinois false position (Dowell & Jarratt, 1971):
+    step k evaluates the root of the chord through the two ends' margins,
+    and an end kept twice in a row has its margin halved.  The step is kept
+    rel hi / 2 inside either end, so one that lands just short of the root
+    is followed by one just past it.  It is also kept within t = w 2^(-k/2)
+    of either end, w the width the walk left, so that k steps leave at most
+    the width of k/2 bisections whichever end they replace (the projection
+    of Oliveira & Takahashi, 2020).  While lo's margin is unknown (the
+    walk's first point is ok) or a margin is not finite, the step bisects.
+    """
+    m_lo = math.nan
     while x <= cap and x < math.inf:  # an infinite x would walk forever
-        if ok(x):
-            hi = x
-            while hi - lo > rel * hi:
-                mid = 0.5 * (lo + hi)
-                if ok(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            return lo, hi
-        lo, x = x, x * ratio
-    return None
+        m_hi = margin(x)
+        if m_hi <= 0:
+            break
+        lo, m_lo, x = x, m_hi, x * ratio
+    else:
+        return None
+    hi, w, k, last_ok = x, x - lo, 0, None
+    while hi - lo > rel * hi:
+        k += 1
+        if -math.inf < m_hi - m_lo < 0:  # both margins known and finite
+            h, t = 0.5 * rel * hi, w * 0.5 ** (0.5 * k)
+            x = hi - m_hi / (m_hi - m_lo) * (hi - lo)
+            x = min(max(x, lo + h, hi - t), hi - h, lo + t)
+        else:
+            x = 0.5 * (lo + hi)
+        m = margin(x)
+        if m <= 0:
+            if last_ok:
+                m_lo *= 0.5
+            hi, m_hi = x, m
+        else:
+            if last_ok is False:
+                m_hi *= 0.5
+            lo, m_lo = x, m
+        last_ok = m <= 0
+    return lo, hi
 
 
 def _sup_box_sql2(cset, center, Z, r):
@@ -106,9 +134,10 @@ def _sup_dual(loss, cset, center, Z, r):
     With B the ball value, every multiplier lam >= 0 gives the upper bound
     q(lam) = f(U) + lam (r^2 - B(U)) at the Lagrangian's argmax U = U(lam)
     (weak duality), and U is feasible once B(U) <= r^2, so f(U) is a lower
-    bound.  B(U(lam)) is non-increasing in lam, so bisection brackets the
-    smallest feasible lam.  Returns q, the info dict with the gap q - f(U),
-    and the primal point U.
+    bound.  B(U(lam)) is non-increasing in lam, so `_walk_bisect` on the
+    margin B(U(lam)) - r^2 brackets the smallest feasible lam, and q is
+    taken at the bracket's feasible end.  Returns q, the info dict with the
+    gap q - f(U), and the primal point U.
 
     Up to terms free of u, the Lagrangian's row term is
     -lam D_phi(c - z / lam, u), so its argmax is the Bregman projection of
@@ -141,17 +170,17 @@ def _sup_dual(loss, cset, center, Z, r):
     U_lo, B_lo = at(lam_lo)
     if B_lo <= r2:
         return result(lam_lo, U_lo, B_lo)
-    hit = []  # (U, B) at the last feasible multiplier evaluated
+    hit = []  # (U, B) at the last feasible multiplier evaluated: the new hi
 
-    def feasible(lam):
+    def excess(lam):
         U, B = at(lam)
         if B <= r2:
             hit[:] = U, B
-        return B <= r2
+        return B - r2
 
     # double up from the squared_l2 multiplier ||Z|| / (sqrt(2n) r)
     lam = float(np.linalg.norm(Z)) / (math.sqrt(2.0 * n) * r)
-    bracket = _walk_bisect(feasible, lam_lo, lam, 2.0, lam * 2.0 ** 200, 1e-13)
+    bracket = _walk_bisect(excess, lam_lo, lam, 2.0, lam * 2.0 ** 200, 1e-13)
     if bracket is None:
         q = result(lam_lo, U_lo, B_lo)[0]
         return q, {"method": method, "gap": q}, center
@@ -241,8 +270,9 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
                        r_max: float) -> float:
     """Smallest r with r^2 >= W_n((2 + 1/log(1/delta)) r).
 
-    Geometric grid from log(1/delta)/sqrt(n) up to r_max, refined by
-    bisection between the last failing and first passing grid points.
+    Geometric grid from log(1/delta)/sqrt(n) up to r_max; the bracket
+    between the last failing and first passing grid points is closed by
+    `_walk_bisect` on the margin W_n((2 + 1/log(1/delta)) r) - r^2.
     """
     if not 0 < delta <= math.exp(-9.0):  # refuses NaN too
         raise RejectedInputError("requires 0 < delta <= e^-9")
@@ -251,15 +281,15 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
     r_min = log_inv / math.sqrt(n)
     trace = []
 
-    def passes(r):
-        ok = r * r >= wn_evaluator(factor * r)
-        trace.append((r, ok))
-        return ok
+    def excess(r):
+        m = wn_evaluator(factor * r) - r * r
+        trace.append((r, m <= 0))
+        return m
 
-    if passes(r_min):
+    if excess(r_min) <= 0:
         return r_min
     ratio = _FIXED_POINT_GRID_RATIO
-    bracket = _walk_bisect(passes, r_min, r_min * ratio, ratio, r_max * ratio,
+    bracket = _walk_bisect(excess, r_min, r_min * ratio, ratio, r_max * ratio,
                            _REFINE_REL)
     if bracket is None:
         raise SolveError("no radius below r_max satisfies the fixed-point "
@@ -289,16 +319,17 @@ def rhat_bound_convex(wn_evaluator, r_diamond: float, delta: float, n: int,
     floor = max(r_diamond * r_diamond, log_inv * log_inv / n)
     trace = []
 
-    def violated(r):
+    def slack(r):
         rhs = max(floor, (r / r_diamond) * wn_evaluator(factor * r))
-        holds = r * r <= rhs + r * r * stab + pilot
-        trace.append((r, holds))
-        return not holds
+        m = rhs + r * r * stab + pilot - r * r
+        trace.append((r, m >= 0))
+        # the walk's ok is "violated", m < 0; equality holds, so 0 maps above 0
+        return math.nextafter(m, math.inf)
 
     r_top = 4.0 * max(r_diamond, wn_evaluator(factor * r_diamond) / r_diamond,
                       math.sqrt(floor + pilot))
     r0 = max(r_diamond, log_inv / math.sqrt(n)) * 1e-3  # r0^2 < floor: holds
-    bracket = _walk_bisect(violated, r0, r0 * _CONVEX_GRID_RATIO,
+    bracket = _walk_bisect(slack, r0, r0 * _CONVEX_GRID_RATIO,
                            _CONVEX_GRID_RATIO, r_top, _REFINE_REL)
     if bracket is None:
         raise SolveError("self-bounding inequality still satisfied at grid "

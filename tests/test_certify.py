@@ -151,7 +151,7 @@ def test_fixed_certificate_delta_range(rng):
 def test_stability_constants_analytic_squared_l2():
     loss = builtin_loss("squared_l2", 2)
     cset = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    c = stability_constants(loss, cset, n=100)
+    c = stability_constants(loss, cset)
     assert c.L == pytest.approx(math.sqrt(2.0))
     assert c.M == pytest.approx(0.5 * 8.0)  # half the squared diameter
 
@@ -180,7 +180,7 @@ def test_stability_constants_box_match_brute_force_1d(kind, kwargs, lo, hi):
     # every pair of a 4001-point grid that holds both ends: the exact values
     # dominate the brute maxima and are attained, up to round-off
     loss = builtin_loss(kind, 1, **kwargs)
-    c = stability_constants(loss, Box(np.array([lo]), np.array([hi])), n=10)
+    c = stability_constants(loss, Box(np.array([lo]), np.array([hi])))
     L, M = _brute_sups(loss, np.linspace(lo, hi, 4001)[:, None])
     assert c.L == pytest.approx(L, rel=1e-12)
     assert c.M == pytest.approx(M, rel=1e-12)
@@ -195,7 +195,7 @@ def test_stability_constants_simplex_match_brute_force(kind, rng):
                                    else {}))
     grid, _ = simplex_grid(eta0, 3, 50)
     inner = eta0 + (1.0 - 3 * eta0) * rng.dirichlet(np.ones(3), size=500)
-    c = stability_constants(loss, ClippedSimplex(eta0, 3), n=10)
+    c = stability_constants(loss, ClippedSimplex(eta0, 3))
     L, M = _brute_sups(loss, np.vstack([grid, inner]))
     assert c.L == pytest.approx(L, rel=1e-12)
     assert c.M == pytest.approx(M, rel=1e-12)
@@ -206,7 +206,7 @@ def test_stability_constants_box_reproduce_squared_l2_closed_form(rng):
     for d in range(1, 6):
         lo, hi = -rng.uniform(0.0, 10.0, d), rng.uniform(0.01, 10.0, d)
         cset = Box(lo, hi)
-        c = stability_constants(builtin_loss("squared_l2", d), cset, n=10)
+        c = stability_constants(builtin_loss("squared_l2", d), cset)
         L = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
         assert c.L == pytest.approx(L, rel=1e-15)
         assert c.M == pytest.approx(0.5 * cset.diameter() ** 2, rel=1e-15)
@@ -219,7 +219,7 @@ def test_stability_constants_squared_l2_far_from_origin(rng):
         d = int(rng.integers(1, 6))
         lo = rng.uniform(-10.0, 10.0, d)
         cset = Box(lo, lo + rng.uniform(0.01, 10.0, d))
-        c = stability_constants(builtin_loss("squared_l2", d), cset, n=10)
+        c = stability_constants(builtin_loss("squared_l2", d), cset)
         assert c.M == pytest.approx(0.5 * cset.diameter() ** 2, rel=1e-15, abs=0.0)
 
 
@@ -228,13 +228,13 @@ def test_stability_constants_d5():
     # in every coordinate, KL at a pair of distinct vertices
     eps0 = 0.05
     loss = builtin_loss("sqrt_bernoulli", 5, eps0=eps0)
-    c = stability_constants(loss, loss.domain, n=100)
+    c = stability_constants(loss, loss.domain)
     slope = 0.5 / math.sqrt(eps0) - 0.5 / math.sqrt(1.0 - eps0)
     assert c.L == pytest.approx(math.sqrt(5.0) * slope, rel=1e-13)
     assert c.M == pytest.approx(5.0 * (1.0 - 2.0 * eps0) * slope, rel=1e-13)
     eta0 = 0.1
     loss = builtin_loss("clipped_simplex_kl", 5, eta0=eta0)
-    c = stability_constants(loss, loss.domain, n=100)
+    c = stability_constants(loss, loss.domain)
     top = 1.0 - 4.0 * eta0
     assert c.L == pytest.approx(math.hypot(1.0 + math.log(top),
                                            2.0 * (1.0 + math.log(eta0))),
@@ -249,13 +249,13 @@ def test_stability_constants_d5():
 ])
 def test_stability_constants_on_the_domain(kind, kwargs, d, L, M):
     loss = builtin_loss(kind, d, **kwargs)
-    c = stability_constants(loss, loss.domain, n=100)
+    c = stability_constants(loss, loss.domain)
     assert (round(c.L, 3), round(c.M, 3)) == (L, M)
 
 
 def test_stability_constants_simplex_grid():
     loss = builtin_loss("clipped_simplex_kl", 2, eta0=0.1)
-    c = stability_constants(loss, loss.domain, n=100)
+    c = stability_constants(loss, loss.domain)
     # sup ||1 + log p|| attained at the (0.9, 0.1) corner
     corner = np.array([0.9, 0.1])
     L_corner = float(np.linalg.norm(1.0 + np.log(corner)))
@@ -268,7 +268,7 @@ def test_stability_constants_simplex_grid():
 def test_stability_constants_unsupported_simplex_pair():
     loss = builtin_loss("sqrt_bernoulli", 3, eps0=0.05)
     with pytest.raises(RejectedInputError):
-        stability_constants(loss, ClippedSimplex(0.1, 3), n=100)
+        stability_constants(loss, ClippedSimplex(0.1, 3))
 
 
 @pytest.mark.filterwarnings("error")
@@ -280,7 +280,7 @@ def test_stability_constants_unsupported_simplex_pair():
 def test_stability_constants_reject_set_outside_domain(kind, kwargs, cset):
     # refused before any value is computed: no NaN, no RuntimeWarning
     with pytest.raises(RejectedInputError):
-        stability_constants(builtin_loss(kind, 2, **kwargs), cset, n=100)
+        stability_constants(builtin_loss(kind, 2, **kwargs), cset)
 
 
 def test_random_design_tail_formula():
@@ -299,7 +299,7 @@ def test_random_certificate_adds_tail(rng):
     fixed = fixed_design_certificate(loss, result, report, delta, pilot,
                                      misspec, w_inf, responses=data.responses)
     rand = random_design_certificate(fixed, loss, cset, data.n, delta)
-    consts = stability_constants(loss, cset, data.n)
+    consts = stability_constants(loss, cset)
     tail = random_design_tail(consts, loss.alpha, data.n, delta)
     assert rand.total == pytest.approx(fixed.total + tail, rel=1e-12)
     assert rand.failure_budget == pytest.approx(11 * delta)

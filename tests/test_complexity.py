@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wildbregman.complexity import (ball_sup, deviation_term,
+from wildbregman.complexity import (_walk_bisect, ball_sup, deviation_term,
                                     fixed_point_radius, pilot_sup,
                                     rhat_bound_convex, wn)
 from wildbregman.design import PredictionMatrix, sample_sign_matrix
 from wildbregman.errors import RejectedInputError, SolveError
 from wildbregman.geometry import Box, ClippedSimplex
-from wildbregman.potentials import builtin_loss
+from wildbregman.potentials import _bregman_projection, builtin_loss
 from wildbregman.trainers import SaturatedTrainer
 
 from conftest import simplex_grid
@@ -126,15 +128,32 @@ def test_wn_box_closed_form_matches_dual_box(rng):
     assert min(cases.values()) >= 10, cases
 
 
-def test_dual_box_gap_certified_sqrt_bernoulli(rng):
-    # the returned weak-duality value dominates its feasible primal value
+def test_dual_box_gap_certified_sqrt_bernoulli(rng, monkeypatch):
+    # the returned weak-duality value dominates its feasible primal value;
+    # a solve whose ball binds evaluates at most 16 multipliers (the vanishing
+    # one, the walk and the bracket's closing steps), where plain bisection
+    # of the bracket to 1e-13 took 46-47 here
+    from wildbregman import complexity
     from wildbregman.complexity import _ball_value, _objective, _sup_dual
+    projections = []
+
+    def counted(*args):
+        projections.append(None)
+        return _bregman_projection(*args)
+    monkeypatch.setattr(complexity, "_bregman_projection", counted)
     loss = builtin_loss("sqrt_bernoulli", 2, eps0=0.05)
-    for lo, hi in [(0.1, 0.9), (0.25, 0.75), (0.4, 0.6)]:
+    binding = 0
+    # the last setting is the bregman_radius benchmark's: n = 5000 on
+    # [0.25, 0.75]^2
+    for n, lo, hi, radii in [(200, 0.1, 0.9, (0.01, 0.05, 0.2)),
+                             (200, 0.25, 0.75, (0.01, 0.05, 0.2)),
+                             (200, 0.4, 0.6, (0.01, 0.05, 0.2)),
+                             (5000, 0.25, 0.75, (0.05, 0.1, 0.2))]:
         cset = Box(np.full(2, lo), np.full(2, hi))
-        C = rng.uniform(lo, hi, size=(200, 2))
-        Z = rng.normal(scale=0.3, size=(200, 2))
-        for r in (0.01, 0.05, 0.2):
+        C = rng.uniform(lo, hi, size=(n, 2))
+        Z = rng.normal(scale=0.3, size=(n, 2))
+        for r in radii:
+            projections.clear()
             q, info, U = _sup_dual(loss, cset, C, Z, r)
             assert info["method"] == "dual_box"
             assert np.all(cset.contains_rows(U, tol=0.0))
@@ -142,6 +161,9 @@ def test_dual_box_gap_certified_sqrt_bernoulli(rng):
             assert q - info["gap"] == pytest.approx(_objective(loss, C, U, Z),
                                                     rel=1e-12)
             assert 0.0 <= info["gap"] <= 1e-9 * q
+            assert len(projections) <= 16
+            binding += len(projections) > 1
+    assert binding >= 11
 
 
 def _check_dual_against_grid(loss, cset, c, z, r, G, h):
@@ -424,15 +446,15 @@ def _counted(W):
 
 def test_radius_solver_values_and_wn_calls_pinned():
     # analytic processes W(s) = k s: each solver's value and its number of
-    # W_n calls are pinned, so a change to the shared grid-and-bisect search
+    # W_n calls are pinned, so a change to the shared walk-and-close search
     # shows up as a count
     loss = builtin_loss("squared_l2", 1)
     # fixed point: r^2 >= k (2 + 1/10) r has root r* = 1.05 (k = 0.5)
     ev, calls = _counted(lambda s: 0.5 * s)
     r = fixed_point_radius(ev, math.exp(-10.0), 400, r_max=10.0)
     assert 1.05 <= r <= 1.05 * (1.0 + 1e-4)
-    assert r == pytest.approx(1.0500045507080085, rel=1e-12)
-    assert len(calls) == 19
+    assert r == pytest.approx(1.0500524893542644, rel=1e-12)
+    assert len(calls) == 14
     ev, calls = _counted(lambda s: 100.0 + s)
     with pytest.raises(SolveError):
         fixed_point_radius(ev, math.exp(-9.0), 100, r_max=5.0)
@@ -443,14 +465,114 @@ def test_radius_solver_values_and_wn_calls_pinned():
     r = rhat_bound_convex(ev, 0.1, math.exp(-9.0), 10000, 0.0, 1, 0.03, loss)
     r_star = math.sqrt(0.03 / 0.3)
     assert r_star * (1.0 - 1e-4) <= r <= r_star
-    assert r == pytest.approx(0.31622242683760793, rel=1e-12)
-    assert len(calls) == 176
+    assert r == pytest.approx(0.3162197217517468, rel=1e-12)
+    assert len(calls) == 170
     # a = 7/6 >= 1: the inequality holds at every r and the bound diverges
     ev, calls = _counted(lambda s: 0.05 * s)
     with pytest.raises(SolveError) as err:
         rhat_bound_convex(ev, 0.1, math.exp(-9.0), 10000, 0.0, 1, 0.03, loss)
     assert len(calls) == 185
     assert len(err.value.trace) == 184 and all(ok for _, ok in err.value.trace)
+
+
+def _check_walk(margin, lo, x, ratio, cap, rel):
+    """Run `_walk_bisect` on a counting margin and check its contract: the
+    bracket fails at lo, holds at hi, lies inside the walk's last step and
+    is at most rel hi wide, and closing it takes at most twice the steps
+    plain bisection takes on that step.  Returns the bracket."""
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return margin(v)
+    out = _walk_bisect(counted, lo, x, ratio, cap, rel)
+    walk = 0
+    while x <= cap:
+        walk += 1
+        if margin(x) <= 0:
+            break
+        lo, x = x, x * ratio
+    else:
+        assert out is None and len(calls) == walk
+        return None
+    steps, a, b = 0, lo, x
+    while b - a > rel * b:
+        mid = 0.5 * (a + b)
+        a, b = (a, mid) if margin(mid) <= 0 else (mid, b)
+        steps += 1
+    assert out is not None
+    got_lo, got_hi = out
+    assert margin(got_lo) > 0
+    assert margin(got_hi) <= 0
+    assert lo <= got_lo < got_hi <= x
+    assert got_hi - got_lo <= rel * got_hi
+    assert len(calls) <= walk + 2 * steps
+    return out
+
+
+_WALK = dict(ratio=st.floats(1.05, 4.0), rel=st.floats(1e-13, 1e-2),
+             first=st.floats(1.01, 50.0))
+
+
+@given(c=st.floats(1e-3, 1e3), k=st.floats(1e-3, 1e3),
+       start=st.floats(1e-6, 0.99), **_WALK)
+@settings(max_examples=300, deadline=None)
+def test_walk_bisect_smooth_margin(c, k, start, ratio, rel, first):
+    # c / x^2 - k, the shape of the dual's ball value minus r^2 in lam
+    root = math.sqrt(c / k)
+    lo = start * root
+    _check_walk(lambda x: c / (x * x) - k, lo, lo * first, ratio,
+                lo * first * ratio ** 200, rel)
+
+
+@given(slope=st.floats(1e-3, 1e3), root=st.floats(1e-3, 1e3),
+       start=st.floats(1e-6, 0.99), **_WALK)
+@settings(max_examples=300, deadline=None)
+def test_walk_bisect_linear_margin(slope, root, start, ratio, rel, first):
+    lo = start * root
+    _check_walk(lambda x: slope * (root - x), lo, lo * first, ratio,
+                lo * first * ratio ** 200, rel)
+
+
+@given(up=st.floats(1e-3, 1e3), down=st.floats(1e-3, 1e3),
+       root=st.floats(1e-3, 1e3), start=st.floats(1e-6, 0.99), **_WALK)
+@settings(max_examples=300, deadline=None)
+def test_walk_bisect_step_margin(up, down, root, start, ratio, rel, first):
+    # the chord learns nothing about where a step function changes sign
+    lo = start * root
+    _check_walk(lambda x: up if x < root else -down, lo, lo * first, ratio,
+                lo * first * ratio ** 200, rel)
+
+
+@given(root=st.floats(1e-3, 1e3), spread=st.floats(0.01, 10.0),
+       at=st.floats(0.0, 1.0), start=st.floats(1e-6, 0.99),
+       ratio=st.floats(1.05, 4.0), rel=st.floats(1e-13, 1e-2))
+@settings(max_examples=300, deadline=None)
+def test_walk_bisect_margin_zero_on_an_interval(root, spread, at, start,
+                                                ratio, rel):
+    # the margin is exactly 0 on [root, top], and so at the walk's first
+    # point; the walk never evaluated lo, whose margin stays unknown
+    top = root * (1.0 + spread)
+    x = root + at * (top - root)
+
+    def margin(v):
+        return max(root - v, 0.0) - max(v - top, 0.0)
+    assert margin(x) == 0.0
+    lo, hi = _check_walk(margin, start * root, x, ratio, x * 4.0, rel)
+    assert lo < root <= hi
+
+
+@given(c=st.floats(1e-3, 1e3), ratio=st.floats(1.05, 4.0),
+       steps=st.integers(0, 60))
+@settings(max_examples=100, deadline=None)
+def test_walk_bisect_returns_none_past_cap(c, ratio, steps):
+    # the margin stays positive up to cap: every walk point is evaluated
+    # once and nothing is bracketed
+    x = 1e-3
+    root = x * ratio ** (steps + 1) * 1.5
+    cap = x * ratio ** steps
+    assert _check_walk(lambda v: c * (root - v), 1e-4, x, ratio, cap,
+                       1e-6) is None
 
 
 def test_rhat_bound_rejects_negative_noise_and_pilot():
