@@ -42,12 +42,12 @@ def _ball_value(loss: BregmanLoss, center: np.ndarray, U: np.ndarray) -> float:
     return float(np.mean(loss._div_raw(center, U)))
 
 
-def _walk_bisect(margin, lo, x, ratio, cap, rel):
-    """Walk x, x ratio, x ratio^2, ... up to cap until the monotone margin
-    is ok (margin <= 0), then close the bracket from the last failing point
-    (lo at the start, where ok fails) to relative width rel.  Returns
-    (lo, hi) with ok false at lo and true at hi and hi - lo <= rel hi, or
-    None if ok fails on the whole walk.
+def _walk_bisect(margin, lo, x, cap, rel):
+    """Walk x, 2x, 4x, ... and at last cap itself (never a point past cap or
+    an infinite one) until the monotone margin is ok (margin <= 0), then
+    close the bracket from the last failing point (lo at the start, where ok
+    fails) to relative width rel.  Returns (lo, hi) with ok false at lo and
+    true at hi and hi - lo <= rel hi, or None if ok fails on the whole walk.
 
     The bracket closes by Illinois false position (Dowell & Jarratt, 1971):
     step k evaluates the root of the chord through the two ends' margins,
@@ -59,12 +59,12 @@ def _walk_bisect(margin, lo, x, ratio, cap, rel):
     of Oliveira & Takahashi, 2020).  While lo's margin is unknown (the
     walk's first point is ok) or a margin is not finite, the step bisects.
     """
-    m_lo = math.nan
-    while x <= cap and x < math.inf:  # an infinite x would walk forever
+    m_lo, x = math.nan, min(x, cap)
+    while lo < x < math.inf:
         m_hi = margin(x)
         if m_hi <= 0:
             break
-        lo, m_lo, x = x, m_hi, x * ratio
+        lo, m_lo, x = x, m_hi, min(2.0 * x, cap)
     else:
         return None
     hi, w, k, last_ok = x, x - lo, 0, None
@@ -180,7 +180,7 @@ def _sup_dual(loss, cset, center, Z, r):
 
     # double up from the squared_l2 multiplier ||Z|| / (sqrt(2n) r)
     lam = float(np.linalg.norm(Z)) / (math.sqrt(2.0 * n) * r)
-    bracket = _walk_bisect(excess, lam_lo, lam, 2.0, lam * 2.0 ** 200, 1e-13)
+    bracket = _walk_bisect(excess, lam_lo, lam, lam * 2.0 ** 200, 1e-13)
     if bracket is None:
         q = result(lam_lo, U_lo, B_lo)[0]
         return q, {"method": method, "gap": q}, center
@@ -259,20 +259,22 @@ def deviation_term(loss: BregmanLoss, misspec: float, r: float, w_inf: float,
     return num / (min(a ** 1.5, a) * math.sqrt(n))
 
 
-# geometric grid steps of the two radius scans, and the relative width to
-# which each refines the bracket it finds
-_FIXED_POINT_GRID_RATIO = 1.1
-_CONVEX_GRID_RATIO = 1.05
+# the relative width to which each radius solver closes its bracket
 _REFINE_REL = 1e-4
+
+
+def _stability_term(loss, r, w_inf, d, log_inv):
+    """Theorem 6.1's stability term at radius r, log_inv = log(1/delta)."""
+    return (r ** 2 * 6.0 * w_inf * loss.beta ** 1.5 * math.sqrt(d)
+            / (loss.alpha * math.sqrt(log_inv)))
 
 
 def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
                        r_max: float) -> float:
     """Smallest r with r^2 >= W_n((2 + 1/log(1/delta)) r).
 
-    Geometric grid from log(1/delta)/sqrt(n) up to r_max; the bracket
-    between the last failing and first passing grid points is closed by
-    `_walk_bisect` on the margin W_n((2 + 1/log(1/delta)) r) - r^2.
+    Tries the floor log(1/delta)/sqrt(n); past it, `_walk_bisect` on the
+    margin W_n((2 + 1/log(1/delta)) r) - r^2 doubles up to r_max, inclusive.
     """
     if not 0 < delta <= math.exp(-9.0):  # refuses NaN too
         raise RejectedInputError("requires 0 < delta <= e^-9")
@@ -288,9 +290,7 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
 
     if excess(r_min) <= 0:
         return r_min
-    ratio = _FIXED_POINT_GRID_RATIO
-    bracket = _walk_bisect(excess, r_min, r_min * ratio, ratio, r_max * ratio,
-                           _REFINE_REL)
+    bracket = _walk_bisect(excess, r_min, 2.0 * r_min, r_max, _REFINE_REL)
     if bracket is None:
         raise SolveError("no radius below r_max satisfies the fixed-point "
                          "condition", trace=trace)
@@ -302,10 +302,11 @@ def rhat_bound_convex(wn_evaluator, r_diamond: float, delta: float, n: int,
                       loss: BregmanLoss) -> float:
     """Upper bound on the noiseless estimation radius for convex classes.
 
-    Scans for the largest r satisfying the self-bounding inequality
+    The failing end of a bracket on the largest r satisfying
       r^2 <= max{r_dia^2, log(1/d)^2/n, (r/r_dia) W_n(c0 (2+1/sqrt(log 1/d)) r)}
              + r^2 stab + pilot,
-    which dominates every feasible value of the true radius.
+    which dominates every feasible value of the true radius.  The walk
+    doubles up to r_top from r0 = sqrt(floor + pilot), where it holds.
     """
     if not 0 < delta <= math.exp(-9.0):  # refuses NaN too
         raise RejectedInputError("requires 0 < delta <= e^-9")
@@ -315,23 +316,21 @@ def rhat_bound_convex(wn_evaluator, r_diamond: float, delta: float, n: int,
         raise RejectedInputError("w_inf and pilot must be finite and >= 0")
     log_inv = math.log(1.0 / delta)
     factor = loss.c0 * (2.0 + 1.0 / math.sqrt(log_inv))
-    stab = 6.0 * w_inf * loss.beta ** 1.5 * math.sqrt(d) / (loss.alpha * math.sqrt(log_inv))
     floor = max(r_diamond * r_diamond, log_inv * log_inv / n)
     trace = []
 
     def slack(r):
         rhs = max(floor, (r / r_diamond) * wn_evaluator(factor * r))
-        m = rhs + r * r * stab + pilot - r * r
+        m = rhs + _stability_term(loss, r, w_inf, d, log_inv) + pilot - r * r
         trace.append((r, m >= 0))
         # the walk's ok is "violated", m < 0; equality holds, so 0 maps above 0
         return math.nextafter(m, math.inf)
 
+    r0 = math.sqrt(floor + pilot)
     r_top = 4.0 * max(r_diamond, wn_evaluator(factor * r_diamond) / r_diamond,
-                      math.sqrt(floor + pilot))
-    r0 = max(r_diamond, log_inv / math.sqrt(n)) * 1e-3  # r0^2 < floor: holds
-    bracket = _walk_bisect(slack, r0, r0 * _CONVEX_GRID_RATIO,
-                           _CONVEX_GRID_RATIO, r_top, _REFINE_REL)
+                      r0)
+    bracket = _walk_bisect(slack, r0, 2.0 * r0, r_top, _REFINE_REL)
     if bracket is None:
-        raise SolveError("self-bounding inequality still satisfied at grid "
-                         "top; bound diverges", trace=trace)
-    return bracket[0]
+        raise SolveError("self-bounding inequality still satisfied at r_top; "
+                         "bound diverges", trace=trace)
+    return bracket[1]

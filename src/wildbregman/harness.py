@@ -17,7 +17,7 @@ import numpy as np
 
 from .certify import (_FIXED_BUDGET, _RANDOM_BUDGET, fixed_design_certificate,
                       random_design_certificate)
-from .complexity import RadiusReport, pilot_sup, wn
+from .complexity import RadiusReport, _stability_term, pilot_sup, wn
 from .design import (FixedDesignDataset, PredictionMatrix,
                      empirical_discrepancy, sample_sign_matrix)
 from .errors import RejectedInputError
@@ -265,8 +265,7 @@ def _check_thm_6_1(ctx: _RepContext):
     radius = (2.0 + 1.0 / log_inv) * r_hat
     wn_term = wn(loss, cset, fhat, Z, radius)
     pilot = pilot_sup(loss, cset, fhat, ctx.oracle.fstar_preds, eps, radius)
-    stab = (r_hat ** 2 * 6.0 * ctx.oracle.w_inf * loss.beta ** 1.5
-            * math.sqrt(data.d) / (loss.alpha * math.sqrt(log_inv)))
+    stab = _stability_term(loss, r_hat, ctx.oracle.w_inf, data.d, log_inv)
     return r_hat ** 2, max(log_inv ** 2 / data.n, wn_term) + stab + pilot
 
 

@@ -453,48 +453,59 @@ def test_radius_solver_values_and_wn_calls_pinned():
     ev, calls = _counted(lambda s: 0.5 * s)
     r = fixed_point_radius(ev, math.exp(-10.0), 400, r_max=10.0)
     assert 1.05 <= r <= 1.05 * (1.0 + 1e-4)
-    assert r == pytest.approx(1.0500524893542644, rel=1e-12)
-    assert len(calls) == 14
+    assert r == pytest.approx(1.0500505553044983, rel=1e-12)
+    assert len(calls) == 9
     ev, calls = _counted(lambda s: 100.0 + s)
     with pytest.raises(SolveError):
         fixed_point_radius(ev, math.exp(-9.0), 100, r_max=5.0)
-    assert len(calls) == 19
+    assert len(calls) == 4
     # convex class, w_inf = 0, pilot p: with a = k (2 + 1/3) / r_dia = 0.7
     # the inequality r^2 <= a r^2 + p binds at r* = sqrt(p / (1 - a))
     ev, calls = _counted(lambda s: 0.03 * s)
     r = rhat_bound_convex(ev, 0.1, math.exp(-9.0), 10000, 0.0, 1, 0.03, loss)
     r_star = math.sqrt(0.03 / 0.3)
-    assert r_star * (1.0 - 1e-4) <= r <= r_star
-    assert r == pytest.approx(0.3162197217517468, rel=1e-12)
-    assert len(calls) == 170
+    assert r_star <= r <= r_star * (1.0 + 1e-4)
+    assert r == pytest.approx(0.3162434329103718, rel=1e-12)
+    assert len(calls) == 8
     # a = 7/6 >= 1: the inequality holds at every r and the bound diverges
     ev, calls = _counted(lambda s: 0.05 * s)
     with pytest.raises(SolveError) as err:
         rhat_bound_convex(ev, 0.1, math.exp(-9.0), 10000, 0.0, 1, 0.03, loss)
-    assert len(calls) == 185
-    assert len(err.value.trace) == 184 and all(ok for _, ok in err.value.trace)
+    assert len(calls) == 3
+    assert len(err.value.trace) == 2 and all(ok for _, ok in err.value.trace)
 
 
-def _check_walk(margin, lo, x, ratio, cap, rel):
+def test_fixed_point_radius_never_exceeds_r_max():
+    # W(s) = s / 2 crosses at r* = 1.05, just above r_max: the walk
+    # evaluates r_max itself and refuses rather than return a larger r
+    ev, calls = _counted(lambda s: 0.5 * s)
+    with pytest.raises(SolveError):
+        fixed_point_radius(ev, math.exp(-10.0), 400, r_max=1.0)
+    assert calls[-1] == pytest.approx(2.1)  # W_n at (2 + 1/10) r_max
+
+
+def _check_walk(margin, lo, x, cap, rel):
     """Run `_walk_bisect` on a counting margin and check its contract: the
-    bracket fails at lo, holds at hi, lies inside the walk's last step and
-    is at most rel hi wide, and closing it takes at most twice the steps
-    plain bisection takes on that step.  Returns the bracket."""
+    walk visits x, 2x, 4x, ... and cap last, the bracket fails at lo, holds
+    at hi, lies inside the walk's last step and is at most rel hi wide, and
+    closing it takes at most twice the steps plain bisection takes on that
+    step.  Returns the bracket."""
     calls = []
 
     def counted(v):
         calls.append(v)
         return margin(v)
-    out = _walk_bisect(counted, lo, x, ratio, cap, rel)
-    walk = 0
-    while x <= cap:
-        walk += 1
+    out = _walk_bisect(counted, lo, x, cap, rel)
+    walk, x = [], min(x, cap)
+    while lo < x:
+        walk.append(x)
         if margin(x) <= 0:
             break
-        lo, x = x, x * ratio
+        lo, x = x, min(2.0 * x, cap)
     else:
-        assert out is None and len(calls) == walk
+        assert out is None and calls == walk and walk[-1] == cap
         return None
+    assert calls[:len(walk)] == walk
     steps, a, b = 0, lo, x
     while b - a > rel * b:
         mid = 0.5 * (a + b)
@@ -506,73 +517,72 @@ def _check_walk(margin, lo, x, ratio, cap, rel):
     assert margin(got_hi) <= 0
     assert lo <= got_lo < got_hi <= x
     assert got_hi - got_lo <= rel * got_hi
-    assert len(calls) <= walk + 2 * steps
+    assert len(calls) <= len(walk) + 2 * steps
     return out
 
 
-_WALK = dict(ratio=st.floats(1.05, 4.0), rel=st.floats(1e-13, 1e-2),
-             first=st.floats(1.01, 50.0))
+_WALK = dict(rel=st.floats(1e-13, 1e-2), first=st.floats(1.01, 50.0))
 
 
 @given(c=st.floats(1e-3, 1e3), k=st.floats(1e-3, 1e3),
        start=st.floats(1e-6, 0.99), **_WALK)
 @settings(max_examples=300, deadline=None)
-def test_walk_bisect_smooth_margin(c, k, start, ratio, rel, first):
+def test_walk_bisect_smooth_margin(c, k, start, rel, first):
     # c / x^2 - k, the shape of the dual's ball value minus r^2 in lam
     root = math.sqrt(c / k)
     lo = start * root
-    _check_walk(lambda x: c / (x * x) - k, lo, lo * first, ratio,
-                lo * first * ratio ** 200, rel)
+    _check_walk(lambda x: c / (x * x) - k, lo, lo * first,
+                lo * first * 2.0 ** 200, rel)
 
 
 @given(slope=st.floats(1e-3, 1e3), root=st.floats(1e-3, 1e3),
        start=st.floats(1e-6, 0.99), **_WALK)
 @settings(max_examples=300, deadline=None)
-def test_walk_bisect_linear_margin(slope, root, start, ratio, rel, first):
+def test_walk_bisect_linear_margin(slope, root, start, rel, first):
     lo = start * root
-    _check_walk(lambda x: slope * (root - x), lo, lo * first, ratio,
-                lo * first * ratio ** 200, rel)
+    _check_walk(lambda x: slope * (root - x), lo, lo * first,
+                lo * first * 2.0 ** 200, rel)
 
 
 @given(up=st.floats(1e-3, 1e3), down=st.floats(1e-3, 1e3),
        root=st.floats(1e-3, 1e3), start=st.floats(1e-6, 0.99), **_WALK)
 @settings(max_examples=300, deadline=None)
-def test_walk_bisect_step_margin(up, down, root, start, ratio, rel, first):
+def test_walk_bisect_step_margin(up, down, root, start, rel, first):
     # the chord learns nothing about where a step function changes sign
     lo = start * root
-    _check_walk(lambda x: up if x < root else -down, lo, lo * first, ratio,
-                lo * first * ratio ** 200, rel)
+    _check_walk(lambda x: up if x < root else -down, lo, lo * first,
+                lo * first * 2.0 ** 200, rel)
 
 
 @given(root=st.floats(1e-3, 1e3), spread=st.floats(0.01, 10.0),
        at=st.floats(0.0, 1.0), start=st.floats(1e-6, 0.99),
-       ratio=st.floats(1.05, 4.0), rel=st.floats(1e-13, 1e-2))
+       rel=st.floats(1e-13, 1e-2))
 @settings(max_examples=300, deadline=None)
-def test_walk_bisect_margin_zero_on_an_interval(root, spread, at, start,
-                                                ratio, rel):
+def test_walk_bisect_margin_zero_on_an_interval(root, spread, at, start, rel):
     # the margin is exactly 0 on [root, top], and so at the walk's first
-    # point; the walk never evaluated lo, whose margin stays unknown
+    # point; the walk never evaluated lo, whose margin stays unknown.  The
+    # min keeps x on the interval where root + (top - root) rounds past top
     top = root * (1.0 + spread)
-    x = root + at * (top - root)
+    x = min(root + at * (top - root), top)
 
     def margin(v):
         return max(root - v, 0.0) - max(v - top, 0.0)
     assert margin(x) == 0.0
-    lo, hi = _check_walk(margin, start * root, x, ratio, x * 4.0, rel)
+    lo, hi = _check_walk(margin, start * root, x, x * 4.0, rel)
     assert lo < root <= hi
 
 
-@given(c=st.floats(1e-3, 1e3), ratio=st.floats(1.05, 4.0),
-       steps=st.integers(0, 60))
+@given(c=st.floats(1e-3, 1e3), steps=st.integers(0, 60),
+       off=st.floats(1.01, 1.99))
 @settings(max_examples=100, deadline=None)
-def test_walk_bisect_returns_none_past_cap(c, ratio, steps):
-    # the margin stays positive up to cap: every walk point is evaluated
-    # once and nothing is bracketed
+def test_walk_bisect_returns_none_past_cap(c, steps, off):
+    # the margin stays positive up to cap, which lies off the doubling grid
+    # (off > 1): every walk point and then cap is evaluated once, and
+    # nothing is bracketed
     x = 1e-3
-    root = x * ratio ** (steps + 1) * 1.5
-    cap = x * ratio ** steps
-    assert _check_walk(lambda v: c * (root - v), 1e-4, x, ratio, cap,
-                       1e-6) is None
+    cap = x * 2.0 ** steps * off
+    root = cap * 1.5
+    assert _check_walk(lambda v: c * (root - v), 1e-4, x, cap, 1e-6) is None
 
 
 def test_rhat_bound_rejects_negative_noise_and_pilot():
