@@ -54,7 +54,7 @@ def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
         raise RejectedInputError("fixed design requires 0 < delta < 1/8")
     if not all(math.isfinite(v) and v >= 0 for v in (pilot, calibration_tol)):
         raise RejectedInputError("pilot and calibration_tol must be finite and >= 0")
-    achieved = refit.radius(loss)
+    achieved = refit.radius
     target = 3.0 * loss.c0 * radius.r_certified
     if not abs(achieved - target) <= calibration_tol * target:  # NaN too
         raise RejectedInputError(

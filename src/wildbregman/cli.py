@@ -13,7 +13,7 @@ from .certify import fixed_design_certificate, random_design_certificate
 from .complexity import (RadiusReport, fixed_point_radius, rhat_bound_convex,
                          wn)
 from .design import (PredictionMatrix, _read_json, _write_json, _write_table,
-                     load_dataset, save_dataset)
+                     empirical_discrepancy, load_dataset, save_dataset)
 from .errors import RejectedInputError, SolveError
 from .harness import (_FSTAR_FAMILIES, _NOISE_FAMILIES, THEOREMS,
                       CoverageExperiment, SyntheticSpec, generate_synthetic,
@@ -69,7 +69,7 @@ def _refit_payload(loss, result: WildRefitResult, args) -> dict:
         "rho": result.rho,
         "clip_count": result.clip_count,
         "sign_seed": args.seed,
-        "achieved_radius": result.radius(loss),
+        "achieved_radius": result.radius,
         "wild_optimism": wild_optimism(loss, result),
         "fhat": result.fhat.values.tolist(),
         "fdiamond": result.fdiamond.values.tolist(),
@@ -103,9 +103,10 @@ def _cmd_refit(args) -> int:
 
 
 def _as_refit(payload):
-    """(data path, loss, set, result) of a refit file; rebuilds wild responses.
-    The one place signs arrive from outside the program, so they are
-    checked to be +/-1 here."""
+    """(data path, loss, set, result) of a refit file; rebuilds the wild
+    responses and L_n(fhat, fdiamond) from the file's arrays, so that
+    `certify` checks the calibration against them.  The one place signs
+    arrive from outside the program, so they are checked to be +/-1 here."""
     cfg = payload["config"]
     fhat, fdiamond, residues, signs = np.asarray(  # one shape, or ValueError
         [payload[key] for key in ("fhat", "fdiamond", "residues", "signs")],
@@ -118,9 +119,12 @@ def _as_refit(payload):
                                 {"kind": cfg["trainer"]})
     rho = float(payload["rho"])
     wild, clip_count = _wild_responses(loss, fhat, residues, signs, rho)
+    fdiamond = PredictionMatrix(fdiamond)
     return cfg["data"], loss, cset, WildRefitResult(
-        fhat=fhat, fdiamond=PredictionMatrix(fdiamond), wild_responses=wild,
-        residues=residues, signs=signs, rho=rho, clip_count=clip_count)
+        fhat=fhat, fdiamond=fdiamond, wild_responses=wild, residues=residues,
+        signs=signs, rho=rho,
+        discrepancy=empirical_discrepancy(loss, fhat, fdiamond),
+        clip_count=clip_count)
 
 
 def _cmd_radius(args) -> int:
@@ -139,7 +143,7 @@ def _cmd_radius(args) -> int:
         method = "fixed_point"
     else:
         w_inf = float(np.max(np.abs(result.residues)))
-        r = rhat_bound_convex(evaluator, max(result.radius(loss), 1e-8),
+        r = rhat_bound_convex(evaluator, max(result.radius, 1e-8),
                               args.delta, n, w_inf, result.fhat.d,
                               args.pilot or 0.0, loss)
         method = "convex_class_bound"

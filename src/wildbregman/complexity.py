@@ -103,15 +103,13 @@ def _sup_box_sql2(cset, center, Z, r):
     (sorted thresholds as in `_project_simplex`).  k = 0 is the
     Cauchy-Schwarz value r sqrt(2/n) ||Z||; k = all, the box corner.
     """
-    if not np.all(cset.contains_rows(center)):
-        raise RejectedInputError("center rows must lie in the box")
     n = center.shape[0]
     cap = 2.0 * n * r * r
     nz = Z != 0
     a = np.abs(Z[nz])
     e = np.where(Z > 0, center - cset.lo, cset.hi - center)[nz]
-    with np.errstate(divide="ignore"):
-        t = a / e  # a center already on that face gives inf: clipped at 0
+    # a center already on that face gives inf: clipped at 0
+    t = np.divide(a, e, out=np.full_like(a, np.inf), where=e != 0)
     z2 = a * a
     total = float(np.sum(z2))
     # no entry saturates before the unclipped multiplier: k = 0, no sort
@@ -205,8 +203,8 @@ def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
     """sup over {U : rows in cset, L_n(center, U) <= r^2} of the averaged
     gradient-perturbation inner product (1/n) sum <gradphi(c_i)-gradphi(u_i), z_i>.
 
-    squared_l2 on a box is solved in closed form, and a center row outside
-    the box raises RejectedInputError; every other supported (potential, set)
+    A center row outside the set raises RejectedInputError.  squared_l2 on
+    a box is solved in closed form; every other supported (potential, set)
     pair by its Lagrangian dual, whose value is an upper bound and whose
     `gap` in `full_output` bounds the distance to the supremum.  A pair with
     no exact inner argmax, and a set with a vertex outside the loss domain,
@@ -216,6 +214,8 @@ def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
         raise RejectedInputError("radius must be >= 0")
     _vertices(loss, cset)
     C = center.values
+    if not cset.contains(C):
+        raise RejectedInputError("center rows must lie in the set")
     Z = np.asarray(Z, dtype=float)
     if Z.shape != C.shape:
         raise RejectedInputError(f"shape mismatch: {Z.shape} vs {C.shape}")
@@ -275,12 +275,16 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
 
     Tries the floor log(1/delta)/sqrt(n); past it, `_walk_bisect` on the
     margin W_n((2 + 1/log(1/delta)) r) - r^2 doubles up to r_max, inclusive.
+    A floor above r_max raises SolveError before W_n is evaluated.
     """
     if not 0 < delta <= math.exp(-9.0):  # refuses NaN too
         raise RejectedInputError("requires 0 < delta <= e^-9")
     log_inv = math.log(1.0 / delta)
     factor = 2.0 + 1.0 / log_inv
     r_min = log_inv / math.sqrt(n)
+    if r_min > r_max:
+        raise SolveError(f"the radius floor log(1/delta)/sqrt(n) = {r_min:.6g} "
+                         f"lies above r_max = {r_max:.6g}")
     trace = []
 
     def excess(r):

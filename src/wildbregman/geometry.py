@@ -16,6 +16,12 @@ from .errors import RejectedInputError
 _CONTAIN_TOL = 1e-9
 
 
+def _require_width(Z: np.ndarray, dim: int, name: str):
+    """Refuse an array whose rows are not dim wide."""
+    if Z.shape[-1:] != (dim,):
+        raise RejectedInputError(f"rows of shape {Z.shape} for a {dim}-d {name}")
+
+
 @dataclass(frozen=True, eq=False)
 class Box:
     """Coordinate-wise box {z : lo <= z <= hi}, compared and hashed by
@@ -45,19 +51,22 @@ class Box:
 
     def _rows_bounds(self, Z: np.ndarray) -> tuple:
         # scalar bounds would not catch rows of the wrong width by broadcasting
-        if Z.shape[-1:] != (self.dim,):
-            raise RejectedInputError(f"rows of shape {Z.shape} for a {self.dim}-d box")
+        _require_width(Z, self.dim, "box")
         return self._bounds
 
-    def contains_rows(self, Z, tol: float = _CONTAIN_TOL) -> np.ndarray:
+    def contains(self, Z, tol: float = _CONTAIN_TOL) -> bool:
+        """Whether every row of Z lies in the box up to tol; False on any NaN
+        or infinite entry, True for no rows."""
         Z = np.asarray(Z, dtype=float)
         lo, hi = self._rows_bounds(Z)
-        ok = (Z >= lo - tol) & (Z <= hi + tol)
-        # and the columns one by one: np.all along a short last axis is slow
-        rows = ok[..., 0].copy()
-        for j in range(1, ok.shape[-1]):
-            rows &= ok[..., j]
-        return rows
+        if Z.size == 0:
+            return True
+        if np.ndim(lo):  # per-coordinate bounds: the extremes of each column
+            Z = Z.reshape(-1, self.dim)
+            return bool(np.all(Z.min(axis=0) >= lo - tol)
+                        and np.all(Z.max(axis=0) <= hi + tol))
+        # a NaN propagates through min and max and fails both tests
+        return bool(Z.min() >= lo - tol and Z.max() <= hi + tol)
 
     def project(self, z) -> np.ndarray:
         if not np.all(np.isfinite(z)):
@@ -136,16 +145,21 @@ class ClippedSimplex:
             raise RejectedInputError("clipped simplex requires 0 < eta0 < 1/dim")
         object.__setattr__(self, "_mass", 1.0 - self.dim * self.eta0)
 
-    def contains_rows(self, Z, tol: float = _CONTAIN_TOL) -> np.ndarray:
+    def contains(self, Z, tol: float = _CONTAIN_TOL) -> bool:
+        """Whether every row of Z has entries >= eta0 and sum 1, up to tol
+        and tol * dim; False on any NaN or infinite entry, True for no rows."""
         Z = np.asarray(Z, dtype=float)
-        ok_lo = np.all(Z >= self.eta0 - tol, axis=-1)
-        ok_sum = np.abs(np.sum(Z, axis=-1) - 1.0) <= tol * self.dim
-        return ok_lo & ok_sum
+        _require_width(Z, self.dim, "clipped simplex")
+        if Z.size == 0:
+            return True
+        return bool(Z.min() >= self.eta0 - tol and np.max(
+            np.abs(np.sum(Z, axis=-1) - 1.0)) <= tol * self.dim)
 
     def project(self, z) -> np.ndarray:
         if not np.all(np.isfinite(z)):
             raise RejectedInputError("cannot project non-finite input")
         z = np.asarray(z, dtype=float)
+        _require_width(z, self.dim, "clipped simplex")
         single = z.ndim == 1
         q = _project_simplex(np.atleast_2d(z) - self.eta0, self._mass) + self.eta0
         return q[0] if single else q

@@ -104,7 +104,7 @@ def generate_synthetic(spec: SyntheticSpec,
     Y = F + W
     if loss is not None:
         dom = loss.domain
-        if not (np.all(dom.contains_rows(F)) and np.all(dom.contains_rows(Y))):
+        if not (dom.contains(F) and dom.contains(Y)):
             raise RejectedInputError(
                 "rejected configuration: fstar +- noise exits the loss domain")
     dataset = FixedDesignDataset(inputs=X, responses=Y)
@@ -216,7 +216,7 @@ def _check_lemma_5_1(ctx: _RepContext):
     rho = _RHOS[ctx.rep % len(_RHOS)]
     result = wild_refit(ctx.loss, ctx.cset, ctx.trainer, ctx.data, rho,
                         seed=ctx.sign_seed)
-    r_dia = result.radius(ctx.loss)
+    r_dia = result.radius
     lhs = wn(ctx.loss, ctx.cset, result.fhat, result.symmetrized, r_dia)
     return lhs, wild_optimism(ctx.loss, result)
 

@@ -61,9 +61,7 @@ class BregmanLoss:
 
     def _check_domain(self, *points):
         for z in points:
-            z = np.asarray(z, dtype=float)
-            rows = np.atleast_2d(z)
-            if not np.all(self.domain.contains_rows(rows)):
+            if not self.domain.contains(z):
                 raise RejectedInputError(
                     f"point outside the certified domain of {self.kind}"
                 )

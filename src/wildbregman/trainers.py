@@ -49,6 +49,14 @@ class LinearPredictor:
         return self.cset.project(Z)
 
 
+def _augmented(X, Y) -> tuple:
+    """([X, 1], Y) as float arrays; a linear fit needs the inputs."""
+    if X is None:
+        raise RejectedInputError("linear trainer needs feature inputs")
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    return np.hstack([X, np.ones((Y.shape[0], 1))]), Y
+
+
 _MAX_ITERS, _TOL = 500, 1e-10  # gradient descent's iteration cap and tolerance
 
 
@@ -69,16 +77,12 @@ class LinearTrainer:
         Z = self.loss.domain.project(Xa @ theta)
         return float(np.mean(self.loss._div_raw(Y, Z)))
 
-    def fit_predictor(self, X, Y) -> LinearPredictor:
-        if X is None:
-            raise RejectedInputError("linear trainer needs feature inputs")
-        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    def _coefficients(self, Xa, Y) -> np.ndarray:
+        """The fitted theta on the augmented design Xa = [X, 1]."""
         n, d = Y.shape
-        Xa = np.hstack([X, np.ones((n, 1))])
         loss = self.loss
         if loss.kind == "squared_l2":
-            return LinearPredictor(np.linalg.lstsq(Xa, Y, rcond=None)[0],
-                                   self.cset)
+            return np.linalg.lstsq(Xa, Y, rcond=None)[0]
         theta = np.zeros((Xa.shape[1], d))
         # start from the domain center so the Hessian oracle is evaluable
         theta[-1] = loss.domain.center()
@@ -106,10 +110,15 @@ class LinearTrainer:
                 break
         if not np.isfinite(obj):
             raise SolveError("linear fit diverged", trace=trace)
-        return LinearPredictor(theta, self.cset)
+        return theta
+
+    def fit_predictor(self, X, Y) -> LinearPredictor:
+        Xa, Y = _augmented(X, Y)
+        return LinearPredictor(self._coefficients(Xa, Y), self.cset)
 
     def fit(self, X, Y) -> np.ndarray:
-        return self.fit_predictor(X, Y).predict(X)
+        Xa, Y = _augmented(X, Y)
+        return self.cset.project(Xa @ self._coefficients(Xa, Y))
 
 
 _TRAINERS = {"saturated": SaturatedTrainer, "linear": LinearTrainer}

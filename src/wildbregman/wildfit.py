@@ -36,6 +36,7 @@ class WildRefitResult:
     residues: np.ndarray
     signs: np.ndarray  # the n x d Rademacher matrix, floats +/-1
     rho: float
+    discrepancy: float  # L_n(fhat, fdiamond) under the refit's loss
     clip_count: int = 0
 
     @property
@@ -43,9 +44,10 @@ class WildRefitResult:
         """The sign-flipped residue matrix eps (.) residues."""
         return self.signs * self.residues
 
-    def radius(self, loss: BregmanLoss) -> float:
+    @property
+    def radius(self) -> float:
         """sqrt L_n(fhat, fdiamond), the realized wild radius."""
-        return float(np.sqrt(empirical_discrepancy(loss, self.fhat, self.fdiamond)))
+        return float(np.sqrt(self.discrepancy))
 
 
 def _refit_stage(trainer, X, Y, stage) -> PredictionMatrix:
@@ -85,6 +87,7 @@ def _wild_result(loss, trainer, data, fhat, signs, rho) -> WildRefitResult:
     fdiamond = _refit_stage(trainer, data.inputs, Y_wild, "refit")
     return WildRefitResult(fhat=fhat, fdiamond=fdiamond, wild_responses=Y_wild,
                            residues=residues, signs=signs, rho=float(rho),
+                           discrepancy=empirical_discrepancy(loss, fhat, fdiamond),
                            clip_count=clip_count)
 
 
@@ -104,13 +107,14 @@ def wild_optimism(loss: BregmanLoss, result: WildRefitResult) -> float:
     """Three-term wild optimism of the refitted solution.
 
     (1/(n rho)) sum l(fhat_i, fdia_i) - (1/(n rho)) sum l(ywild_i, fdia_i)
-    + beta rho mean ||eps_i (.) res_i||^2, with the certified beta.
+    + beta rho mean ||eps_i (.) res_i||^2, with the certified beta; the
+    first sum is n result.discrepancy.
     """
     _require_positive("rho", result.rho)
     rho = result.rho
-    Fh, Fd = result.fhat.values, result.fdiamond.values
-    term1 = float(np.mean(loss.divergence_rows(Fh, Fd))) / rho
-    term2 = float(np.mean(loss.divergence_rows(result.wild_responses, Fd))) / rho
+    term1 = result.discrepancy / rho
+    term2 = float(np.mean(loss.divergence_rows(result.wild_responses,
+                                               result.fdiamond.values))) / rho
     z = result.symmetrized
     term3 = loss.beta * rho * float(np.mean(np.sum(z * z, axis=-1)))
     return term1 - term2 + term3
@@ -145,7 +149,7 @@ def calibrate_rho(loss: BregmanLoss, trainer, data: FixedDesignDataset,
         if trace:
             result = _wild_result(loss, trainer, data, start.fhat, start.signs,
                                   min(max(math.exp(t), _RHO_LO), _RHO_HI))
-        r = result.radius(loss)
+        r = result.radius
         trace.append((result.rho, r))
         if abs(r - target_radius) <= _TOL_REL * target_radius:
             return {"rho": result.rho, "achieved_radius": r, "result": result,

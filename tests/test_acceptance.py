@@ -164,7 +164,7 @@ def test_criterion_05_calibration_contract():
             Y = X @ rng.normal(size=(3, 2)) * 0.4 + 0.2 * rng.normal(size=(60, 2))
             data = FixedDesignDataset(X, Y)
             probe = wild_refit(loss, cset, trainer, data, 1.0, seed=k)
-            target = float(rng.uniform(0.5, 2.0)) * probe.radius(loss)
+            target = float(rng.uniform(0.5, 2.0)) * probe.radius
             out = calibrate_rho(loss, trainer, data, probe, target)
         hit = abs(out["achieved_radius"] - target) / target
         worst_hit = max(worst_hit, hit)

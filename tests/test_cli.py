@@ -214,6 +214,24 @@ def test_unbounded_radius_exits_3_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_radius_floor_above_r_max_exits_3(tmp_path, capsys):
+    # at n = 60 and delta = 1e-4 the floor log(1/delta)/sqrt(n) is 1.19,
+    # above r_max = max(10 * diameter, 1) = 1 on the box [-0.03, 0.03]^2
+    prefix = tmp_path / "data"
+    refit = tmp_path / "refit.json"
+    assert run(["simulate", "--n", 60, "--d", 2, "--seed", 5,
+                "--out", prefix]) == 0
+    assert run(["refit", "--rho", 1, "--cset-bound", 0.03, "--seed", 5,
+                "--data", prefix.with_suffix(".csv"), "--out", refit]) == 0
+    capsys.readouterr()
+    assert run(["radius", "--mode", "fixed-point", "--delta", 1e-4,
+                "--refit-result", refit, "--out", tmp_path / "r.json"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: SolveError") and "r_max" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("delta", ["nan", 0, -1, 0.5])
 @pytest.mark.parametrize("mode", ["fixed-point", "convex-class"])
 def test_radius_refuses_delta_outside_the_range(dataset, tmp_path, capsys,
@@ -344,6 +362,22 @@ def test_certify_refuses_dataset_changed_after_refit(certify, tmp_path, capsys):
     assert run(certify) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: RejectedInputError") and "data.csv" in err
+
+
+def test_certify_refuses_refit_file_with_edited_fdiamond(certify, tmp_path,
+                                                       capsys):
+    # the wild radius certify checks is recomputed from the file's fhat and
+    # fdiamond: moving fdiamond off the refit breaks the calibration
+    refit = tmp_path / "refit.json"
+    payload = json.loads(refit.read_text())
+    payload["fdiamond"] = (0.5 * np.asarray(payload["fdiamond"])).tolist()
+    refit.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(certify) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RejectedInputError"), err
+    assert "calibration mismatch" in err
+    assert not (tmp_path / "cert.json").exists()
 
 
 # a certificate input that is negative or not finite makes a total that is
@@ -510,6 +544,9 @@ def test_refit_file_rebuilds_result_bit_for_bit(dataset, tmp_path, potential,
     for field in ("signs", "wild_responses", "residues"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
     assert (got.rho, got.clip_count) == (want.rho, want.clip_count)
+    # recomputed from the file's fhat and fdiamond, not read from the file
+    assert np.float64(got.discrepancy).tobytes() == \
+        np.float64(want.discrepancy).tobytes()
     assert json.loads(refit.read_text())["sign_seed"] == 2
     assert (want.clip_count > 0) == (potential == "clipped_simplex_kl")
 

@@ -156,7 +156,7 @@ def test_dual_box_gap_certified_sqrt_bernoulli(rng, monkeypatch):
             projections.clear()
             q, info, U = _sup_dual(loss, cset, C, Z, r)
             assert info["method"] == "dual_box"
-            assert np.all(cset.contains_rows(U, tol=0.0))
+            assert cset.contains(U, tol=0.0)
             assert _ball_value(loss, C, U) <= r * r
             assert q - info["gap"] == pytest.approx(_objective(loss, C, U, Z),
                                                     rel=1e-12)
@@ -228,7 +228,7 @@ def test_dual_simplex_primal_feasible_and_tight(kind):
     for r in (0.02, 0.05, 0.2):
         val, info, U = _sup_dual(loss, cset, C, Z, r)
         assert info["method"] == "dual_simplex"
-        assert np.all(cset.contains_rows(U, tol=1e-12))
+        assert cset.contains(U, tol=1e-12)
         assert _ball_value(loss, C, U) <= r * r
         assert 0.0 <= info["gap"] <= 1e-9 * val
         assert ball_sup(loss, cset, PredictionMatrix(C), Z, r) == val
@@ -482,6 +482,18 @@ def test_fixed_point_radius_never_exceeds_r_max():
     with pytest.raises(SolveError):
         fixed_point_radius(ev, math.exp(-10.0), 400, r_max=1.0)
     assert calls[-1] == pytest.approx(2.1)  # W_n at (2 + 1/10) r_max
+
+
+def test_fixed_point_radius_floor_above_r_max_refused_before_wn():
+    # the floor log(1/delta)/sqrt(n) = 1.3025 at n = 50 lies above r_max = 1:
+    # the floor is no answer, and W_n is never evaluated
+    ev, calls = _counted(lambda s: 0.0)
+    with pytest.raises(SolveError, match="r_max"):
+        fixed_point_radius(ev, 1e-4, 50, r_max=1.0)
+    assert calls == []
+    # at r_max equal to the floor, the floor itself is returned
+    r_min = math.log(1e4) / math.sqrt(50)
+    assert fixed_point_radius(ev, 1e-4, 50, r_max=r_min) == r_min
 
 
 def _check_walk(margin, lo, x, cap, rel):

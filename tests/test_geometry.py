@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wildbregman.complexity import ball_sup
+from wildbregman.design import FixedDesignDataset, PredictionMatrix
 from wildbregman.errors import RejectedInputError
 from wildbregman.geometry import Box, ClippedSimplex, waterfill
+from wildbregman.harness import SyntheticSpec, generate_synthetic
+from wildbregman.potentials import builtin_loss
+from wildbregman.wildfit import wild_refit
 
 
 def test_box_project_is_clamp():
@@ -19,10 +24,10 @@ def test_box_project_fixed_point_inside():
     assert np.array_equal(box.project(z), z)
 
 
-def test_box_contains_rows_tolerance():
+def test_box_contains_tolerance():
     box = Box(np.array([0.0]), np.array([1.0]))
-    assert box.contains_rows(np.array([[1.0 + 1e-12]]))[0]
-    assert not box.contains_rows(np.array([[1.1]]))[0]
+    assert box.contains(np.array([[1.0 + 1e-12]]))
+    assert not box.contains(np.array([[1.1]]))
 
 
 def test_box_diameter_and_center():
@@ -74,7 +79,7 @@ def test_simplex_projection_of_huge_rows(scale):
     # the set's mass must not be lost to rounding against the row's scale
     cs = ClippedSimplex(eta0=0.1, dim=3)
     q = cs.project(np.array([[1.0, -1.0, 0.5], [-1.0, 0.5, 1.0]]) * scale)
-    assert np.all(cs.contains_rows(q, tol=1e-15))
+    assert cs.contains(q, tol=1e-15)
     assert np.allclose(q, [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]], rtol=0, atol=1e-15)
 
 
@@ -89,7 +94,7 @@ def test_waterfill_matches_brute_force_2d():
                    -rng.uniform(0.0, 1.0, size=(5, 2)),
                    [[0.0, -1.0], [0.7, 0.0]]])
     U = waterfill(A, eta0)
-    assert np.all(ClippedSimplex(eta0, 2).contains_rows(U, tol=1e-12))
+    assert ClippedSimplex(eta0, 2).contains(U, tol=1e-12)
     for a, u in zip(A, U):
         best = seg[np.argmax(np.log(seg) @ a)]
         assert np.allclose(u, best, atol=1e-5)
@@ -117,3 +122,184 @@ def test_box_projection_is_nonexpansive(a, b):
     box = Box(np.array([-1.0, -2.0]), np.array([3.0, 0.5]))
     pa, pb = box.project(np.array(a)), box.project(np.array(b))
     assert np.linalg.norm(pa - pb) <= np.linalg.norm(np.array(a) - np.array(b)) + 1e-12
+
+
+# -- contains: one whole-array membership test, against its row definition --
+
+_SETS = {
+    "uniform_box": Box(np.full(2, -1.0), np.full(2, 1.0)),
+    "coordinate_box": Box(np.array([0.05, -3.0, 2.0]),
+                          np.array([0.95, 0.5, 2.5])),
+    "simplex": ClippedSimplex(0.1, 3),
+}
+# entry kinds: inside, exactly at lo - tol or hi + tol, one float past them,
+# and the non-finite values
+_ENTRIES = ("in", "in", "at_lo", "at_hi", "past_lo", "past_hi",
+            "nan", "inf", "-inf")
+# edits to one coordinate of a simplex point: the floor at and past its
+# tolerance, the row sum moved to about its tolerance and past it, and the
+# non-finite values
+_EDITS = ("none", "none", "at_floor", "past_floor", "sum_up", "sum_down",
+          "sum_past", "nan", "inf", "-inf")
+
+
+def _rows_by_definition(cset, Z, tol):
+    """All rows of Z in the set up to tol, from the per-row definition."""
+    if isinstance(cset, Box):
+        ok = np.all((Z >= cset.lo - tol) & (Z <= cset.hi + tol), axis=-1)
+    else:
+        ok = (np.all(Z >= cset.eta0 - tol, axis=-1)
+              & (np.abs(np.sum(Z, axis=-1) - 1.0) <= tol * cset.dim))
+    return bool(np.all(ok))
+
+
+def _box_entry(lo, hi, kind, u, tol):
+    return {"in": lo + u * (hi - lo), "at_lo": lo - tol, "at_hi": hi + tol,
+            "past_lo": np.nextafter(lo - tol, -np.inf),
+            "past_hi": np.nextafter(hi + tol, np.inf),
+            "nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
+
+
+def _simplex_row(cs, weights, edit, j, tol):
+    w = np.asarray(weights)
+    p = cs.eta0 + cs._mass * (w / w.sum() if w.sum() > 0
+                              else np.full(cs.dim, 1.0 / cs.dim))
+    p[j] = {"none": p[j], "at_floor": cs.eta0 - tol,
+            "past_floor": np.nextafter(cs.eta0 - tol, -np.inf),
+            "sum_up": p[j] + tol * cs.dim, "sum_down": p[j] - tol * cs.dim,
+            "sum_past": p[j] + 2.0 * tol * cs.dim,
+            "nan": np.nan, "inf": np.inf, "-inf": -np.inf}[edit]
+    return p
+
+
+@given(st.data(), st.sampled_from(sorted(_SETS)),
+       st.sampled_from([1e-9, 0.0, 1e-3]), st.integers(0, 4))
+@settings(max_examples=400, deadline=None)
+def test_contains_matches_the_row_definition(data, name, tol, k):
+    cset = _SETS[name]
+    d = cset.dim
+    if isinstance(cset, Box):
+        Z = np.array([[_box_entry(cset.lo[j], cset.hi[j],
+                                  data.draw(st.sampled_from(_ENTRIES)),
+                                  data.draw(st.floats(0, 1)), tol)
+                       for j in range(d)] for _ in range(k)]).reshape(k, d)
+    else:
+        Z = np.array([_simplex_row(cset, data.draw(st.lists(
+            st.floats(0, 1), min_size=d, max_size=d)),
+            data.draw(st.sampled_from(_EDITS)),
+            data.draw(st.integers(0, d - 1)), tol)
+            for _ in range(k)]).reshape(k, d)
+    want = _rows_by_definition(cset, Z, tol)
+    assert cset.contains(Z, tol=tol) is want
+    if k:  # a single row, given 1-d
+        assert cset.contains(Z[0], tol=tol) is _rows_by_definition(
+            cset, Z[:1], tol)
+
+
+@pytest.mark.parametrize("name", sorted(_SETS))
+def test_contains_edge_cases(name):
+    cset = _SETS[name]
+    d = cset.dim
+    inside = cset.center()
+    assert cset.contains(np.empty((0, d)))
+    assert cset.contains(np.tile(inside, (4, 1)))
+    for bad in (np.nan, np.inf, -np.inf):
+        Z = np.tile(inside, (4, 1))
+        Z[2, d - 1] = bad
+        assert not cset.contains(Z)
+
+
+@pytest.mark.parametrize("name", sorted(_SETS))
+@pytest.mark.parametrize("width", [-1, 1])
+def test_rows_of_the_wrong_width_refused(name, width):
+    # a 3-d simplex took [[0.5, 0.5]] for a member and projected it to
+    # [[0.45, 0.45]], on no simplex; both sets now refuse such rows
+    cset = _SETS[name]
+    for Z in (np.full((2, cset.dim + width), 0.5),
+              np.full(cset.dim + width, 0.5), np.empty((0, cset.dim + width))):
+        with pytest.raises(RejectedInputError, match="rows of shape"):
+            cset.contains(Z)
+        with pytest.raises(RejectedInputError, match="rows of shape"):
+            cset.project(Z)
+
+
+# -- the membership test behind every public entry that takes points -------
+
+# (potential, its parameter, a point inside its domain, rows it refuses):
+# a coordinate past the domain, a non-finite entry, and for the simplex a
+# row off the sum and a row of the wrong width
+_REFUSED = {
+    "squared_l2": ({"bound": 1.0}, [0.5, -0.5],
+                   [[0.5, 1.1], [np.nan, 0.0], [np.inf, 0.0]]),
+    "sqrt_bernoulli": ({"eps0": 0.05}, [0.5, 0.5],
+                       [[0.5, 0.96], [0.04, 0.5], [np.nan, 0.5]]),
+    "clipped_simplex_kl": ({"eta0": 0.1}, [0.3, 0.3, 0.4],
+                           [[0.3, 0.3, 0.41], [0.05, 0.5, 0.45],
+                            [np.nan, 0.5, 0.5], [0.5, 0.5]]),
+}
+_REFUSED_CASES = [(kind, i) for kind, (_, _, bad) in _REFUSED.items()
+                  for i in range(len(bad))]
+# the finite ones: a dataset or prediction matrix refuses the others itself
+_FINITE_CASES = [(kind, i) for kind, i in _REFUSED_CASES
+                 if np.all(np.isfinite(_REFUSED[kind][2][i]))]
+
+
+def _refused_case(kind, i):
+    """(loss, three rows inside its domain, three rows with refused case i
+    last, or all three of its wrong width)."""
+    params, good, bad = _REFUSED[kind]
+    loss = builtin_loss(kind, len(good), **params)
+    good, row = np.tile(good, (3, 1)), np.asarray(bad[i])
+    if row.size != good.shape[1]:
+        return loss, good, np.tile(row, (3, 1))
+    return loss, good, np.vstack([good[:2], row])
+
+
+@pytest.mark.parametrize("kind, i", _REFUSED_CASES)
+def test_divergence_rows_refuses_points_outside_the_domain(kind, i):
+    loss, good, bad = _refused_case(kind, i)
+    assert np.all(loss.divergence_rows(good, good) == 0.0)
+    pairs = [(bad, bad)]
+    if bad.shape == good.shape:
+        pairs += [(bad, good), (good, bad)]
+    for X, Y in pairs:
+        with pytest.raises(RejectedInputError):
+            loss.divergence_rows(X, Y)
+
+
+@pytest.mark.parametrize("kind, i", _FINITE_CASES)
+def test_wild_refit_refuses_responses_outside_the_domain(kind, i):
+    # refused before the first fit: the trainer is never called
+    loss, _, bad = _refused_case(kind, i)
+
+    class NoFit:
+        def fit(self, X, Y):
+            raise AssertionError("fit called")
+
+    data = FixedDesignDataset(np.zeros((3, 1)), bad)
+    with pytest.raises(RejectedInputError):
+        wild_refit(loss, loss.domain, NoFit(), data, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("kind, i", _FINITE_CASES)
+def test_ball_sup_refuses_a_center_outside_the_set(kind, i):
+    # the closed form (squared_l2 on a box) and both duals refuse a center
+    # outside the set, and a center of the wrong width
+    loss, good, bad = _refused_case(kind, i)
+    Z = np.tile([1.0, -1.0, 0.5][:good.shape[1]], (3, 1))
+    assert ball_sup(loss, loss.domain, PredictionMatrix(good), Z, 0.1) > 0
+    with pytest.raises(RejectedInputError):
+        ball_sup(loss, loss.domain, PredictionMatrix(bad),
+                 Z[:, :bad.shape[1]], 0.1)
+
+
+def test_generate_synthetic_refuses_fstar_outside_the_domain():
+    # f* is centred at 0, outside sqrt_bernoulli's domain (0.05, 0.95)^2;
+    # on squared_l2 cut to +-0.3, f* (within +-0.2) fits but f* + noise
+    # (within +-0.7) does not
+    spec = SyntheticSpec(n=20, d=2, fstar_scale=0.2, noise_scale=0.5, seed=0)
+    with pytest.raises(RejectedInputError, match="loss domain"):
+        generate_synthetic(spec, builtin_loss("sqrt_bernoulli", 2))
+    generate_synthetic(spec, builtin_loss("squared_l2", 2, bound=0.7))
+    with pytest.raises(RejectedInputError, match="loss domain"):
+        generate_synthetic(spec, builtin_loss("squared_l2", 2, bound=0.3))

@@ -156,20 +156,21 @@ def test_thm51_excess_fails_on_a_zero_certificate(monkeypatch):
 def test_fixed_design_replication_fits_fhat_once(monkeypatch):
     # the pipeline's wild refit at rho = 1 supplies fhat, calibration
     # continues that refit instead of fitting the responses again, and
-    # theorem 5.2 predicts off the design with that same fit
+    # theorem 5.2 predicts off the design with that same fit; `fit` and
+    # `fit_predictor` both solve through `_coefficients`
     datasets, fitted = [], []
-    generate, fit = harness.generate_synthetic, LinearTrainer.fit_predictor
+    generate, solve = harness.generate_synthetic, LinearTrainer._coefficients
 
     def record_generate(spec, loss):
         datasets.append(generate(spec, loss))
         return datasets[-1]
 
-    def record_fit(self, X, Y):
+    def record_solve(self, Xa, Y):
         fitted.append(Y)
-        return fit(self, X, Y)
+        return solve(self, Xa, Y)
 
     monkeypatch.setattr(harness, "generate_synthetic", record_generate)
-    monkeypatch.setattr(LinearTrainer, "fit_predictor", record_fit)
+    monkeypatch.setattr(LinearTrainer, "_coefficients", record_solve)
     for theorem in ("thm_5_1_excess", "thm_5_2_excess"):
         datasets.clear()
         fitted.clear()

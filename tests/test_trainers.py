@@ -48,7 +48,7 @@ def test_saturated_kl_projects_onto_clipped_simplex():
     cset = loss.domain
     Y = np.array([[0.5, 0.5], [0.15, 0.85]])
     fit = SaturatedTrainer(loss, cset).fit(None, Y)
-    assert np.all(cset.contains_rows(fit))
+    assert cset.contains(fit)
     # interior rows are fixed points
     assert np.allclose(fit, Y, atol=1e-8)
 
@@ -61,7 +61,7 @@ def test_saturated_sqrt_bernoulli_matches_1d_grid(d):
     loss = builtin_loss("sqrt_bernoulli", d, eps0=0.05)
     cset = Box(np.full(d, 0.3), np.full(d, 0.7))
     Y = rng.uniform(0.05, 0.95, size=(40, d))
-    assert not np.all(cset.contains_rows(Y))
+    assert not cset.contains(Y)
     fit = SaturatedTrainer(loss, cset).fit(None, Y)
     loss1 = builtin_loss("sqrt_bernoulli", 1, eps0=0.05)
     grid = np.linspace(0.3, 0.7, 40001)[:, None]
@@ -81,7 +81,7 @@ def test_saturated_kl_on_tighter_simplex_matches_grid():
     cset = ClippedSimplex(eta0, 3)
     Y = loss.domain.project(rng.dirichlet(np.ones(3), 100))
     fit = SaturatedTrainer(loss, cset).fit(None, Y)
-    assert np.all(cset.contains_rows(fit, tol=1e-12))
+    assert cset.contains(fit, tol=1e-12)
     G, h = simplex_grid(eta0, 3, N)
     grid_obj = -(Y @ np.log(G).T)
     fit_obj = -np.sum(Y * np.log(fit), axis=1)
@@ -162,6 +162,22 @@ def test_linear_squared_l2_matches_normal_equations(rank_deficient):
     theta = LinearTrainer(loss, box(2, 50.0)).fit_predictor(X, Y).theta
     oracle = _normal_equations(X, Y)
     assert np.linalg.norm(theta - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("kind, bound", [("squared_l2", 0.5),
+                                         ("sqrt_bernoulli", 0.6)])
+def test_linear_fit_is_the_predictor_on_the_design(kind, bound):
+    # fit augments X once and projects Xa @ theta itself; the values must be
+    # those of the fitted predictor evaluated on the design, bit for bit,
+    # with the set clipping some rows
+    rng = np.random.default_rng(8)
+    loss, cset, trainer = build_model(2, kind, {}, bound, {"kind": "linear"})
+    X = rng.uniform(-1, 1, size=(60, 3))
+    Y = np.clip(0.5 + X @ rng.uniform(-0.3, 0.3, (3, 2))
+                + rng.uniform(-0.3, 0.3, (60, 2)), 0.1, 0.9)
+    fit = trainer.fit(X, Y)
+    assert fit.tobytes() == trainer.fit_predictor(X, Y).predict(X).tobytes()
+    assert np.any(fit == cset.hi)
 
 
 def test_linear_predictor_evaluates_off_design():

@@ -51,7 +51,7 @@ def test_sign_flip_symmetry(rng):
 
 def test_rho_to_zero_contracts_radius(rng):
     loss, cset, trainer, data = clamped_instance(rng)
-    radii = [wild_refit(loss, cset, trainer, data, rho, seed=1).radius(loss)
+    radii = [wild_refit(loss, cset, trainer, data, rho, seed=1).radius
              for rho in (1.0, 0.1, 0.01)]
     assert radii[2] < radii[1] < radii[0]
     assert radii[2] < 1e-2 * radii[0] * 10
@@ -75,7 +75,7 @@ def test_clipping_for_restricted_domain(rng):
     # large rho pushes wild responses out of [0.1, 0.9]
     res = wild_refit(loss, cset, trainer, data, 50.0, seed=2)
     assert res.clip_count > 0
-    assert np.all(loss.domain.contains_rows(res.wild_responses))
+    assert loss.domain.contains(res.wild_responses)
 
 
 def test_wild_optimism_zero_residues():
@@ -84,7 +84,8 @@ def test_wild_optimism_zero_residues():
     F = PredictionMatrix(np.zeros((n, 1)))
     res = WildRefitResult(fhat=F, fdiamond=F, wild_responses=np.zeros((n, 1)),
                           residues=np.zeros((n, 1)),
-                          signs=sample_sign_matrix(n, 1, 0), rho=1.0)
+                          signs=sample_sign_matrix(n, 1, 0), rho=1.0,
+                          discrepancy=0.0)
     assert wild_optimism(loss, res) == 0.0
 
 
@@ -101,7 +102,8 @@ def test_wild_optimism_closed_form_interior():
     res = WildRefitResult(fhat=PredictionMatrix(fhat),
                           fdiamond=PredictionMatrix(ywild),
                           wild_responses=ywild, residues=residues,
-                          signs=signs, rho=rho)
+                          signs=signs, rho=rho, discrepancy=float(
+                              np.mean(loss.divergence_rows(fhat, ywild))))
     z = signs * residues
     expect = 1.5 * rho * float(np.mean(np.sum(z * z, axis=1)))
     assert wild_optimism(loss, res) == pytest.approx(expect, rel=1e-12)
@@ -117,7 +119,7 @@ def test_calibrate_requires_positive_target(rng):
 def test_calibrate_hits_target(rng):
     loss, cset, trainer, data = clamped_instance(rng, n=60)
     probe = wild_refit(loss, cset, trainer, data, 1.0, seed=0)
-    target = 0.8 * probe.radius(loss)
+    target = 0.8 * probe.radius
     out = calibrate_rho(loss, trainer, data, probe, target)
     assert abs(out["achieved_radius"] - target) <= 1e-3 * target
     assert out["result"].rho == out["rho"]
@@ -126,7 +128,7 @@ def test_calibrate_hits_target(rng):
 def test_calibrate_fixed_point_at_rho_one(rng):
     loss, cset, trainer, data = clamped_instance(rng, n=60)
     probe = wild_refit(loss, cset, trainer, data, 1.0, seed=0)
-    out = calibrate_rho(loss, trainer, data, probe, probe.radius(loss))
+    out = calibrate_rho(loss, trainer, data, probe, probe.radius)
     assert out["rho"] == pytest.approx(1.0, rel=2e-3)
 
 
@@ -138,7 +140,7 @@ def test_calibrate_linear_trainer(rng):
     data = FixedDesignDataset(X, Y)
     trainer = LinearTrainer(loss, cset)
     probe = wild_refit(loss, cset, trainer, data, 1.0, seed=1)
-    target = 1.7 * probe.radius(loss)
+    target = 1.7 * probe.radius
     out = calibrate_rho(loss, trainer, data, probe, target)
     assert abs(out["achieved_radius"] - target) <= 1e-3 * target
 
@@ -183,10 +185,10 @@ def test_calibrated_result_is_wild_refit_at_rho(rng):
     # returns, bit for bit, and its first point is the start itself
     loss, cset, trainer, data = clamped_instance(rng, n=60)
     probe = wild_refit(loss, cset, trainer, data, 1.0, seed=4)
-    target = 0.8 * probe.radius(loss)
+    target = 0.8 * probe.radius
     for start in (probe, wild_refit(loss, cset, trainer, data, 3.0, seed=4)):
         out = calibrate_rho(loss, trainer, data, start, target)
-        assert out["trace"][0] == (start.rho, start.radius(loss))
+        assert out["trace"][0] == (start.rho, start.radius)
         _assert_same_result(
             out["result"], wild_refit(loss, cset, trainer, data, out["rho"], seed=4))
 
@@ -194,7 +196,7 @@ def test_calibrated_result_is_wild_refit_at_rho(rng):
     cset = Box(np.array([0.3]), np.array([0.7]))
     trainer = SaturatedTrainer(loss, cset)
     data = FixedDesignDataset(None, rng.uniform(0.1, 0.9, size=(40, 1)))
-    target = wild_refit(loss, cset, trainer, data, 20.0, seed=8).radius(loss)
+    target = wild_refit(loss, cset, trainer, data, 20.0, seed=8).radius
     out = calibrate_rho(loss, trainer, data,
                         wild_refit(loss, cset, trainer, data, 1.0, seed=8), target)
     assert out["result"].clip_count > 0
@@ -213,7 +215,7 @@ def test_calibrate_linear_no_clip_takes_two_steps(rng):
     trainer = LinearTrainer(loss, cset)
     probe = wild_refit(loss, cset, trainer, data, 1.0, seed=3)
     for factor in (0.01, 2.5, 400.0):
-        target = factor * probe.radius(loss)
+        target = factor * probe.radius
         out = calibrate_rho(loss, trainer, data, probe, target)
         assert len(out["trace"]) <= 2
         assert abs(out["achieved_radius"] - target) <= wildfit._TOL_REL * target
@@ -233,7 +235,7 @@ def test_calibrate_clipped_maps_hit_target(rng, rho_star):
             FixedDesignDataset(None, rng.uniform(0.1, 0.9, size=(40, 1))))
     for loss, cset, trainer, data in (sat, bern):
         target = wild_refit(loss, cset, trainer, data, rho_star,
-                            seed=2).radius(loss)
+                            seed=2).radius
         out = calibrate_rho(loss, trainer, data,
                             wild_refit(loss, cset, trainer, data, 1.0, seed=2),
                             target)
@@ -270,7 +272,7 @@ def test_calibrate_refuses_start_of_other_data(rng):
                   FixedDesignDataset(None, data.responses[:-1])):
         start = wild_refit(loss, cset, trainer, other, 1.0, seed=0)
         with pytest.raises(RejectedInputError):
-            calibrate_rho(loss, trainer, data, start, start.radius(loss))
+            calibrate_rho(loss, trainer, data, start, start.radius)
 
 
 class _BadOutputTrainer:
