@@ -273,9 +273,14 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
                        r_max: float) -> float:
     """Smallest r with r^2 >= W_n((2 + 1/log(1/delta)) r).
 
-    Tries the floor log(1/delta)/sqrt(n); past it, `_walk_bisect` on the
-    margin W_n((2 + 1/log(1/delta)) r) - r^2 doubles up to r_max, inclusive.
-    A floor above r_max raises SolveError before W_n is evaluated.
+    Tries the floor log(1/delta)/sqrt(n); past it, `_walk_bisect` doubles up
+    to r_max, inclusive, on the margin (W - r^2) / (sqrt(W) + r), W the
+    process at (2 + 1/log(1/delta)) r.  Its sign is that of W - r^2, so it
+    takes every ok/fail decision W - r^2 would and the returned end keeps
+    r^2 >= W; but it equals sqrt(W) - r, which is linear in r where W has
+    saturated (the ball no longer binds), and false position closes on it
+    there in fewer evaluations.  A floor above r_max raises SolveError before W_n is
+    evaluated.
     """
     if not 0 < delta <= math.exp(-9.0):  # refuses NaN too
         raise RejectedInputError("requires 0 < delta <= e^-9")
@@ -288,9 +293,12 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
     trace = []
 
     def excess(r):
-        m = wn_evaluator(factor * r) - r * r
-        trace.append((r, m <= 0))
-        return m
+        w = wn_evaluator(factor * r)
+        ok = w <= r * r
+        trace.append((r, ok))
+        # = sqrt(w) - r where both are finite; the sign of w - r^2 decides
+        m = (w - r * r) / (math.sqrt(w) + r) if 0 <= w < math.inf else w
+        return min(m, 0.0) if ok else max(m, math.ulp(0.0))
 
     if excess(r_min) <= 0:
         return r_min

@@ -453,8 +453,16 @@ def test_radius_solver_values_and_wn_calls_pinned():
     ev, calls = _counted(lambda s: 0.5 * s)
     r = fixed_point_radius(ev, math.exp(-10.0), 400, r_max=10.0)
     assert 1.05 <= r <= 1.05 * (1.0 + 1e-4)
-    assert r == pytest.approx(1.0500505553044983, rel=1e-12)
+    assert r == pytest.approx(1.0500525022639544, rel=1e-12)
     assert len(calls) == 9
+    # a process that saturates, W(s) = min(s / 2, 0.3): r* = sqrt(0.3), where
+    # the margin (W - r^2) / (sqrt(W) + r) is sqrt(0.3) - r, linear in r
+    # (the margin W - r^2 took 10 calls)
+    ev, calls = _counted(lambda s: min(0.5 * s, 0.3))
+    r = fixed_point_radius(ev, math.exp(-10.0), 400, r_max=10.0)
+    assert math.sqrt(0.3) <= r <= math.sqrt(0.3) * (1.0 + 1e-4)
+    assert r == pytest.approx(0.5477506825051661, rel=1e-12)
+    assert len(calls) == 8
     ev, calls = _counted(lambda s: 100.0 + s)
     with pytest.raises(SolveError):
         fixed_point_radius(ev, math.exp(-9.0), 100, r_max=5.0)
@@ -473,6 +481,46 @@ def test_radius_solver_values_and_wn_calls_pinned():
         rhat_bound_convex(ev, 0.1, math.exp(-9.0), 10000, 0.0, 1, 0.03, loss)
     assert len(calls) == 3
     assert len(err.value.trace) == 2 and all(ok for _, ok in err.value.trace)
+
+
+# a monotone process: values at increasing breakpoints, linear between them
+# and constant past the last; 0 and +inf values included
+_monotone_process = st.lists(
+    st.tuples(st.floats(0.0, 5.0),
+              st.one_of(st.floats(0.0, 20.0), st.just(0.0), st.just(math.inf))),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=_monotone_process, n=st.integers(20, 5000),
+       log_inv=st.floats(9.0, 30.0), r_max=st.floats(0.5, 10.0))
+def test_fixed_point_radius_meets_its_definition(points, n, log_inv, r_max):
+    # every returned r lies in [floor, r_max] with r^2 >= W((2 + 1/log) r),
+    # and a SolveError past the floor means the condition fails at r_max
+    xs = np.cumsum([x for x, _ in points])
+    ws = np.maximum.accumulate([w for _, w in points])
+
+    def W(s):
+        if s >= xs[-1]:
+            return float(ws[-1])
+        k = int(np.searchsorted(xs, s, side="right"))
+        if k == 0:
+            return float(ws[0]) * s / xs[0] if xs[0] > 0 else float(ws[0])
+        lo, hi = ws[k - 1], ws[k]
+        if hi == math.inf:
+            return math.inf
+        return float(lo + (hi - lo) * (s - xs[k - 1]) / (xs[k] - xs[k - 1]))
+
+    delta = math.exp(-log_inv)
+    factor = 2.0 + 1.0 / math.log(1.0 / delta)
+    r_min = math.log(1.0 / delta) / math.sqrt(n)
+    try:
+        r = fixed_point_radius(W, delta, n, r_max=r_max)
+    except SolveError:
+        assert r_min > r_max or not r_max * r_max >= W(factor * r_max)
+        return
+    assert r_min <= r <= r_max
+    assert r * r >= W(factor * r)
 
 
 def test_fixed_point_radius_never_exceeds_r_max():

@@ -1,10 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from wildbregman import trainers
-from wildbregman.errors import RejectedInputError
+from wildbregman.design import sample_sign_matrix
+from wildbregman.errors import RejectedInputError, SolveError
 from wildbregman.geometry import Box, ClippedSimplex
 from wildbregman.potentials import builtin_loss
 from wildbregman.trainers import LinearTrainer, SaturatedTrainer, build_model
@@ -128,20 +130,166 @@ def test_linear_zero_features_gives_mean():
 
 
 def test_linear_more_iters_never_worse(monkeypatch):
-    # gradient descent runs for potentials other than squared_l2
+    # Gauss-Newton runs for potentials other than squared_l2; a cap it cannot
+    # meet raises with the trace of the steps it took, and each further step
+    # keeps the steps before it and never raises the objective
     rng = np.random.default_rng(2)
     loss = builtin_loss("sqrt_bernoulli", 1, eps0=0.05)
     X = rng.uniform(-1, 1, size=(40, 2))
     Y = 0.5 + 0.3 * np.tanh(X @ rng.normal(size=(2, 1))) \
         + 0.05 * rng.uniform(-1, 1, size=(40, 1))
     cset = loss.domain
+    fit = LinearTrainer(loss, cset).fit(X, Y)
+    final = float(np.mean(loss.divergence_rows(Y, fit)))
 
-    def obj(max_iters):
+    def trace(max_iters):
         monkeypatch.setattr(trainers, "_MAX_ITERS", max_iters)
-        fit = LinearTrainer(loss, cset).fit(X, Y)
-        return float(np.mean(loss.divergence_rows(Y, fit)))
+        with pytest.raises(SolveError) as err:
+            LinearTrainer(loss, cset).fit(X, Y)
+        return err.value.trace
 
-    assert obj(400) <= obj(200) + 1e-12
+    short, longer = trace(1), trace(3)
+    assert len(short) == 1 and longer[:1] == short and len(longer) == 3
+    objs = [obj for obj, _ in longer]
+    assert all(b <= a for a, b in zip(objs, objs[1:]))
+    assert final <= objs[-1]
+
+
+def _kl_family(n, seed=2):
+    """KL responses from a weak softmax-linear signal and Dirichlet noise,
+    inside ClippedSimplex(0.1, 3)."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (n, 3))
+    S = np.exp(X @ rng.uniform(-1.0, 1.0, (3, 3)))
+    S /= S.sum(axis=1, keepdims=True)
+    P = 0.1 * S + 0.9 * rng.dirichlet(np.ones(3), n)
+    return builtin_loss("clipped_simplex_kl", 3, eta0=0.1), X, \
+        0.1 + (1.0 - 3 * 0.1) * P
+
+
+def _bernoulli_family(n):
+    """sqrt_bernoulli responses 0.5 + X theta + U(+-0.15), theta's columns of
+    l1 norm 0.25."""
+    rng = np.random.default_rng(1)
+    X = rng.uniform(-1.0, 1.0, (n, 3))
+    theta = rng.uniform(-1.0, 1.0, (3, 2))
+    theta *= 0.25 / np.abs(theta).sum(axis=0)
+    Y = 0.5 + X @ theta + rng.uniform(-0.15, 0.15, (n, 2))
+    return builtin_loss("sqrt_bernoulli", 2, eps0=0.05), X, Y
+
+
+def _gradient(loss, Xa, Y, theta):
+    """The gradient of L(theta) = mean D(y, P(Xa theta)) the fit uses."""
+    dom = loss.domain
+    Z = dom.project(Xa @ theta)
+    s = np.sqrt(loss.hessian_diag(Z))
+    G = trainers._residue_jacobian(dom, Xa, s, Z)
+    return (G.T @ (s * (Z - Y)).ravel()).reshape(theta.shape) / Y.shape[0]
+
+
+@pytest.mark.parametrize("kind", ["sqrt_bernoulli", "clipped_simplex_kl"])
+def test_linear_gradient_matches_finite_differences(kind):
+    # theta puts some entries outside the box, or on the simplex floor; the
+    # projection's Jacobian must drop the clipped box entries and couple
+    # the simplex rows, so the gradient matches central differences of L
+    rng = np.random.default_rng(4)
+    loss = builtin_loss(kind, 3, **({"eps0": 0.05} if kind == "sqrt_bernoulli"
+                                    else {"eta0": 0.1}))
+    dom = loss.domain
+    Xa = np.hstack([rng.uniform(-1, 1, (30, 2)), np.ones((30, 1))])
+    Y = dom.project(rng.uniform(0.0, 1.0, (30, 3)))
+    theta = rng.normal(scale=0.6, size=(3, 3))
+    theta[-1] = dom.center()
+
+    def clipped(t):
+        Z = dom.project(Xa @ t)
+        if kind == "sqrt_bernoulli":
+            return (Z == dom.lo) | (Z == dom.hi)
+        return Z == dom.eta0
+
+    at_theta = clipped(theta)
+    assert 0 < np.sum(at_theta) < at_theta.size / 2
+
+    def L(t):
+        return float(np.mean(loss._div_raw(Y, dom.project(Xa @ t))))
+
+    h, fd = 1e-6, np.zeros_like(theta)
+    for idx in np.ndindex(theta.shape):
+        e = np.zeros_like(theta)
+        e[idx] = h
+        # no entry changes sides of a kink within the difference step
+        for t in (theta + e, theta - e):
+            assert np.array_equal(clipped(t), at_theta)
+        fd[idx] = (L(theta + e) - L(theta - e)) / (2.0 * h)
+    grad = _gradient(loss, Xa, Y, theta)
+    assert np.max(np.abs(grad - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("family, n", [(_bernoulli_family, 200),
+                                       (_bernoulli_family, 2000),
+                                       (_kl_family, 400)])
+def test_linear_fit_exits_stationary(family, n):
+    # the gradient at exit is below 1e-8 ||[X, 1]||_2; the gradient descent
+    # this fit replaced stopped at 9.5e-6, 7.5e-6 and 5.8e-6 (ratios
+    # 7e-7, 2e-7 and 3e-7)
+    loss, X, Y = family(n)
+    trainer = LinearTrainer(loss, loss.domain)
+    Xa, Y = trainers._augmented(X, Y)
+    grad = _gradient(loss, Xa, Y, trainer.fit_predictor(X, Y).theta)
+    assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(Xa, 2)
+
+
+def test_linear_kl_wild_responses_on_the_floor_exit_quickly(monkeypatch):
+    # a wild refit whose responses, pulled back onto the clipped simplex,
+    # put 28 rows on the floor: there the gradient stalls near 1.8e-9 while
+    # the objective no longer moves, so a stop at |gradient| <= 1e-9 ran to
+    # the step cap; the decrement stop exits within 10 steps
+    loss, X, Y = _kl_family(400, seed=3023793452)
+    dom = loss.domain
+    trainer = LinearTrainer(loss, dom)
+    fhat = trainer.fit(X, Y)
+    signs = sample_sign_matrix(400, 3, 771859936)
+    Y_wild = dom.project(fhat - signs * (Y - fhat))
+    assert np.sum(np.any(Y_wild == dom.eta0, axis=1)) >= 20
+    monkeypatch.setattr(trainers, "_MAX_ITERS", 10)
+    theta = trainer.fit_predictor(X, Y_wild).theta
+    Xa = np.hstack([X, np.ones((400, 1))])
+    assert np.linalg.norm(_gradient(loss, Xa, Y_wild, theta)) <= 1e-8
+
+
+def test_linear_step_cap_raises_with_trace(monkeypatch):
+    loss, X, Y = _kl_family(100)
+    monkeypatch.setattr(trainers, "_MAX_ITERS", 1)
+    with pytest.raises(SolveError) as err:
+        LinearTrainer(loss, loss.domain).fit(X, Y)
+    [(obj, gnorm)] = err.value.trace
+    assert 0 < obj < math.inf and 0 < gnorm < math.inf
+
+
+@pytest.mark.parametrize("X, Y", [
+    (np.zeros((5, 3)), np.zeros((4, 2))),   # row counts differ
+    (np.zeros(5), np.zeros((5, 2))),        # 1-d X
+    (np.zeros((5, 3, 1)), np.zeros((5, 2))),
+    (np.zeros((5, 3)), np.zeros(5)),        # 1-d Y
+])
+def test_linear_refuses_misshapen_inputs(X, Y):
+    loss = builtin_loss("squared_l2", 2)
+    trainer = LinearTrainer(loss, box(2, 10.0))
+    with pytest.raises(RejectedInputError):
+        trainer.fit(X, Y)
+    with pytest.raises(RejectedInputError):
+        trainer.fit_predictor(X, Y)
+
+
+def test_linear_predictor_refuses_wrong_width():
+    rng = np.random.default_rng(5)
+    loss = builtin_loss("squared_l2", 2)
+    pred = LinearTrainer(loss, box(2, 10.0)).fit_predictor(
+        rng.uniform(-1, 1, (20, 3)), rng.uniform(-1, 1, (20, 2)))
+    assert pred.predict(np.zeros(3)).shape == (1, 2)  # one point, one row
+    for X in (np.zeros((4, 2)), np.zeros((4, 4)), np.zeros((4, 3, 1))):
+        with pytest.raises(RejectedInputError):
+            pred.predict(X)
 
 
 def _normal_equations(X, Y):
