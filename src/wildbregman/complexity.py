@@ -33,13 +33,20 @@ class RadiusReport:
 
 
 def _objective(loss: BregmanLoss, center: np.ndarray, U: np.ndarray,
-               Z: np.ndarray) -> float:
+               Z: np.ndarray, scatter=None) -> float:
+    """(1/n) sum <grad phi(c_i) - grad phi(u_i), z_i>.  With `scatter`, the
+    rows given are some of the n, and scatter(v) places their values in a
+    length-n vector before the mean."""
     g = loss.gradient
-    return float(np.mean(np.sum((g(center) - g(U)) * Z, axis=-1)))
+    v = np.sum((g(center) - g(U)) * Z, axis=-1)
+    return float(np.mean(v if scatter is None else scatter(v)))
 
 
-def _ball_value(loss: BregmanLoss, center: np.ndarray, U: np.ndarray) -> float:
-    return float(np.mean(loss._div_raw(center, U)))
+def _ball_value(loss: BregmanLoss, center: np.ndarray, U: np.ndarray,
+                scatter=None) -> float:
+    """L_n(center, U); `scatter` as in `_objective`."""
+    v = loss._div_raw(center, U)
+    return float(np.mean(v if scatter is None else scatter(v)))
 
 
 def _walk_bisect(margin, lo, x, cap, rel):
@@ -126,6 +133,22 @@ def _sup_box_sql2(cset, center, Z, r):
     return (float(ez[k]) + math.sqrt(rest[k] * (cap - e2[k]))) / n
 
 
+def _pinned_rows(cset: Box, center: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Rows that clamp(c - z / lam) leaves at c for every lam > 0: each entry
+    has z = 0 and c inside the box, or c exactly on the face its z pushes
+    toward (lo for z > 0, hi for z < 0).  A centre just outside a face, as
+    `contains` tolerates, moves onto it, so its row is not pinned."""
+    lo, hi = cset._rows_bounds(center)
+    stays = (((Z <= 0) | (center == lo)) & ((Z >= 0) | (center == hi))
+             & (lo <= center) & (center <= hi))
+    # column by column: numpy's reduction along a short last axis costs
+    # about 25 ns a row, several times the test itself
+    pinned = stays[:, 0].copy()
+    for j in range(1, stays.shape[1]):
+        pinned &= stays[:, j]
+    return pinned
+
+
 def _sup_dual(loss, cset, center, Z, r):
     """Lagrangian dual of the ball supremum, with the gap it certifies.
 
@@ -145,6 +168,17 @@ def _sup_dual(loss, cset, center, Z, r):
     ball), so strong duality holds.  KL on the clipped simplex is not convex
     in m; the reported gap bounds how far q can lie above the supremum.
 
+    On a box the projection is a clamp, so a row `_pinned_rows` marks stays
+    at its centre for every multiplier.  It adds D_phi(c, c) = 0 to the
+    ball value and (grad phi(c) - grad phi(c)) z = 0 to the objective, both
+    exactly for the built-in losses (their terms and gradients are finite
+    on the domain).  So only the live rows are projected and evaluated;
+    their row sums go into a length-n vector of zeros before the mean, and
+    the pinned rows of U are copied from C.  B, q, the gap and U are then
+    those of the all-rows evaluation bit for bit, and the multipliers tried
+    (the walk starts from the full Z) are the same.  The clipped simplex
+    couples a row's entries through its sum, so there every row is live.
+
     If no multiplier is feasible within 200 doublings (r^2 below the ball
     value's rounding floor at the center), q is the loose but valid bound at
     the vanishing multiplier, and the primal point the center (objective 0).
@@ -152,14 +186,29 @@ def _sup_dual(loss, cset, center, Z, r):
     method = "dual_box" if isinstance(cset, Box) else "dual_simplex"
     n = center.shape[0]
     r2 = r * r
+    C, Zl, live, scatter = center, Z, None, None
+    if method == "dual_box":
+        pinned = _pinned_rows(cset, center, Z)
+        if pinned.any():
+            live = np.flatnonzero(~pinned)
+            # np.take gathers short rows several times faster than C[live]
+            C, Zl = np.take(center, live, axis=0), np.take(Z, live, axis=0)
+            rows = np.zeros(n)
+
+            def scatter(v):  # the pinned rows' entries stay 0
+                rows[live] = v
+                return rows
 
     def at(lam):
-        U = _bregman_projection(loss, cset, center - Z / lam)
-        return U, _ball_value(loss, center, U)
+        U = _bregman_projection(loss, cset, C - Zl / lam)
+        return U, _ball_value(loss, C, U, scatter)
 
     def result(lam, U, ball):
-        val = _objective(loss, center, U, Z)
+        val = _objective(loss, C, U, Zl, scatter)
         q = val + lam * (r2 - ball)
+        if live is not None:
+            U_live, U = U, center.copy()
+            U[live] = U_live
         return q, {"method": method, "gap": q - val}, U
 
     # at a vanishing multiplier the argmax is the set's best point; the ball
@@ -203,7 +252,8 @@ def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
     """sup over {U : rows in cset, L_n(center, U) <= r^2} of the averaged
     gradient-perturbation inner product (1/n) sum <gradphi(c_i)-gradphi(u_i), z_i>.
 
-    A center row outside the set raises RejectedInputError.  squared_l2 on
+    A center row outside the set, and a non-finite entry of Z, raise
+    RejectedInputError before any solve.  squared_l2 on
     a box is solved in closed form; every other supported (potential, set)
     pair by its Lagrangian dual, whose value is an upper bound and whose
     `gap` in `full_output` bounds the distance to the supremum.  A pair with
@@ -219,6 +269,8 @@ def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
     Z = np.asarray(Z, dtype=float)
     if Z.shape != C.shape:
         raise RejectedInputError(f"shape mismatch: {Z.shape} vs {C.shape}")
+    if not np.all(np.isfinite(Z)):
+        raise RejectedInputError("perturbation entries must be finite")
     if r == 0.0 or not np.any(Z):
         val, info = 0.0, {"method": "trivial"}
     elif loss.kind == "squared_l2" and isinstance(cset, Box):

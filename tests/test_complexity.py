@@ -166,6 +166,157 @@ def test_dual_box_gap_certified_sqrt_bernoulli(rng, monkeypatch):
     assert binding >= 11
 
 
+def _sup_dual_all_rows(loss, cset, center, Z, r, project=_bregman_projection):
+    """`_sup_dual` evaluated on every row, as it was before it dropped the
+    rows a box pins: the reference its live-row evaluation must equal."""
+    from wildbregman.complexity import _ball_value, _objective
+    method = "dual_box" if isinstance(cset, Box) else "dual_simplex"
+    n, r2 = center.shape[0], r * r
+
+    def at(lam):
+        U = project(loss, cset, center - Z / lam)
+        return U, _ball_value(loss, center, U)
+
+    def result(lam, U, ball):
+        val = _objective(loss, center, U, Z)
+        q = val + lam * (r2 - ball)
+        return q, {"method": method, "gap": q - val}, U
+
+    lam_lo = 1e-150 * float(np.max(np.abs(Z)))
+    U_lo, B_lo = at(lam_lo)
+    if B_lo <= r2:
+        return result(lam_lo, U_lo, B_lo)
+    hit = []
+
+    def excess(lam):
+        U, B = at(lam)
+        if B <= r2:
+            hit[:] = U, B
+        return B - r2
+
+    lam = float(np.linalg.norm(Z)) / (math.sqrt(2.0 * n) * r)
+    bracket = _walk_bisect(excess, lam_lo, lam, lam * 2.0 ** 200, 1e-13)
+    if bracket is None:
+        q = result(lam_lo, U_lo, B_lo)[0]
+        return q, {"method": method, "gap": q}, center
+    return result(bracket[1], *hit)
+
+
+def _pinned_instance(rng, n, d, lo, hi):
+    """Centres in [lo, hi]^d with entries on both faces, and 5e-10 either
+    side of them (outside, within `contains`' tolerance), and Z with zero
+    rows and entries that push both ways.  Returns (C, Z, rows expected
+    pinned)."""
+    C = rng.uniform(lo, hi, size=(n, d))
+    where = rng.random((n, d))
+    C[where < 0.3] = lo
+    C[(where >= 0.3) & (where < 0.6)] = hi
+    Z = rng.normal(scale=0.3, size=(n, d))
+    Z[rng.random(n) < 0.2] = 0.0
+    off = rng.random(n) < 0.1  # one entry of these rows 5e-10 off a face
+    C[off, 0] = rng.choice([lo - 5e-10, lo + 5e-10, hi - 5e-10, hi + 5e-10],
+                           size=int(off.sum()))
+    stays = np.where(Z > 0, C == lo, np.where(Z < 0, C == hi,
+                                              (C >= lo) & (C <= hi)))
+    return C, Z, np.all(stays, axis=1)
+
+
+@pytest.mark.parametrize("kind", ["sqrt_bernoulli", "squared_l2"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dual_box_live_rows_bit_identical(rng, kind, d):
+    # the dual's live-row evaluation returns the all-rows q, gap and U
+    # exactly (==, not approx), pinned rows or not
+    from wildbregman.complexity import _ball_value, _pinned_rows, _sup_dual
+    loss = builtin_loss(kind, d)
+    lo, hi = (0.25, 0.75) if kind == "sqrt_bernoulli" else (-0.5, 0.5)
+    cset = Box(np.full(d, lo), np.full(d, hi))
+    pinned_seen = binding = 0
+    for n in (1, 7, 300):
+        for r in (1e-3, 0.02, 0.1, 0.5):
+            C, Z, want_pinned = _pinned_instance(rng, n, d, lo, hi)
+            if not np.any(Z):
+                continue
+            assert cset.contains(C)
+            pinned = _pinned_rows(cset, C, Z)
+            assert np.array_equal(pinned, want_pinned)
+            assert not np.any(pinned & np.any((C < lo) | (C > hi), axis=1))
+            pinned_seen += int(pinned.sum())
+            q, info, U = _sup_dual(loss, cset, C, Z, r)
+            q_ref, info_ref, U_ref = _sup_dual_all_rows(loss, cset, C, Z, r)
+            assert q == q_ref and info == info_ref
+            assert np.array_equal(U, U_ref)
+            binding += _ball_value(loss, C, U) > 0.5 * r * r
+    assert pinned_seen > 0 and binding > 0
+    # every nonzero z pinned: the centre, at the all-rows q
+    C = np.full((6, d), lo)
+    C[3:] = hi
+    Z = np.zeros((6, d))
+    Z[:3, 0], Z[3:, -1], Z[1] = 0.4, -0.2, 0.0
+    assert np.all(_pinned_rows(cset, C, Z))
+    for r in (1e-3, 0.1):
+        q, info, U = _sup_dual(loss, cset, C, Z, r)
+        assert np.array_equal(U, C)
+        assert (q, info) == _sup_dual_all_rows(loss, cset, C, Z, r)[:2]
+
+
+def test_dual_box_projects_only_live_rows(monkeypatch):
+    # on a saturated fit shaped like the bregman_radius benchmark's (n = 5000
+    # on [0.25, 0.75]^2), most rows are pinned: each projection takes the
+    # live rows only, and the solve makes as many as the all-rows one
+    from wildbregman import complexity
+    rows = []
+
+    def counted(loss, cset, A):
+        rows.append(A.shape[0])
+        return _bregman_projection(loss, cset, A)
+    monkeypatch.setattr(complexity, "_bregman_projection", counted)
+    loss = builtin_loss("sqrt_bernoulli", 2, eps0=0.05)
+    cset = Box(np.full(2, 0.25), np.full(2, 0.75))
+    rng = np.random.default_rng(37)
+    n = 5000
+    Y = rng.uniform(0.05, 0.95, size=(n, 2))
+    C = cset.project(Y)
+    Z = sample_sign_matrix(n, 2, 5) * (Y - C)
+    live = int(np.sum(~complexity._pinned_rows(cset, C, Z)))
+    assert 0.3 * n < live < 0.7 * n
+    binding = 0
+    for r in (0.02, 0.05, 0.1, 0.2, 0.4):
+        rows.clear()
+        got = complexity._sup_dual(loss, cset, C, Z, r)
+        ref_rows = []
+        want = _sup_dual_all_rows(
+            loss, cset, C, Z, r,
+            project=lambda *a: ref_rows.append(None) or _bregman_projection(*a))
+        assert got[0] == want[0] and np.array_equal(got[2], want[2])
+        assert rows == [live] * len(ref_rows)
+        binding += len(rows) > 1
+    assert binding >= 3
+
+
+def test_ball_sup_refuses_non_finite_perturbation(monkeypatch):
+    # an inf or NaN in Z is refused on every path before any solve, even on
+    # an entry the dual would pin (centre on the face its z pushes toward)
+    from wildbregman import complexity
+
+    def no_solve(*args):
+        raise AssertionError("solved a non-finite Z")
+    monkeypatch.setattr(complexity, "_sup_box_sql2", no_solve)
+    monkeypatch.setattr(complexity, "_sup_dual", no_solve)
+    lo, hi = 0.25, 0.75
+    cases = [(builtin_loss("squared_l2", 2), Box(np.full(2, lo), np.full(2, hi))),
+             (builtin_loss("sqrt_bernoulli", 2), Box(np.full(2, lo), np.full(2, hi))),
+             (builtin_loss("clipped_simplex_kl", 2), ClippedSimplex(0.1, 2))]
+    for loss, cset in cases:
+        C = np.array([[lo, hi], [0.5, 0.5], [0.3, 0.7]])
+        F = PredictionMatrix(C)
+        for bad in (math.inf, -math.inf, math.nan):
+            Z = np.ones((3, 2))
+            Z[0, 0] = bad
+            for r in (0.0, 0.1):
+                with pytest.raises(RejectedInputError, match="finite"):
+                    ball_sup(loss, cset, F, Z, r)
+
+
 def _check_dual_against_grid(loss, cset, c, z, r, G, h):
     """n = 1: the grid maximum over the feasible set never exceeds the dual
     value, and the dual value minus its gap (a feasible primal value) is

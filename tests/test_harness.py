@@ -99,6 +99,38 @@ def test_run_coverage_rejects_thm52_without_linear_trainer(monkeypatch):
         run_coverage(exp)
 
 
+def test_thm52_heldout_risk_is_x_only(monkeypatch):
+    # the check takes the excess risk as the mean of D(f*(x), f-hat(x)) over
+    # held-out x and draws no noise; the (x, w) estimate it replaced differs
+    # from it by the mean of <w, grad phi(f*) - grad phi(f-hat)>, which has
+    # mean zero, so the two agree to that term's standard error
+    from wildbregman.trainers import build_model
+    exp = CoverageExperiment(theorem="thm_5_2_excess", reps=100, delta=0.05,
+                             spec=SyntheticSpec(n=200, d=2, seed=809),
+                             trainer={"kind": "linear"})
+    loss, cset, trainer = build_model(2, "squared_l2", {}, exp.cset_bound,
+                                      exp.trainer)
+    data, oracle = generate_synthetic(exp.spec, loss)
+    ctx = harness._RepContext(loss=loss, cset=cset, trainer=trainer,
+                              data=data, oracle=oracle, delta=exp.delta,
+                              sign_seed=3, heldout_seed=4, exp=exp, rep=0)
+    monkeypatch.setattr(harness, "_draw_noise", None)
+    lhs, rhs = harness._check_thm_5_2(ctx)
+    monkeypatch.undo()
+    rng = np.random.default_rng(4)
+    Xh = rng.uniform(-1.0, 1.0, size=(harness._HELDOUT_M, exp.spec.p))
+    Fh = oracle.fstar_fn(Xh)
+    Ph = trainer.fit_predictor(data.inputs, data.responses).predict(Xh)
+    assert lhs == float(np.mean(loss.divergence_rows(Fh, Ph)))
+    Wh = harness._draw_noise(rng, harness._HELDOUT_M, 2, "uniform", 0.25)
+    cross = np.sum(Wh * (Fh - Ph), axis=1)  # D(y, p) - D(y, f*) - D(f*, p)
+    se = float(np.std(cross)) / np.sqrt(harness._HELDOUT_M)
+    old = float(np.mean(loss.divergence_rows(Fh + Wh, Ph))
+                - np.mean(loss.divergence_rows(Fh + Wh, Fh)))
+    assert abs(old - lhs) <= 5.0 * se
+    assert 0.0 < lhs <= rhs
+
+
 def test_run_coverage_lemma_bit_identical():
     exp = CoverageExperiment(theorem="lemma_5_1", reps=20, delta=0.05,
                              spec=SyntheticSpec(n=50, d=2, seed=21),
