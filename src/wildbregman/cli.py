@@ -135,17 +135,17 @@ def _cmd_radius(args) -> int:
     def evaluator(r):
         return wn(loss, cset, result.fhat, Z, r)
 
+    r_max = max(10.0 * cset.diameter(), 1.0)
     if args.mode == "fixed-point":
         if args.pilot is not None:
             raise RejectedInputError("--pilot applies to --mode convex-class only")
-        r = fixed_point_radius(evaluator, args.delta, n,
-                               r_max=max(10.0 * cset.diameter(), 1.0))
+        r = fixed_point_radius(evaluator, args.delta, n, r_max=r_max)
         method = "fixed_point"
-    else:
+    else:  # --pilot bounds the pilot supremum at every radius tried
         w_inf = float(np.max(np.abs(result.residues)))
-        r = rhat_bound_convex(evaluator, max(result.radius, 1e-8),
-                              args.delta, n, w_inf, result.fhat.d,
-                              args.pilot or 0.0, loss)
+        r = rhat_bound_convex(evaluator, lambda s: args.pilot or 0.0,
+                              args.delta, n, w_inf, result.fhat.d, loss,
+                              r_max=r_max)
         method = "convex_class_bound"
     report = RadiusReport(r_certified=r, method=method)
     _write_json(args.out, dataclasses.asdict(report) | {"delta": args.delta})
@@ -155,8 +155,13 @@ def _cmd_radius(args) -> int:
 
 def _cmd_certify(args) -> int:
     data_path, loss, cset, result = _read_json(args.refit_result, _as_refit)
-    report = _read_json(args.radius_report, lambda rep: RadiusReport(
-        **{f.name: rep[f.name] for f in dataclasses.fields(RadiusReport)}))
+    report, report_delta = _read_json(args.radius_report, lambda rep: (
+        RadiusReport(**{f.name: rep[f.name]
+                        for f in dataclasses.fields(RadiusReport)}),
+        rep["delta"]))
+    if report_delta != args.delta:  # a report without delta is unreadable
+        raise RejectedInputError(f"the radius report was solved at delta = "
+                                 f"{report_delta!r}, not --delta {args.delta!r}")
     data = load_dataset(data_path)
     w_inf = (float(np.max(np.abs(result.residues))) if args.w_inf is None
              else args.w_inf)

@@ -361,40 +361,75 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
     return bracket[1]
 
 
-def rhat_bound_convex(wn_evaluator, r_diamond: float, delta: float, n: int,
-                      w_inf: float, d: int, pilot: float,
-                      loss: BregmanLoss) -> float:
-    """Upper bound on the noiseless estimation radius for convex classes.
+def _require_closing(loss, w_inf, d, log_inv):
+    """Refuse kappa = `_stability_term` at r = 1 outside [0, 1), so a w_inf
+    that is negative or not finite too: at kappa >= 1 Theorem 6.1's
+    r^2 <= ... + kappa r^2 holds at every r and bounds nothing."""
+    kappa = _stability_term(loss, 1.0, w_inf, d, log_inv)
+    if not 0 <= kappa < 1.0:
+        raise RejectedInputError(
+            f"w_inf = {w_inf!r} gives the stability coefficient {kappa:.6g}; "
+            f"Theorem 6.1's inequality bounds the radius only for one in "
+            f"[0, 1)")
 
-    The failing end of a bracket on the largest r satisfying
-      r^2 <= max{r_dia^2, log(1/d)^2/n, (r/r_dia) W_n(c0 (2+1/sqrt(log 1/d)) r)}
-             + r^2 stab + pilot,
-    which dominates every feasible value of the true radius.  The walk
-    doubles up to r_top from r0 = sqrt(floor + pilot), where it holds.
+
+def _thm_6_1_rhs(loss, wn_at, pilot_at, r, delta, n, w_inf, d):
+    """Right-hand side of Theorem 6.1's self-bounding inequality at r,
+      max(log(1/delta)^2/n, W_n(c r)) + kappa r^2 + pilot(c r),
+    c = 2 + 1/log(1/delta), with W_n and the pilot functions of the radius.
+    A pilot value that is negative or not finite raises RejectedInputError."""
+    log_inv = math.log(1.0 / delta)
+    s = (2.0 + 1.0 / log_inv) * r
+    pilot = pilot_at(s)
+    if not (math.isfinite(pilot) and pilot >= 0):
+        raise RejectedInputError(f"pilot {pilot!r} must be finite and >= 0")
+    return (max(log_inv ** 2 / n, wn_at(s))
+            + _stability_term(loss, r, w_inf, d, log_inv) + pilot)
+
+
+def rhat_bound_convex(wn_evaluator, pilot_evaluator, delta: float, n: int,
+                      w_inf: float, d: int, loss: BregmanLoss, *,
+                      r_max: float) -> float:
+    """Upper bound on the noiseless radius r-hat of a convex class: the
+    first r, closed from above to relative width 1e-4, at which Theorem
+    6.1's inequality r^2 <= `_thm_6_1_rhs`(r) fails.  The evaluators give
+    W_n and the pilot supremum, or upper bounds on them, at a radius.
+
+    On the theorem's event r-hat satisfies the exact inequality.  On a
+    `Box` for every built-in potential, and for squared_l2 on the clipped
+    simplex, the ball is convex in mirror coordinates m = grad phi(u) and
+    holds the centre, and the objective is linear in m, so the supremum is
+    concave in s^2 and W(s)/s^2, like the pilot's ratio, does not increase
+    in s.  With kappa < 1 the exact inequality then holds on an interval
+    [0, R] containing r-hat; wherever it fails with upper bounds in place of
+    W_n and the pilot the exact one fails too, so the returned r exceeds R.
+    KL on the clipped simplex is not convex in m, and kappa >= 1 closes no
+    bound: both are refused.  The saturated fit's class (every prediction
+    in the set) is convex; the projected linear fit's is not yet.
+
+    The inequality holds at the floor log(1/delta)/sqrt(n); `_walk_bisect`
+    doubles up from it to r_max, inclusive, on rhs - r^2 moved up one ulp
+    (so that equality holds).  Holding still at r_max raises SolveError.
     """
     if not 0 < delta <= math.exp(-9.0):  # refuses NaN too
         raise RejectedInputError("requires 0 < delta <= e^-9")
-    if r_diamond <= 0:
-        raise RejectedInputError("r_diamond must be > 0")
-    if not all(math.isfinite(v) and v >= 0 for v in (w_inf, pilot)):
-        raise RejectedInputError("w_inf and pilot must be finite and >= 0")
+    if loss.kind == "clipped_simplex_kl":
+        raise RejectedInputError("KL on the clipped simplex has no ball "
+                                 "convex in mirror coordinates")
     log_inv = math.log(1.0 / delta)
-    factor = loss.c0 * (2.0 + 1.0 / math.sqrt(log_inv))
-    floor = max(r_diamond * r_diamond, log_inv * log_inv / n)
+    _require_closing(loss, w_inf, d, log_inv)
     trace = []
 
     def slack(r):
-        rhs = max(floor, (r / r_diamond) * wn_evaluator(factor * r))
-        m = rhs + _stability_term(loss, r, w_inf, d, log_inv) + pilot - r * r
+        m = _thm_6_1_rhs(loss, wn_evaluator, pilot_evaluator, r, delta, n,
+                         w_inf, d) - r * r
         trace.append((r, m >= 0))
         # the walk's ok is "violated", m < 0; equality holds, so 0 maps above 0
         return math.nextafter(m, math.inf)
 
-    r0 = math.sqrt(floor + pilot)
-    r_top = 4.0 * max(r_diamond, wn_evaluator(factor * r_diamond) / r_diamond,
-                      r0)
-    bracket = _walk_bisect(slack, r0, 2.0 * r0, r_top, _REFINE_REL)
+    r_min = log_inv / math.sqrt(n)
+    bracket = _walk_bisect(slack, r_min, 2.0 * r_min, r_max, _REFINE_REL)
     if bracket is None:
-        raise SolveError("self-bounding inequality still satisfied at r_top; "
-                         "bound diverges", trace=trace)
+        raise SolveError(f"Theorem 6.1's inequality still holds at r_max = "
+                         f"{r_max:.6g}", trace=trace)
     return bracket[1]

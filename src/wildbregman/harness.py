@@ -17,7 +17,8 @@ import numpy as np
 
 from .certify import (_FIXED_BUDGET, _RANDOM_BUDGET, fixed_design_certificate,
                       random_design_certificate)
-from .complexity import RadiusReport, _stability_term, pilot_sup, wn
+from .complexity import (RadiusReport, _require_closing, _thm_6_1_rhs,
+                         pilot_sup, wn)
 from .design import (FixedDesignDataset, PredictionMatrix,
                      empirical_discrepancy, sample_sign_matrix)
 from .errors import RejectedInputError
@@ -255,18 +256,19 @@ def _check_thm_5_1(ctx: _RepContext, which: str):
 
 
 def _check_thm_6_1(ctx: _RepContext):
+    """Theorem 6.1 at the noiseless radius: r-hat^2 against
+    `complexity._thm_6_1_rhs` at r-hat, with the fit's wild process and the
+    oracle pilot and w_inf."""
     loss, cset, data = ctx.loss, ctx.cset, ctx.data
     fhat = _refit_stage(ctx.trainer, data.inputs, data.responses,
                         "initial fit")
     _, r_hat = _noiseless_radius(ctx, fhat)
     eps = sample_sign_matrix(data.n, data.d, ctx.sign_seed)
     Z = eps * (data.responses - fhat.values)
-    log_inv = math.log(1.0 / ctx.delta)
-    radius = (2.0 + 1.0 / log_inv) * r_hat
-    wn_term = wn(loss, cset, fhat, Z, radius)
-    pilot = pilot_sup(loss, cset, fhat, ctx.oracle.fstar_preds, eps, radius)
-    stab = _stability_term(loss, r_hat, ctx.oracle.w_inf, data.d, log_inv)
-    return r_hat ** 2, max(log_inv ** 2 / data.n, wn_term) + stab + pilot
+    return r_hat ** 2, _thm_6_1_rhs(
+        loss, lambda s: wn(loss, cset, fhat, Z, s),
+        lambda s: pilot_sup(loss, cset, fhat, ctx.oracle.fstar_preds, eps, s),
+        r_hat, ctx.delta, data.n, ctx.oracle.w_inf, data.d)
 
 
 def _check_thm_5_2(ctx: _RepContext):
@@ -325,6 +327,11 @@ def run_coverage(exp: CoverageExperiment) -> CoverageReport:
     loss, cset, trainer = build_model(exp.spec.d, exp.potential_kind,
                                       exp.potential_params, exp.cset_bound,
                                       exp.trainer)
+    # noise_scale bounds |w| for every noise family, so each rep's kappa is
+    # at most this one; at kappa >= 1 the check could only pass
+    if exp.theorem == "thm_6_1_rhat":
+        _require_closing(loss, exp.spec.noise_scale, exp.spec.d,
+                         math.log(1.0 / exp.delta))
     # the thm_5_* checks calibrate rho, which fails in every rep for the
     # saturated fit: its residues vanish wherever the set holds the response,
     # so its wild radius stays below the target

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wildbregman import cli
 from wildbregman.cli import _as_refit, _potential_params, build_parser, main
 from wildbregman.design import (FixedDesignDataset, _read_json, load_dataset,
                                 save_dataset)
@@ -58,7 +59,8 @@ def test_refit_radius_certify_pipeline(dataset, tmp_path):
     radius = tmp_path / "radius.json"
     radius.write_text(json.dumps({"r_hat_n": r_cert, "r_diamond_rho":
                                   payload["achieved_radius"],
-                                  "r_certified": r_cert, "method": "oracle"}))
+                                  "r_certified": r_cert, "method": "oracle",
+                                  "delta": 1e-4}))
     target = 3.0 * r_cert
     refit2 = tmp_path / "refit2.json"
     assert run(["refit", "--target-radius", target, "--seed", 3,
@@ -197,8 +199,9 @@ def test_validate_thm52_saturated_rejected_before_reps(tmp_path, capsys,
 
 
 def test_unbounded_radius_exits_3_with_one_line(tmp_path, capsys):
-    # the convex-class bound diverges on this refit: a solve with no answer,
-    # reported on one line with its own exit code
+    # a pilot above r_max^2 = (10 * diameter)^2 = 5000 keeps the convex-class
+    # inequality holding up to r_max: a solve with no answer, reported on one
+    # line with its own exit code
     prefix = tmp_path / "data"
     refit = tmp_path / "refit.json"
     assert run(["simulate", "--n", 2000, "--d", 2, "--seed", 11,
@@ -208,10 +211,39 @@ def test_unbounded_radius_exits_3_with_one_line(tmp_path, capsys):
                 "--out", refit]) == 0
     capsys.readouterr()
     assert run(["radius", "--mode", "convex-class", "--delta", 0.0001234,
-                "--refit-result", refit, "--out", tmp_path / "r.json"]) == 3
+                "--pilot", 1e6, "--refit-result", refit,
+                "--out", tmp_path / "r.json"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: SolveError")
+    assert err.startswith("error: SolveError") and "r_max" in err
     assert err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("case", ["stability", "KL"])
+def test_convex_class_refusals_exit_2_before_any_wn_call(tmp_path, capsys,
+                                                         monkeypatch, case):
+    # residues near 1 give kappa = 6 w_inf sqrt(2) / sqrt(log(1/delta)) > 2,
+    # where the inequality holds at every radius; the KL ball is not convex
+    # in mirror coordinates, so its holding set need not be an interval
+    refit = tmp_path / "refit.json"
+    if case == "stability":
+        prefix = tmp_path / "data"
+        assert run(["simulate", "--noise-scale", 1, "--out", prefix]) == 0
+        argv = ["--trainer", "linear", "--data", prefix.with_suffix(".csv")]
+    else:
+        argv = ["--potential", "clipped_simplex_kl",
+                "--data", _kl_dataset(tmp_path / "kl")]
+    assert run(["refit", "--rho", 1, *argv, "--out", refit]) == 0
+    calls = []
+    wn = cli.wn
+    monkeypatch.setattr(cli, "wn", lambda *a: calls.append(1) or wn(*a))
+    capsys.readouterr()
+    assert run(["radius", "--mode", "convex-class", "--delta", 1e-4,
+                "--refit-result", refit, "--out", tmp_path / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RejectedInputError") and case in err
+    assert err.count("\n") == 1
+    assert calls == [] and not (tmp_path / "r.json").exists()
 
 
 def test_radius_floor_above_r_max_exits_3(tmp_path, capsys):
@@ -294,6 +326,7 @@ UNREADABLE = {
     "certify_report_not_json": ("--radius-report", "[1,"),
     "certify_report_no_key": ("--radius-report",
                               lambda p: p.pop("r_certified")),
+    "certify_report_no_delta": ("--radius-report", lambda p: p.pop("delta")),
     "validate_config_missing": ("--config", None),
     "validate_config_not_json": ("--config", "spec: {n: 50}"),
 }
@@ -346,7 +379,7 @@ def certify(dataset, tmp_path):
     radius = tmp_path / "radius.json"
     radius.write_text(json.dumps({"r_hat_n": r_dia / 3.0, "r_diamond_rho": r_dia,
                                   "r_certified": r_dia / 3.0,
-                                  "method": "oracle"}))
+                                  "method": "oracle", "delta": 1e-4}))
     return ["certify", "--mode", "fixed", "--delta", 1e-4,
             "--refit-result", refit, "--radius-report", radius,
             "--pilot", 0.0, "--misspec", 0.0, "--out", tmp_path / "cert.json"]
@@ -392,6 +425,22 @@ def test_certify_refuses_input_that_is_no_upper_bound(certify, tmp_path,
     assert run(certify + [flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: RejectedInputError"), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "cert.json").exists()
+
+
+def test_certify_refuses_report_solved_at_another_delta(certify, tmp_path,
+                                                       capsys):
+    # the radius was solved at 1e-4: certifying at 1e-3 would pair it with
+    # a failure probability it was not solved for
+    assert run(certify) == 0
+    (tmp_path / "cert.json").unlink()
+    argv = list(certify)
+    argv[argv.index("--delta") + 1] = 1e-3
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RejectedInputError") and "delta" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "cert.json").exists()
 

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from wildbregman.complexity import (_walk_bisect, ball_sup, deviation_term,
                                     fixed_point_radius, pilot_sup,
                                     rhat_bound_convex, wn)
+from wildbregman import harness
 from wildbregman.design import PredictionMatrix, sample_sign_matrix
 from wildbregman.errors import RejectedInputError, SolveError
 from wildbregman.geometry import Box, ClippedSimplex
+from wildbregman.harness import CoverageExperiment, SyntheticSpec, run_coverage
 from wildbregman.potentials import _bregman_projection, builtin_loss
 from wildbregman.trainers import SaturatedTrainer
 
@@ -578,12 +580,12 @@ def test_fixed_point_radius_unbounded():
 def test_rhat_bound_zero_process_floor():
     loss = builtin_loss("squared_l2", 1)
     delta, n = math.exp(-9.0), 100
-    r_dia = 0.2
-    r = rhat_bound_convex(lambda s: 0.0, r_dia, delta, n, 0.0, 1, 0.0, loss)
-    # with W == 0, w_inf = 0, pilot = 0 the inequality r^2 <= floor gives
-    # the largest admissible r = sqrt(max(r_dia^2, log(1/delta)^2/n))
-    expect = max(r_dia, 9.0 / math.sqrt(n))
-    assert r == pytest.approx(expect, rel=1e-3)
+    r = rhat_bound_convex(lambda s: 0.0, lambda s: 0.0, delta, n, 0.0, 1, loss,
+                          r_max=10.0)
+    # with W == 0, w_inf = 0, pilot = 0 the inequality r^2 <= log(1/delta)^2/n
+    # holds up to the floor log(1/delta)/sqrt(n) and fails past it
+    floor = 9.0 / math.sqrt(n)
+    assert floor < r <= floor * (1.0 + 1e-4)
 
 
 def _counted(W):
@@ -618,20 +620,27 @@ def test_radius_solver_values_and_wn_calls_pinned():
     with pytest.raises(SolveError):
         fixed_point_radius(ev, math.exp(-9.0), 100, r_max=5.0)
     assert len(calls) == 4
-    # convex class, w_inf = 0, pilot p: with a = k (2 + 1/3) / r_dia = 0.7
-    # the inequality r^2 <= a r^2 + p binds at r* = sqrt(p / (1 - a))
+    # convex class, W(s) = k s, w_inf = 0, pilot p: at delta = e^-9 and
+    # n = 10000 the first failing r solves r^2 = max(0.0081, k c r) + p,
+    # c = 2 + 1/9, closed from above; the walk starts at 2 * 0.09
+    for k, p, r_star, want, n_calls in (
+            (0.03, 0.03, 0.20774272346536313, 0.2077530737602374, 8),
+            (0.5, 0.0, 19.0 / 18.0, 1.05561943545926, 10),
+            (0.0, 0.5, math.sqrt(0.5081), 0.7128468293487089, 8)):
+        ev, calls = _counted(lambda s: k * s)
+        r = rhat_bound_convex(ev, lambda s: p, math.exp(-9.0), 10000, 0.0, 1,
+                              loss, r_max=10.0)
+        assert r_star < r <= r_star * (1.0 + 1e-4)
+        assert r == pytest.approx(want, rel=1e-12)
+        assert len(calls) == n_calls
+    # a pilot above r_max^2: the inequality holds at every point of the walk
+    # 0.18, 0.36, ..., 5.76 and at r_max itself
     ev, calls = _counted(lambda s: 0.03 * s)
-    r = rhat_bound_convex(ev, 0.1, math.exp(-9.0), 10000, 0.0, 1, 0.03, loss)
-    r_star = math.sqrt(0.03 / 0.3)
-    assert r_star <= r <= r_star * (1.0 + 1e-4)
-    assert r == pytest.approx(0.3162434329103718, rel=1e-12)
-    assert len(calls) == 8
-    # a = 7/6 >= 1: the inequality holds at every r and the bound diverges
-    ev, calls = _counted(lambda s: 0.05 * s)
-    with pytest.raises(SolveError) as err:
-        rhat_bound_convex(ev, 0.1, math.exp(-9.0), 10000, 0.0, 1, 0.03, loss)
-    assert len(calls) == 3
-    assert len(err.value.trace) == 2 and all(ok for _, ok in err.value.trace)
+    with pytest.raises(SolveError, match="r_max") as err:
+        rhat_bound_convex(ev, lambda s: 1e6, math.exp(-9.0), 10000, 0.0, 1,
+                          loss, r_max=10.0)
+    assert len(calls) == 7 and calls[-1] == pytest.approx(10.0 * (2 + 1 / 9))
+    assert len(err.value.trace) == 7 and all(ok for _, ok in err.value.trace)
 
 
 # a monotone process: values at increasing breakpoints, linear between them
@@ -798,45 +807,43 @@ def test_walk_bisect_returns_none_past_cap(c, steps, off):
 
 def test_rhat_bound_rejects_negative_noise_and_pilot():
     loss = builtin_loss("squared_l2", 1)
-    # NaN compares False with 0, so a bare `< 0` test would let it through
+    ev, calls = _counted(lambda s: 0.0)
+    # NaN compares False with 0, so a bare `< 0` test would let it through;
+    # kappa = 6 w_inf / sqrt(9) at d = 1 reaches 1 at w_inf = 0.5, where
+    # r^2 <= ... + kappa r^2 holds at every r.  Each is refused before W_n
     for w_inf, pilot in ((-0.1, 0.0), (0.0, -0.1), (0.0, math.nan),
-                         (math.nan, 0.0), (0.0, math.inf)):
+                         (math.nan, 0.0), (0.0, math.inf), (0.5, 0.0),
+                         (2.0, 0.0)):
         with pytest.raises(RejectedInputError):
-            rhat_bound_convex(lambda s: 0.0, 0.2, math.exp(-9.0), 100, w_inf,
-                              1, pilot, loss)
+            rhat_bound_convex(ev, lambda s: pilot, math.exp(-9.0), 100, w_inf,
+                              1, loss, r_max=10.0)
+    assert calls == []
+    # at kappa = 0.9, r^2 <= 0.81 + 0.9 r^2 fails past r = sqrt(8.1)
+    r = rhat_bound_convex(ev, lambda s: 0.0, math.exp(-9.0), 100, 0.45, 1,
+                          loss, r_max=10.0)
+    assert math.sqrt(8.1) < r <= math.sqrt(8.1) * (1.0 + 1e-4)
 
 
-def test_rhat_bound_covers_oracle_radius(rng):
-    # Monte Carlo: the data-driven bound dominates the oracle noiseless
-    # radius on clamped saturated instances
-    loss = builtin_loss("squared_l2", 2)
-    cset = box(2, 0.4)
-    trainer = SaturatedTrainer(loss, cset)
+def test_rhat_bound_covers_oracle_radius(monkeypatch):
+    # criterion 07's draws: on every one where the harness check of Theorem
+    # 6.1 holds, the bound solved from the same inputs (the oracle pilot as
+    # a function of the radius) is at least the noiseless radius r-hat
+    seen = []
+    rhs = harness._thm_6_1_rhs
+    monkeypatch.setattr(harness, "_thm_6_1_rhs",
+                        lambda *args: seen.append(args) or rhs(*args))
     delta = math.exp(-9.0)
-    hits = total = 0
-    for seed in range(60):
-        r2 = np.random.default_rng(seed)
-        F = r2.uniform(-0.6, 0.6, size=(60, 2))
-        W = r2.uniform(-0.3, 0.3, size=(60, 2))
-        Y = F + W
-        fhat = PredictionMatrix(trainer.fit(None, Y))
-        fdag = trainer.fit(None, F)
-        r_hat = math.sqrt(float(np.mean(loss.divergence_rows(fdag,
-                                                             fhat.values))))
-        eps = sample_sign_matrix(60, 2, seed + 1)
-        Z = eps * (Y - fhat.values)
-        rho = 1.0
-        fdia = trainer.fit(None, fhat.values - rho * Z)
-        r_dia = math.sqrt(float(np.mean(loss.divergence_rows(fhat.values,
-                                                             fdia))))
-        if r_dia == 0.0:
-            continue
-        pilot = pilot_sup(loss, cset, fhat, PredictionMatrix(F), eps,
-                          3.0 * loss.c0 * r_hat)
-        bound = rhat_bound_convex(
-            lambda s: wn(loss, cset, fhat, Z, s), r_dia, delta, 60,
-            float(np.max(np.abs(W))), 2, pilot, loss)
-        total += 1
-        hits += bound >= r_hat
-    assert total >= 50
-    assert hits / total >= 1.0 - 4.0 * delta - 0.1
+    report = run_coverage(CoverageExperiment(
+        theorem="thm_6_1_rhat", reps=100, delta=delta,
+        spec=SyntheticSpec(n=200, d=2, seed=707),
+        trainer={"kind": "saturated"}, cset_bound=0.4))
+    assert report.errors == 0 and len(seen) == 100
+    r_max = max(10.0 * box(2, 0.4).diameter(), 1.0)
+    covered = 0
+    for rec, (loss, wn_at, pilot_at, r_hat, _, n, w_inf, d) in zip(
+            report.per_replication, seen):
+        if rec["holds"]:
+            bound = rhat_bound_convex(wn_at, pilot_at, delta, n, w_inf, d,
+                                      loss, r_max=r_max)
+            covered += bound >= r_hat
+    assert covered == report.successes >= 95

@@ -99,6 +99,25 @@ def test_run_coverage_rejects_thm52_without_linear_trainer(monkeypatch):
         run_coverage(exp)
 
 
+@pytest.mark.parametrize("delta, spec, refused", [
+    (0.05, {}, True),                         # kappa = 1.23 at d = 2
+    (1.2340980408667956e-4, {}, False),       # 0.71, criterion 07
+    (0.01, {"d": 1}, False),                  # 0.70
+    (1.2340980408667956e-4, {"noise_scale": 0.36}, True)])  # 1.02
+def test_run_coverage_refuses_thm61_whose_stability_term_closes_nothing(
+        monkeypatch, delta, spec, refused):
+    # with kappa >= 1 at the noise bound, r^2 <= ... + kappa r^2 holds for
+    # every r and the check could only pass: refused before the first rep
+    monkeypatch.setattr(harness, "generate_synthetic", None)
+    exp = CoverageExperiment(theorem="thm_6_1_rhat", reps=100, delta=delta,
+                             spec=SyntheticSpec(**{"n": 30, "d": 2, **spec}))
+    if refused:
+        with pytest.raises(RejectedInputError, match="stability"):
+            run_coverage(exp)
+    else:  # every rep reaches the (removed) generator and errors
+        assert run_coverage(exp).errors == 100
+
+
 def test_thm52_heldout_risk_is_x_only(monkeypatch):
     # the check takes the excess risk as the mean of D(f*(x), f-hat(x)) over
     # held-out x and draws no noise; the (x, w) estimate it replaced differs
