@@ -414,33 +414,19 @@ def test_certify_refuses_refit_file_with_edited_fdiamond(certify, tmp_path,
 
 
 # a certificate input that is negative or not finite makes a total that is
-# no upper bound, or no JSON number; a NaN tolerance turns the
-# calibration gate off
+# no upper bound, or no JSON number, and so does a delta other than the one
+# the radius was solved at (1e-4); a NaN tolerance turns the calibration
+# gate off
 @pytest.mark.parametrize("flag, value", [
     ("--pilot", -5), ("--pilot", "nan"), ("--misspec", "nan"),
-    ("--w-inf", "nan"), ("--w-inf", "inf"), ("--calibration-tol", "nan")])
+    ("--w-inf", "nan"), ("--w-inf", "inf"), ("--calibration-tol", "nan"),
+    ("--delta", 1e-3)])
 def test_certify_refuses_input_that_is_no_upper_bound(certify, tmp_path,
                                                       capsys, flag, value):
     capsys.readouterr()
     assert run(certify + [flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: RejectedInputError"), err
-    assert err.count("\n") == 1
-    assert not (tmp_path / "cert.json").exists()
-
-
-def test_certify_refuses_report_solved_at_another_delta(certify, tmp_path,
-                                                       capsys):
-    # the radius was solved at 1e-4: certifying at 1e-3 would pair it with
-    # a failure probability it was not solved for
-    assert run(certify) == 0
-    (tmp_path / "cert.json").unlink()
-    argv = list(certify)
-    argv[argv.index("--delta") + 1] = 1e-3
-    capsys.readouterr()
-    assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: RejectedInputError") and "delta" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "cert.json").exists()
 
