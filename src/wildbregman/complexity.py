@@ -16,7 +16,7 @@ import numpy as np
 
 from .design import PredictionMatrix
 from .errors import RejectedInputError, SolveError
-from .geometry import Box, CompactSet
+from .geometry import Box, CompactSet, _row_sum
 from .potentials import BregmanLoss, _bregman_projection
 
 
@@ -38,7 +38,7 @@ def _objective(loss: BregmanLoss, center: np.ndarray, U: np.ndarray,
     rows given are some of the n, and scatter(v) places their values in a
     length-n vector before the mean."""
     g = loss.gradient
-    v = np.sum((g(center) - g(U)) * Z, axis=-1)
+    v = _row_sum((g(center) - g(U)) * Z)
     return float(np.mean(v if scatter is None else scatter(v)))
 
 

@@ -128,10 +128,13 @@ def _write_json(path, payload):
 
 
 def _read_json(path, parse=lambda payload: payload):
-    """`parse` of a JSON file's content, or RejectedInputError if either fails."""
+    """`parse` of a JSON file's content, or RejectedInputError if either fails.
+    A value that `parse` refuses is named with the file, not called unreadable."""
     try:
         with open(path) as fh:
             return parse(json.load(fh))
+    except RejectedInputError as err:  # a ValueError, so caught first
+        raise RejectedInputError(f"{path}: {err}") from None
     except (OSError, ValueError, KeyError, TypeError) as err:
         raise RejectedInputError(f"unreadable file {path}: {err!r}") from None
 

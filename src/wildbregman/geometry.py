@@ -7,6 +7,7 @@ predictions can be projected in one call.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,12 @@ import numpy as np
 from .errors import RejectedInputError
 
 _CONTAIN_TOL = 1e-9
+# numpy reduces, scans and sorts along a short last axis at 25-35 ns a row,
+# many times the arithmetic; below this width the row kernels here are d
+# whole-column operations instead, with the same bits.  From 8 columns
+# numpy's row sum is pairwise, and on a few hundred rows the column path no
+# longer wins.
+_COLUMN_CUTOFF = 8
 
 
 def _require_width(Z: np.ndarray, dim: int, name: str):
@@ -81,51 +88,117 @@ class Box:
         return 0.5 * (self.lo + self.hi)
 
 
+def _row_sum(T: np.ndarray) -> np.ndarray:
+    """np.sum(T, axis=-1) bit for bit, for a float or bool T.
+
+    Below `_COLUMN_CUTOFF` columns numpy adds a row left to right from 0
+    (so a row of -0.0 sums to +0.0, and a bool row counts in numpy's default
+    int), which d whole-column additions repeat.  From there on numpy's
+    pairwise sum takes another order, so the sum is numpy's own.
+    """
+    d = T.shape[-1]
+    if not 0 < d < _COLUMN_CUTOFF:
+        return np.sum(T, axis=-1)
+    acc = T[..., 0].astype(np.intp) if T.dtype == bool else T[..., 0] + 0.0
+    for j in range(1, d):
+        acc += T[..., j]
+    return acc
+
+
+def _sorted_columns(V: np.ndarray) -> list:
+    """The d columns of V's rows sorted in descending order, by an odd-even
+    transposition network of np.maximum and np.minimum (d rounds sort d
+    entries).  The values are np.sort's, except that of a tied +0.0 and
+    -0.0 either sign may come out twice; no caller's result depends on the
+    sign of a zero entry."""
+    d = V.shape[1]
+    cols = [V[:, j] for j in range(d)]
+    for rnd in range(d):
+        for i in range(rnd % 2, d - 1, 2):
+            a, b = cols[i], cols[i + 1]
+            cols[i], cols[i + 1] = np.maximum(a, b), np.minimum(a, b)
+    return cols
+
+
 def _project_simplex(v: np.ndarray, s: float) -> np.ndarray:
-    """Euclidean projection of rows of v onto {q >= 0, sum q = s}.
+    """Euclidean projection of rows of v onto {q >= 0, sum q = s}, for
+    finite rows and s > 0.
 
     Standard sorted-threshold construction; O(d log d) per row, on rows
     shifted by their maximum (the projection commutes with the shift) so
     that s is not lost to rounding against entries of large magnitude.
+    With u the shifted entries sorted descending and cssv_k the sum of the
+    first k less s, theta = cssv_k / k at the last k with u_k > cssv_k / k.
+    Below `_COLUMN_CUTOFF` columns the sort, the running sums and the search
+    for that k go column by column, with the bits of the row code above it.
     """
     v = np.atleast_2d(v)
-    d = v.shape[1]
-    u = np.sort(v, axis=1)[:, ::-1]
-    top = u[:, :1]
-    u = u - top
-    cssv = np.cumsum(u, axis=1) - s
-    ks = np.arange(1, d + 1)
-    cond = u - cssv / ks > 0
-    rho = d - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = cssv[np.arange(v.shape[0]), rho] / (rho + 1)
-    return np.clip(v - top - theta[:, None], 0.0, None)
+    n, d = v.shape
+    if d >= _COLUMN_CUTOFF:
+        u = np.sort(v, axis=1)[:, ::-1]
+        top = u[:, :1]
+        u = u - top
+        cssv = np.cumsum(u, axis=1) - s
+        cond = u - cssv / np.arange(1, d + 1) > 0
+        rho = d - 1 - np.argmax(cond[:, ::-1], axis=1)
+        theta = cssv[np.arange(n), rho] / (rho + 1)
+        return np.clip(v - top - theta[:, None], 0.0, None)
+    u = _sorted_columns(v)
+    top = u[0]
+    # k = 1 always qualifies (u_1 = 0 > cssv_1 = -s), and u_1 adds nothing
+    # to the running sum; for finite a and b, a - b > 0 exactly when a > b
+    theta, css = np.full(n, -s), None
+    for k in range(2, d + 1):
+        uk = u[k - 1] - top
+        css = uk if css is None else css + uk
+        q = (css - s) / k
+        theta = np.where(uk > q, q, theta)
+    return np.clip(v - top[:, None] - theta[:, None], 0.0, None)
 
 
 def waterfill(a: np.ndarray, eta0: float) -> np.ndarray:
-    """Rows of argmax sum_j a_j log u_j over {u_j >= eta0, sum u = 1}.
+    """Rows of argmax sum_j a_j log u_j over {u_j >= eta0, sum u = 1}, for
+    finite a.
 
     Coordinates with a_j <= 0 sit at the floor and the rest are water-filled,
     u_j = max(eta0, a_j t), with t fixed by the sum.  A row with no positive
     a_j has a convex objective, maximised at the vertex of its largest a_j.
-    Same sorted-threshold idiom as `_project_simplex`.
+    Same sorted-threshold idiom as `_project_simplex`, and like it column by
+    column below `_COLUMN_CUTOFF` columns; the vertices are placed column by
+    column at every width.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     n, d = a.shape
-    s = -np.sort(-a, axis=1)
-    css = np.cumsum(s, axis=1)
-    ks = np.arange(1, d + 1)
-    # h(k) = s_k (1 - (d - k) eta0) - eta0 css_k is non-increasing in k; the
-    # k largest coordinates are above the floor for the last k with h(k) > 0
-    cond = s * (1.0 - (d - ks) * eta0) - eta0 * css > 0
-    k = d - np.argmax(cond[:, ::-1], axis=1)
-    positive = s[:, 0] > 0
-    den = np.where(positive, css[np.arange(n), k - 1], 1.0)
-    t = (1.0 - (d - k) * eta0) / den
+    # with s sorted descending, h(k) = s_k (1 - (d - k) eta0) - eta0 css_k is
+    # non-increasing in k; the k largest coordinates are above the floor for
+    # the last k with h(k) > 0
+    if d >= _COLUMN_CUTOFF:
+        s = -np.sort(-a, axis=1)
+        css = np.cumsum(s, axis=1)
+        ks = np.arange(1, d + 1)
+        cond = s * (1.0 - (d - ks) * eta0) - eta0 * css > 0
+        k = d - np.argmax(cond[:, ::-1], axis=1)
+        top, w, den = s[:, 0], 1.0 - (d - k) * eta0, css[np.arange(n), k - 1]
+    else:
+        s = _sorted_columns(a)
+        css = list(itertools.accumulate(s))
+        top, w, den = s[0], 1.0, css[-1]  # k = d if none qualifies, as above
+        for k, (sk, ck) in enumerate(zip(s, css), 1):
+            wk = 1.0 - (d - k) * eta0
+            # x - y > 0 exactly when x > y, also for infinite x and y
+            cond = sk * wk > eta0 * ck
+            w, den = np.where(cond, wk, w), np.where(cond, ck, den)
+    positive = top > 0
+    # t = 0 puts a row with no positive a_j at the floor ...
+    t = np.divide(w, den, out=np.zeros(n), where=positive)
     u = np.maximum(eta0, a * t[:, None])
     if not np.all(positive):
-        rows = np.flatnonzero(~positive)
-        u[rows] = eta0
-        u[rows, np.argmax(a[rows], axis=1)] = 1.0 - (d - 1) * eta0
+        # ... and then at the vertex of its first largest a_j, as argmax
+        left = ~positive
+        for j in range(d):
+            at = left & (a[:, j] == top)
+            np.copyto(u[:, j], 1.0 - (d - 1) * eta0, where=at)
+            left &= ~at
     return u
 
 
@@ -153,7 +226,7 @@ class ClippedSimplex:
         if Z.size == 0:
             return True
         return bool(Z.min() >= self.eta0 - tol and np.max(
-            np.abs(np.sum(Z, axis=-1) - 1.0)) <= tol * self.dim)
+            np.abs(_row_sum(Z) - 1.0)) <= tol * self.dim)
 
     def project(self, z) -> np.ndarray:
         if not np.all(np.isfinite(z)):

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import RejectedInputError
-from .geometry import Box, ClippedSimplex, CompactSet, waterfill
+from .geometry import Box, ClippedSimplex, CompactSet, _row_sum, waterfill
 
 Array = np.ndarray
 
@@ -76,7 +76,7 @@ class BregmanLoss:
         return self._div_raw(X, Y)
 
     def _div_raw(self, X, Y):
-        return np.sum(self.divergence_terms(X, Y), axis=-1)
+        return _row_sum(self.divergence_terms(X, Y))
 
 
 def _bregman_projection(loss: BregmanLoss, cset: CompactSet, A) -> np.ndarray:

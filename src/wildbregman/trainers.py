@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RejectedInputError, SolveError
-from .geometry import Box, CompactSet
+from .geometry import Box, CompactSet, _row_sum
 from .potentials import BregmanLoss, _bregman_projection, builtin_loss
 
 
@@ -84,7 +84,7 @@ def _residue_jacobian(dom, Xa, s, Z) -> np.ndarray:
         J = ((Z > dom.lo) & (Z < dom.hi))[:, :, None] * eye
     else:
         m = Z > dom.eta0
-        k = np.sum(m, axis=1)[:, None, None]
+        k = _row_sum(m)[:, None, None]
         J = m[:, :, None] * (eye - m[:, None, :] / k)
     SJ = s[:, :, None] * J
     return (SJ[:, :, None, :] * Xa[:, None, :, None]).reshape(n * d, -1)

@@ -16,7 +16,7 @@ import numpy as np
 from .design import (FixedDesignDataset, PredictionMatrix,
                      empirical_discrepancy, sample_sign_matrix)
 from .errors import RejectedInputError, SolveError
-from .geometry import CompactSet
+from .geometry import CompactSet, _row_sum
 from .potentials import BregmanLoss
 
 # calibrate_rho's relative radius tolerance, rho range, largest log-rho
@@ -77,7 +77,7 @@ def _wild_responses(loss, fhat, residues, signs, rho):
     _require_positive("rho", rho)
     Y_wild = fhat.values - rho * signs * residues
     projected = loss.domain.project(Y_wild)
-    return projected, int(np.sum(np.any(projected != Y_wild, axis=1)))
+    return projected, int(np.count_nonzero(_row_sum(projected != Y_wild)))
 
 
 def _wild_result(loss, trainer, data, fhat, signs, rho) -> WildRefitResult:
@@ -116,7 +116,7 @@ def wild_optimism(loss: BregmanLoss, result: WildRefitResult) -> float:
     term2 = float(np.mean(loss.divergence_rows(result.wild_responses,
                                                result.fdiamond.values))) / rho
     z = result.symmetrized
-    term3 = loss.beta * rho * float(np.mean(np.sum(z * z, axis=-1)))
+    term3 = loss.beta * rho * float(np.mean(_row_sum(z * z)))
     return term1 - term2 + term3
 
 

@@ -445,6 +445,9 @@ def test_certify_refuses_zero_and_nan_radius(certify, tmp_path, capsys,
     assert err.startswith("error: RejectedInputError"), err
     assert err.count("\n") == 1
     assert not (tmp_path / "cert.json").exists()
+    if math.isnan(r_certified):  # a well-formed file, named with its value
+        assert err == (f"error: RejectedInputError: {radius}: r_certified "
+                       f"must be finite and >= 0\n"), err
 
 
 # a noise scale or target radius that is not finite and > 0 is refused by

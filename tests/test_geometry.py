@@ -1,12 +1,16 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wildbregman.complexity import ball_sup
 from wildbregman.design import FixedDesignDataset, PredictionMatrix
 from wildbregman.errors import RejectedInputError
-from wildbregman.geometry import Box, ClippedSimplex, waterfill
+from wildbregman.geometry import (Box, ClippedSimplex, _project_simplex,
+                                  _row_sum, waterfill)
 from wildbregman.harness import SyntheticSpec, generate_synthetic
 from wildbregman.potentials import builtin_loss
 from wildbregman.wildfit import wild_refit
@@ -303,3 +307,174 @@ def test_generate_synthetic_refuses_fstar_outside_the_domain():
     generate_synthetic(spec, builtin_loss("squared_l2", 2, bound=0.7))
     with pytest.raises(RejectedInputError, match="loss domain"):
         generate_synthetic(spec, builtin_loss("squared_l2", 2, bound=0.3))
+
+
+# -- the row kernels work over the d columns, with numpy's row-axis bits ----
+
+def _ref_project_simplex(v, s):
+    """The row-axis sorted-threshold projection the column path replaces."""
+    n, d = v.shape
+    u = np.sort(v, axis=1)[:, ::-1]
+    top = u[:, :1]
+    u = u - top
+    cssv = np.cumsum(u, axis=1) - s
+    cond = u - cssv / np.arange(1, d + 1) > 0
+    rho = d - 1 - np.argmax(cond[:, ::-1], axis=1)
+    theta = cssv[np.arange(n), rho] / (rho + 1)
+    return np.clip(v - top - theta[:, None], 0.0, None)
+
+
+def _ref_waterfill(a, eta0):
+    """The row-axis water-filling the column path replaces."""
+    n, d = a.shape
+    s = -np.sort(-a, axis=1)
+    css = np.cumsum(s, axis=1)
+    ks = np.arange(1, d + 1)
+    cond = s * (1.0 - (d - ks) * eta0) - eta0 * css > 0
+    k = d - np.argmax(cond[:, ::-1], axis=1)
+    positive = s[:, 0] > 0
+    den = np.where(positive, css[np.arange(n), k - 1], 1.0)
+    u = np.maximum(eta0, a * ((1.0 - (d - k) * eta0) / den)[:, None])
+    rows = np.flatnonzero(~positive)
+    u[rows] = eta0
+    u[rows, np.argmax(a[rows], axis=1)] = 1.0 - (d - 1) * eta0
+    return u
+
+
+def _ref_simplex_contains(cs, Z, tol):
+    return Z.size == 0 or bool(Z.min() >= cs.eta0 - tol and np.max(
+        np.abs(np.sum(Z, axis=-1) - 1.0)) <= tol * cs.dim)
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+# ties, signed zeros, and either sign at magnitudes from 1e-300 to 1e300
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]),
+    st.builds(lambda sign, m, e: sign * m * 10.0 ** e, st.sampled_from([-1, 1]),
+              st.floats(1.0, 9.0), st.integers(-300, 299)))
+
+
+@st.composite
+def _rows(draw, dims=(1, 10)):
+    d = draw(st.integers(*dims))
+    n = draw(st.integers(0, 5))
+    return np.array(draw(st.lists(_ENTRY, min_size=n * d, max_size=n * d)),
+                    dtype=float).reshape(n, d)
+
+
+@given(_rows())
+@example(np.empty((0, 3)))
+@example(np.array([[-0.0, -0.0, -0.0]]))
+@example(np.array([[1e300, 1e-300, -1e300, 1.0, -0.0, 0.0, 1e-300, 1e300]]))
+@settings(max_examples=150, deadline=None)
+def test_row_sum_has_numpys_bits(V):
+    assert _same_bits(_row_sum(V), np.sum(V, axis=-1))
+    assert _same_bits(_row_sum(V > 0), np.sum(V > 0, axis=-1))  # counts
+    if len(V):  # one row, given 1-d
+        assert _same_bits(_row_sum(V[0]), np.sum(V[0], axis=-1))
+
+
+@given(_rows(), st.sampled_from([1.0, 0.3, 1e-3, 7.0]))
+@example(np.empty((0, 2)), 1.0)
+@example(np.array([[0.0, -0.0, 0.0, -0.0]]), 0.4)
+@example(np.array([[0.25, 0.25, 0.25]]), 1.0)
+@settings(max_examples=150, deadline=None)
+def test_project_simplex_has_the_row_codes_bits(V, s):
+    assert _same_bits(_project_simplex(V, s), _ref_project_simplex(V, s))
+
+
+@given(_rows(), st.floats(1e-3, 0.999))
+@example(np.empty((0, 2)), 0.5)
+@example(np.array([[-0.0, 0.0, -1.0], [0.0, -0.0, 0.0]]), 0.5)
+@example(np.array([[1e-300, -1e300, 1e300]]), 0.1)
+@settings(max_examples=150, deadline=None)
+def test_waterfill_has_the_row_codes_bits(A, frac):
+    eta0 = frac / A.shape[1]
+    # a row mixing 1e300 with 1e-300 can overflow a * t to -inf in both
+    with np.errstate(over="ignore"):
+        assert _same_bits(waterfill(A, eta0), _ref_waterfill(A, eta0))
+
+
+@given(_rows(dims=(2, 10)), st.floats(1e-3, 0.999),
+       st.sampled_from([1e-9, 0.0, 1e-3]))
+@example(np.empty((0, 2)), 0.5, 1e-9)
+@settings(max_examples=150, deadline=None)
+def test_simplex_contains_has_the_row_codes_answer(V, frac, tol):
+    cs = ClippedSimplex(frac / V.shape[1], V.shape[1])
+    # the projected rows pass the floor, so the row sums decide
+    for Z in (V, cs.project(V)):
+        assert cs.contains(Z, tol) is _ref_simplex_contains(cs, Z, tol)
+        if len(Z):  # one row, given 1-d
+            assert cs.contains(Z[0], tol) is _ref_simplex_contains(
+                cs, Z[:1], tol)
+
+
+# numpy calls that reduce, scan or sort a row: along a last axis of 2 or 3
+# entries they cost 25-35 ns a row, so src/ sums rows by `_row_sum`, sorts
+# them by `_sorted_columns`, and makes no such call but those named here
+_ROW_CALLS = {"sum", "any", "all", "mean", "cumsum", "sort", "argmax", "norm"}
+_WIDE = "the row code from 8 columns, where the column path stops winning"
+_ALLOWED_ROW_CALLS = {
+    ("geometry", "_row_sum", "sum"): "numpy's pairwise sum from 8 columns",
+    ("geometry", "_project_simplex", "sort"): _WIDE,
+    ("geometry", "_project_simplex", "cumsum"): _WIDE,
+    ("geometry", "_project_simplex", "argmax"): _WIDE,
+    ("geometry", "waterfill", "sort"): _WIDE,
+    ("geometry", "waterfill", "cumsum"): _WIDE,
+    ("geometry", "waterfill", "argmax"): _WIDE,
+    ("certify", "stability_constants", "norm"):
+        "the gradients at the d vertices of the clipped simplex",
+    ("trainers", "_coefficients", "mean"):
+        "the Gauss-Newton step, one row per coefficient",
+}
+_SRC = Path(__file__).resolve().parents[1] / "src" / "wildbregman"
+
+
+def _along_rows(call):
+    """Whether a call passes axis=1 or axis=-1, by keyword or, for
+    np.<name>(a, axis) and a.<name>(axis), by position."""
+    def one(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return isinstance(node.operand, ast.Constant) and node.operand.value == 1
+        return isinstance(node, ast.Constant) and node.value == 1
+    axis = [kw.value for kw in call.keywords if kw.arg == "axis"]
+    on_np = isinstance(call.func.value, ast.Name) and call.func.value.id == "np"
+    if not axis and call.func.attr != "norm":
+        axis = call.args[1:2] if on_np else call.args[:1]
+    return any(one(node) for node in axis)
+
+
+def _row_calls(tree):
+    """(enclosing function, name, line) of each row call in a module."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _ROW_CALLS and _along_rows(node)):
+            found.append((func, node.func.attr, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_src_reduces_rows_only_in_the_column_helpers_and_the_allowlist():
+    seen, outside = set(), []
+    for path in sorted(_SRC.glob("*.py")):
+        for func, name, line in _row_calls(ast.parse(path.read_text())):
+            key = (path.stem, func, name)
+            if key in _ALLOWED_ROW_CALLS:
+                seen.add(key)
+            else:
+                outside.append(f"{path.name}:{line} {name} in {func}")
+    assert not outside, "row-axis numpy calls; use geometry._row_sum or " \
+        "loop over the columns: " + "; ".join(outside)
+    # an entry whose call is gone is removed with it
+    assert seen == set(_ALLOWED_ROW_CALLS)
