@@ -16,10 +16,9 @@ from .errors import RejectedInputError
 
 _CONTAIN_TOL = 1e-9
 # numpy reduces, scans and sorts along a short last axis at 25-35 ns a row,
-# many times the arithmetic; below this width the row kernels here are d
-# whole-column operations instead, with the same bits.  From 8 columns
-# numpy's row sum is pairwise, and on a few hundred rows the column path no
-# longer wins.
+# many times the arithmetic, so the row kernels here are d whole-column
+# operations instead, with the same bits.  From this width numpy's row sum
+# is pairwise, in another order than the columns', so `_row_sum` is numpy's.
 _COLUMN_CUTOFF = 8
 
 
@@ -129,20 +128,11 @@ def _project_simplex(v: np.ndarray, s: float) -> np.ndarray:
     that s is not lost to rounding against entries of large magnitude.
     With u the shifted entries sorted descending and cssv_k the sum of the
     first k less s, theta = cssv_k / k at the last k with u_k > cssv_k / k.
-    Below `_COLUMN_CUTOFF` columns the sort, the running sums and the search
-    for that k go column by column, with the bits of the row code above it.
+    The sort, the running sums (in np.cumsum's order) and the search for
+    that k go column by column.
     """
     v = np.atleast_2d(v)
     n, d = v.shape
-    if d >= _COLUMN_CUTOFF:
-        u = np.sort(v, axis=1)[:, ::-1]
-        top = u[:, :1]
-        u = u - top
-        cssv = np.cumsum(u, axis=1) - s
-        cond = u - cssv / np.arange(1, d + 1) > 0
-        rho = d - 1 - np.argmax(cond[:, ::-1], axis=1)
-        theta = cssv[np.arange(n), rho] / (rho + 1)
-        return np.clip(v - top - theta[:, None], 0.0, None)
     u = _sorted_columns(v)
     top = u[0]
     # k = 1 always qualifies (u_1 = 0 > cssv_1 = -s), and u_1 adds nothing
@@ -158,39 +148,30 @@ def _project_simplex(v: np.ndarray, s: float) -> np.ndarray:
 
 def waterfill(a: np.ndarray, eta0: float) -> np.ndarray:
     """Rows of argmax sum_j a_j log u_j over {u_j >= eta0, sum u = 1}, for
-    finite a.
+    a with no NaN or +inf entry.
 
     Coordinates with a_j <= 0 sit at the floor and the rest are water-filled,
     u_j = max(eta0, a_j t), with t fixed by the sum.  A row with no positive
     a_j has a convex objective, maximised at the vertex of its largest a_j.
     Same sorted-threshold idiom as `_project_simplex`, and like it column by
-    column below `_COLUMN_CUTOFF` columns; the vertices are placed column by
-    column at every width.
+    column.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     n, d = a.shape
     # with s sorted descending, h(k) = s_k (1 - (d - k) eta0) - eta0 css_k is
     # non-increasing in k; the k largest coordinates are above the floor for
-    # the last k with h(k) > 0
-    if d >= _COLUMN_CUTOFF:
-        s = -np.sort(-a, axis=1)
-        css = np.cumsum(s, axis=1)
-        ks = np.arange(1, d + 1)
-        cond = s * (1.0 - (d - ks) * eta0) - eta0 * css > 0
-        k = d - np.argmax(cond[:, ::-1], axis=1)
-        top, w, den = s[:, 0], 1.0 - (d - k) * eta0, css[np.arange(n), k - 1]
-    else:
-        s = _sorted_columns(a)
-        css = list(itertools.accumulate(s))
-        top, w, den = s[0], 1.0, css[-1]  # k = d if none qualifies, as above
-        for k, (sk, ck) in enumerate(zip(s, css), 1):
-            wk = 1.0 - (d - k) * eta0
-            # x - y > 0 exactly when x > y, also for infinite x and y
-            cond = sk * wk > eta0 * ck
-            w, den = np.where(cond, wk, w), np.where(cond, ck, den)
+    # the last k with h(k) > 0, and k = d if none qualifies
+    s = _sorted_columns(a)
+    css = list(itertools.accumulate(s))
+    top, w, den = s[0], 1.0, css[-1]
+    for k, (sk, ck) in enumerate(zip(s, css), 1):
+        wk = 1.0 - (d - k) * eta0
+        # x - y > 0 exactly when x > y, also for infinite x and y
+        cond = sk * wk > eta0 * ck
+        w, den = np.where(cond, wk, w), np.where(cond, ck, den)
     positive = top > 0
-    # t = 0 puts a row with no positive a_j at the floor ...
-    t = np.divide(w, den, out=np.zeros(n), where=positive)
+    # t = 1 puts a row with no positive a_j, -inf entries too, at the floor ...
+    t = np.divide(w, den, out=np.ones(n), where=positive)
     u = np.maximum(eta0, a * t[:, None])
     if not np.all(positive):
         # ... and then at the vertex of its first largest a_j, as argmax

@@ -391,12 +391,17 @@ def test_project_simplex_has_the_row_codes_bits(V, s):
 @example(np.empty((0, 2)), 0.5)
 @example(np.array([[-0.0, 0.0, -1.0], [0.0, -0.0, 0.0]]), 0.5)
 @example(np.array([[1e-300, -1e300, 1e300]]), 0.1)
+@example(np.array([[-np.inf, -1.0, -np.inf], [-np.inf, -np.inf, -np.inf],
+                   [2.0, -np.inf, 0.5]]), 0.5)
 @settings(max_examples=150, deadline=None)
 def test_waterfill_has_the_row_codes_bits(A, frac):
     eta0 = frac / A.shape[1]
-    # a row mixing 1e300 with 1e-300 can overflow a * t to -inf in both
+    # a row mixing 1e300 with 1e-300 can overflow a * t to -inf in both, and
+    # the reference meets inf - inf on a row with a -inf entry
     with np.errstate(over="ignore"):
-        assert _same_bits(waterfill(A, eta0), _ref_waterfill(A, eta0))
+        got = waterfill(A, eta0)
+        with np.errstate(invalid="ignore"):
+            assert _same_bits(got, _ref_waterfill(A, eta0))
 
 
 @given(_rows(dims=(2, 10)), st.floats(1e-3, 0.999),
@@ -417,15 +422,8 @@ def test_simplex_contains_has_the_row_codes_answer(V, frac, tol):
 # entries they cost 25-35 ns a row, so src/ sums rows by `_row_sum`, sorts
 # them by `_sorted_columns`, and makes no such call but those named here
 _ROW_CALLS = {"sum", "any", "all", "mean", "cumsum", "sort", "argmax", "norm"}
-_WIDE = "the row code from 8 columns, where the column path stops winning"
 _ALLOWED_ROW_CALLS = {
     ("geometry", "_row_sum", "sum"): "numpy's pairwise sum from 8 columns",
-    ("geometry", "_project_simplex", "sort"): _WIDE,
-    ("geometry", "_project_simplex", "cumsum"): _WIDE,
-    ("geometry", "_project_simplex", "argmax"): _WIDE,
-    ("geometry", "waterfill", "sort"): _WIDE,
-    ("geometry", "waterfill", "cumsum"): _WIDE,
-    ("geometry", "waterfill", "argmax"): _WIDE,
     ("certify", "stability_constants", "norm"):
         "the gradients at the d vertices of the clipped simplex",
     ("trainers", "_coefficients", "mean"):
