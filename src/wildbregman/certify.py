@@ -9,7 +9,7 @@ import numpy as np
 
 from .complexity import RadiusReport, _vertices, deviation_term
 from .errors import RejectedInputError
-from .geometry import Box, CompactSet
+from .geometry import Box, CompactSet, _mean
 from .potentials import BregmanLoss
 from .wildfit import WildRefitResult, _require_same_data, wild_optimism
 
@@ -61,7 +61,7 @@ def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
             f"calibration mismatch: achieved wild radius {achieved:.6g} vs "
             f"required 3 sqrt(beta/alpha) r = {target:.6g}")
     n = refit.fhat.n
-    training = float(np.mean(loss.divergence_rows(Y, refit.fhat.values)))
+    training = _mean(loss.divergence_rows(Y, refit.fhat.values))
     opt_abs = abs(wild_optimism(loss, refit))
     dev = deviation_term(loss, misspec, radius.r_certified, w_inf, n,
                          refit.fhat.d, delta)

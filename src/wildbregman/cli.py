@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -71,10 +72,10 @@ def _refit_payload(loss, result: WildRefitResult, args) -> dict:
         "sign_seed": args.seed,
         "achieved_radius": result.radius,
         "wild_optimism": wild_optimism(loss, result),
-        "fhat": result.fhat.values.tolist(),
-        "fdiamond": result.fdiamond.values.tolist(),
-        "residues": result.residues.tolist(),
-        "signs": result.signs.tolist(),
+        "fhat": result.fhat.values,
+        "fdiamond": result.fdiamond.values,
+        "residues": result.residues,
+        "signs": result.signs,
         "config": {
             "potential": args.potential,
             "potential_params": _potential_params(args),
@@ -213,7 +214,11 @@ def _cmd_validate(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and then reused: every
+    `parse_args` fills a new namespace, so one run leaves nothing for the
+    next."""
     parser = argparse.ArgumentParser(
         prog="wildbregman",
         description="Wild refitting under Bregman losses: refit, calibrate, "

@@ -16,8 +16,13 @@ import numpy as np
 
 from .design import PredictionMatrix
 from .errors import RejectedInputError, SolveError
-from .geometry import Box, CompactSet, _row_sum
+from .geometry import Box, CompactSet, _mean, _row_sum
 from .potentials import BregmanLoss, _bregman_projection
+
+# the dual's vanishing multiplier is at least the smallest normal float, and
+# the norm of a perturbation below _SMALL_Z is taken scaled by _SMALL_Z_SCALE
+_TINY = float(np.finfo(float).tiny)
+_SMALL_Z, _SMALL_Z_SCALE = 2.0 ** -500, 2.0 ** 600
 
 
 @dataclass(frozen=True)
@@ -39,14 +44,14 @@ def _objective(loss: BregmanLoss, center: np.ndarray, U: np.ndarray,
     length-n vector before the mean."""
     g = loss.gradient
     v = _row_sum((g(center) - g(U)) * Z)
-    return float(np.mean(v if scatter is None else scatter(v)))
+    return _mean(v if scatter is None else scatter(v))
 
 
 def _ball_value(loss: BregmanLoss, center: np.ndarray, U: np.ndarray,
                 scatter=None) -> float:
     """L_n(center, U); `scatter` as in `_objective`."""
     v = loss._div_raw(center, U)
-    return float(np.mean(v if scatter is None else scatter(v)))
+    return _mean(v if scatter is None else scatter(v))
 
 
 def _walk_bisect(margin, lo, x, cap, rel):
@@ -213,7 +218,8 @@ def _sup_dual(loss, cset, center, Z, r):
 
     # at a vanishing multiplier the argmax is the set's best point; the ball
     # may not bind at all
-    lam_lo = 1e-150 * float(np.max(np.abs(Z)))
+    z_max = float(np.max(np.abs(Z)))
+    lam_lo = max(1e-150 * z_max, _TINY)
     U_lo, B_lo = at(lam_lo)
     if B_lo <= r2:
         return result(lam_lo, U_lo, B_lo)
@@ -225,8 +231,11 @@ def _sup_dual(loss, cset, center, Z, r):
             hit[:] = U, B
         return B - r2
 
-    # double up from the squared_l2 multiplier ||Z|| / (sqrt(2n) r)
-    lam = float(np.linalg.norm(Z)) / (math.sqrt(2.0 * n) * r)
+    # double up from the squared_l2 multiplier ||Z|| / (sqrt(2n) r); the
+    # squares of a Z below 2^-500 underflow, so its norm is taken at Z 2^600
+    z_norm = (float(np.linalg.norm(Z)) if z_max >= _SMALL_Z else
+              float(np.linalg.norm(Z * _SMALL_Z_SCALE)) / _SMALL_Z_SCALE)
+    lam = z_norm / (math.sqrt(2.0 * n) * r)
     bracket = _walk_bisect(excess, lam_lo, lam, lam * 2.0 ** 200, 1e-13)
     if bracket is None:
         q = result(lam_lo, U_lo, B_lo)[0]
@@ -269,7 +278,7 @@ def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
     Z = np.asarray(Z, dtype=float)
     if Z.shape != C.shape:
         raise RejectedInputError(f"shape mismatch: {Z.shape} vs {C.shape}")
-    if not np.all(np.isfinite(Z)):
+    if not np.isfinite(Z).all():
         raise RejectedInputError("perturbation entries must be finite")
     if r == 0.0 or not np.any(Z):
         val, info = 0.0, {"method": "trivial"}

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import RejectedInputError
+from .geometry import _mean
 from .potentials import BregmanLoss
 
 
@@ -31,7 +32,7 @@ class FixedDesignDataset:
         Y = np.asarray(self.responses, dtype=float)
         if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] < 1:
             raise RejectedInputError("responses must be a non-empty n x d matrix")
-        if not np.all(np.isfinite(Y)):
+        if not np.isfinite(Y).all():
             raise RejectedInputError("responses contain non-finite entries")
         object.__setattr__(self, "responses", Y)
         if self.inputs is not None:
@@ -59,7 +60,7 @@ class PredictionMatrix:
         V = np.asarray(self.values, dtype=float)
         if V.ndim != 2:
             raise RejectedInputError("prediction matrix must be 2-d")
-        if not np.all(np.isfinite(V)):
+        if not np.isfinite(V).all():
             raise RejectedInputError("prediction matrix has non-finite entries")
         object.__setattr__(self, "values", V)
 
@@ -84,17 +85,19 @@ def sample_sign_matrix(n: int, d: int, seed: int) -> np.ndarray:
 
 def empirical_discrepancy(loss: BregmanLoss, F: PredictionMatrix, G: PredictionMatrix) -> float:
     """L_n(f, g) = (1/n) sum_i D_phi(f(x_i), g(x_i))."""
-    return float(np.mean(loss.divergence_rows(F.values, G.values)))
+    return _mean(loss.divergence_rows(F.values, G.values))
 
 
 def _write_table(path, blocks):
     """CSV of (name, (n, k) array) blocks: columns <name>_1 .. <name>_k, one
-    row per design point, shortest round-trip floats, CRLF line ends."""
+    row per design point, shortest round-trip floats (float.__repr__, which
+    "%r" calls), CRLF line ends."""
     names = [f"{name}_{j + 1}" for name, A in blocks for j in range(A.shape[1])]
-    rows = np.hstack([A for _, A in blocks]).tolist()
+    M = np.hstack([A for _, A in blocks])
+    row = ",".join(["%r"] * M.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(names),
-                               *(",".join(map(repr, row)) for row in rows), ""]))
+        fh.write(",".join(names) + "\r\n"
+                 + (row * M.shape[0]) % tuple(M.ravel().tolist()))
 
 
 def _read_table(path, names) -> list[np.ndarray]:
@@ -114,15 +117,31 @@ def _read_table(path, names) -> list[np.ndarray]:
                        if col.startswith(f"{name}_")]] for name in names]
 
 
+def _json_array(key, A: np.ndarray) -> str:
+    """json.dumps(A.tolist()) for a finite float array, by one "%r" format
+    (float.__repr__, as json writes a float); a non-finite entry, which
+    json would write as NaN or Infinity, raises RejectedInputError."""
+    if not np.isfinite(A).all():
+        raise RejectedInputError(f"{key} has non-finite entries")
+    fmt = "%r"
+    for size in reversed(A.shape):
+        fmt = "[" + ", ".join([fmt] * size) + "]"
+    return fmt % tuple(A.ravel().tolist())
+
+
 def _write_json(path, payload):
     """The package's one JSON writer.  A JSON object of sorted keys, each
     on its own line after a 2-space indent, and each value written on that
-    line by one `json.dumps(value, sort_keys=True)`.  A flat payload comes
+    line by one `json.dumps(value, sort_keys=True)`, or for a float array
+    (the arrays of a refit file) by `_json_array`.  A flat payload comes
     out as `json.dump(payload, sort_keys=True, indent=2)` would write it,
-    while nested values (the arrays of a refit file) go through the C
-    encoder, which `indent` would turn off."""
-    lines = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
-                       for key, value in sorted(payload.items()))
+    while nested values go through the C encoder, which `indent` would
+    turn off."""
+    lines = ",\n".join(
+        f"  {json.dumps(key)}: " + (_json_array(key, value)
+                                    if isinstance(value, np.ndarray) else
+                                    json.dumps(value, sort_keys=True))
+        for key, value in sorted(payload.items()))
     with open(path, "w") as fh:
         fh.write(f"{{\n{lines}\n}}\n")
 

@@ -75,7 +75,7 @@ class Box:
         return bool(Z.min() >= lo - tol and Z.max() <= hi + tol)
 
     def project(self, z) -> np.ndarray:
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise RejectedInputError("cannot project non-finite input")
         z = np.asarray(z, dtype=float)
         return np.clip(z, *self._rows_bounds(z))
@@ -85,6 +85,12 @@ class Box:
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
+
+
+def _mean(v: np.ndarray) -> float:
+    """float(np.mean(v)) bit for bit, for a float array v: the whole-array
+    reduction and division np.mean makes, without its Python dispatch."""
+    return float(np.add.reduce(v, axis=None) / v.size)
 
 
 def _row_sum(T: np.ndarray) -> np.ndarray:
@@ -146,6 +152,11 @@ def _project_simplex(v: np.ndarray, s: float) -> np.ndarray:
     return np.clip(v - top[:, None] - theta[:, None], 0.0, None)
 
 
+# a row of `waterfill` whose largest entry is positive and below _TINY_TOP is
+# scaled by _TINY_SCALE first, which brings even 2^-1074 above _TINY_TOP
+_TINY_TOP, _TINY_SCALE = 2.0 ** -1000, 2.0 ** 600
+
+
 def waterfill(a: np.ndarray, eta0: float) -> np.ndarray:
     """Rows of argmax sum_j a_j log u_j over {u_j >= eta0, sum u = 1}, for
     a with no NaN or +inf entry.
@@ -154,7 +165,9 @@ def waterfill(a: np.ndarray, eta0: float) -> np.ndarray:
     u_j = max(eta0, a_j t), with t fixed by the sum.  A row with no positive
     a_j has a convex objective, maximised at the vertex of its largest a_j.
     Same sorted-threshold idiom as `_project_simplex`, and like it column by
-    column.
+    column.  The argmax does not change when a row is scaled by a positive
+    number, so a row whose largest entry is positive but tiny is scaled up
+    by a power of two before t is taken.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     n, d = a.shape
@@ -162,6 +175,15 @@ def waterfill(a: np.ndarray, eta0: float) -> np.ndarray:
     # non-increasing in k; the k largest coordinates are above the floor for
     # the last k with h(k) > 0, and k = d if none qualifies
     s = _sorted_columns(a)
+    tiny = (s[0] > 0) & (s[0] < _TINY_TOP)
+    if tiny.any():
+        # t = w / css_k would overflow: scale those rows up by a power of two,
+        # exactly, which leaves the argmax; an entry <= 0 that overflows to
+        # -inf sits at the floor as before
+        a = a.copy()
+        with np.errstate(over="ignore"):
+            a[tiny] *= _TINY_SCALE
+        s = _sorted_columns(a)
     css = list(itertools.accumulate(s))
     top, w, den = s[0], 1.0, css[-1]
     for k, (sk, ck) in enumerate(zip(s, css), 1):
@@ -210,7 +232,7 @@ class ClippedSimplex:
             np.abs(_row_sum(Z) - 1.0)) <= tol * self.dim)
 
     def project(self, z) -> np.ndarray:
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise RejectedInputError("cannot project non-finite input")
         z = np.asarray(z, dtype=float)
         _require_width(z, self.dim, "clipped simplex")

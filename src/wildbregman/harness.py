@@ -22,7 +22,7 @@ from .complexity import (RadiusReport, _require_closing, _thm_6_1_rhs,
 from .design import (FixedDesignDataset, PredictionMatrix,
                      empirical_discrepancy, sample_sign_matrix)
 from .errors import RejectedInputError
-from .geometry import Box, CompactSet, _row_sum
+from .geometry import Box, CompactSet, _mean, _row_sum
 from .potentials import BregmanLoss
 from .trainers import LinearTrainer, build_model
 from .wildfit import _refit_stage, calibrate_rho, wild_optimism, wild_refit
@@ -226,7 +226,7 @@ def _true_optimism(loss: BregmanLoss, fhat: PredictionMatrix,
                    fstar_preds: PredictionMatrix, W: np.ndarray) -> float:
     """(1/n) sum <gradphi(fstar_i) - gradphi(fhat_i), w_i>."""
     g = loss.gradient
-    return float(np.mean(_row_sum((g(fstar_preds.values) - g(fhat.values)) * W)))
+    return _mean(_row_sum((g(fstar_preds.values) - g(fhat.values)) * W))
 
 
 def _check_thm_5_1(ctx: _RepContext, which: str):
@@ -289,7 +289,7 @@ def _check_thm_5_2(ctx: _RepContext):
     Xh = np.random.default_rng(ctx.heldout_seed).uniform(
         -1.0, 1.0, size=(_HELDOUT_M, ctx.exp.spec.p))
     Fh = ctx.oracle.fstar_fn(Xh)
-    lhs = float(np.mean(loss.divergence_rows(Fh, predictors[0].predict(Xh))))
+    lhs = _mean(loss.divergence_rows(Fh, predictors[0].predict(Xh)))
     return lhs, cert.total
 
 

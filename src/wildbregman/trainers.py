@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RejectedInputError, SolveError
-from .geometry import Box, CompactSet, _row_sum
+from .geometry import Box, CompactSet, _mean, _row_sum
 from .potentials import BregmanLoss, _bregman_projection, builtin_loss
 
 
@@ -50,8 +50,16 @@ class LinearPredictor:
         if X.ndim != 2 or X.shape[1] != self.theta.shape[0] - 1:
             raise RejectedInputError(f"inputs of shape {X.shape} for a fit "
                                      f"on {self.theta.shape[0] - 1} features")
-        Z = np.hstack([X, np.ones((X.shape[0], 1))]) @ self.theta
-        return self.cset.project(Z)
+        return self.cset.project(_with_ones(X) @ self.theta)
+
+
+def _with_ones(X: np.ndarray) -> np.ndarray:
+    """[X, 1], as np.hstack([X, np.ones((n, 1))]) builds it, in one buffer."""
+    n, p = X.shape
+    Xa = np.empty((n, p + 1))
+    Xa[:, :p] = X
+    Xa[:, p] = 1.0
+    return Xa
 
 
 def _augmented(X, Y) -> tuple:
@@ -63,7 +71,7 @@ def _augmented(X, Y) -> tuple:
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise RejectedInputError(f"linear trainer needs 2-d X and Y with one "
                                  f"row each, got {X.shape} and {Y.shape}")
-    return np.hstack([X, np.ones((X.shape[0], 1))]), Y
+    return _with_ones(X), Y
 
 
 # Gauss-Newton steps before the fit gives up, and the objective's rounding
@@ -125,7 +133,7 @@ class LinearTrainer:
 
         def at(theta):
             Z = dom.project(Xa @ theta)
-            return float(np.mean(loss._div_raw(Y, Z))), Z
+            return _mean(loss._div_raw(Y, Z)), Z
 
         theta = np.zeros((Xa.shape[1], d))
         # start from the domain center so the Hessian oracle is evaluable

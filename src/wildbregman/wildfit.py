@@ -16,7 +16,7 @@ import numpy as np
 from .design import (FixedDesignDataset, PredictionMatrix,
                      empirical_discrepancy, sample_sign_matrix)
 from .errors import RejectedInputError, SolveError
-from .geometry import CompactSet, _row_sum
+from .geometry import CompactSet, _mean, _row_sum
 from .potentials import BregmanLoss
 
 # calibrate_rho's relative radius tolerance, rho range, largest log-rho
@@ -113,10 +113,10 @@ def wild_optimism(loss: BregmanLoss, result: WildRefitResult) -> float:
     _require_positive("rho", result.rho)
     rho = result.rho
     term1 = result.discrepancy / rho
-    term2 = float(np.mean(loss.divergence_rows(result.wild_responses,
-                                               result.fdiamond.values))) / rho
+    term2 = _mean(loss.divergence_rows(result.wild_responses,
+                                       result.fdiamond.values)) / rho
     z = result.symmetrized
-    term3 = loss.beta * rho * float(np.mean(_row_sum(z * z)))
+    term3 = loss.beta * rho * _mean(_row_sum(z * z))
     return term1 - term2 + term3
 
 

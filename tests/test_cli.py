@@ -185,6 +185,23 @@ def test_flags_that_change_nothing_exit_2(dataset, tmp_path, capsys):
                                            "--eta0", "0.2"])) == {"eta0": 0.2}
 
 
+def test_parser_is_built_once_and_carries_nothing_between_runs(tmp_path,
+                                                              capsys):
+    assert build_parser() is build_parser()
+    # a radius run with --pilot, then a validate parse in the same process:
+    # the second namespace holds validate's flags only
+    assert run(["radius", "--mode", "convex-class", "--delta", 1e-4,
+                "--pilot", 2.0, "--refit-result", tmp_path / "none.json",
+                "--out", tmp_path / "r.json"]) == 2  # no refit file
+    capsys.readouterr()
+    args = build_parser().parse_args(["validate", "--theorem", "lemma_5_1",
+                                      "--reps", "2", "--delta", "0.05",
+                                      "--out", "o"])
+    assert set(vars(args)) == {"command", "func", "theorem", "reps", "delta",
+                               "seed", "config", "out"}
+    assert args.func is cli._cmd_validate
+
+
 @pytest.mark.parametrize("theorem", ["thm_5_1_optimism", "thm_5_1_excess",
                                      "thm_5_2_excess"])
 def test_validate_thm52_saturated_rejected_before_reps(tmp_path, capsys,

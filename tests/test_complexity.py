@@ -319,6 +319,27 @@ def test_ball_sup_refuses_non_finite_perturbation(monkeypatch):
                     ball_sup(loss, cset, F, Z, r)
 
 
+@pytest.mark.parametrize("kind, d", [("sqrt_bernoulli", 2),
+                                     ("clipped_simplex_kl", 3)])
+def test_dual_is_homogeneous_in_z_down_to_tiny_perturbations(kind, d):
+    # the supremum is linear in Z, and the dual keeps that below 1e-174,
+    # where 1e-150 max|Z| underflows: its vanishing multiplier stays a
+    # normal float and its starting multiplier does not lose ||Z|| to the
+    # squares underflowing
+    loss = builtin_loss(kind, d, **({"eps0": 0.05} if d == 2 else {}))
+    F = PredictionMatrix(np.full((4, d), 1.0 / d if d == 3 else 0.5))
+    Z = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0],
+                  [-1.0, -1.0, 1.0]])[:, :d]
+    for scale in (1.0, 1e-100):
+        val, info = ball_sup(loss, loss.domain, F, scale * Z, 0.1,
+                             full_output=True)
+        tiny, tiny_info = ball_sup(loss, loss.domain, F, 1e-100 * scale * Z,
+                                   0.1, full_output=True)
+        assert val > 0 and tiny_info["method"] == info["method"]
+        assert tiny == pytest.approx(1e-100 * val, rel=1e-12)
+        assert tiny_info["gap"] <= 1e-9 * tiny
+
+
 def _check_dual_against_grid(loss, cset, c, z, r, G, h):
     """n = 1: the grid maximum over the feasible set never exceeds the dual
     value, and the dual value minus its gap (a feasible primal value) is

@@ -119,6 +119,27 @@ def test_json_layout_frozen(tmp_path):
     assert json.loads(text) == payload
 
 
+@pytest.mark.parametrize("A", [AWKWARD.inputs, AWKWARD.responses,
+                               np.array([[-0.0]]), np.array([1e-07, 2.5]),
+                               np.empty((0, 2)), np.empty((2, 0))],
+                         ids=["awkward_x", "awkward_y", "one", "flat",
+                              "no_rows", "no_columns"])
+def test_json_arrays_written_as_their_lists(tmp_path, A):
+    # a float array is written as json writes its nested lists, bit for bit
+    _write_json(tmp_path / "a.json", {"fhat": A, "rho": 1.0})
+    _write_json(tmp_path / "b.json", {"fhat": A.tolist(), "rho": 1.0})
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_json_arrays_refuse_non_finite_entries(tmp_path, bad):
+    # json would write NaN or Infinity, which is no JSON
+    A = np.array([[0.5, bad], [1.0, 2.0]])
+    with pytest.raises(RejectedInputError, match="residues"):
+        _write_json(tmp_path / "a.json", {"residues": A})
+    assert not (tmp_path / "a.json").exists()
+
+
 @pytest.mark.parametrize("n", [1, 9])
 def test_oracle_file_format_frozen(tmp_path, n):
     assert main(["simulate", "--n", str(n), "--d", "2", "--seed", "4",

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from wildbregman.complexity import ball_sup
 from wildbregman.design import FixedDesignDataset, PredictionMatrix
 from wildbregman.errors import RejectedInputError
-from wildbregman.geometry import (Box, ClippedSimplex, _project_simplex,
-                                  _row_sum, waterfill)
+from wildbregman.geometry import (Box, ClippedSimplex, _mean,
+                                  _project_simplex, _row_sum, waterfill)
 from wildbregman.harness import SyntheticSpec, generate_synthetic
 from wildbregman.potentials import builtin_loss
 from wildbregman.wildfit import wild_refit
@@ -404,6 +404,64 @@ def test_waterfill_has_the_row_codes_bits(A, frac):
             assert _same_bits(got, _ref_waterfill(A, eta0))
 
 
+# rows whose largest entry is subnormal, ties and signed zeros among them
+_SUBNORMAL_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(-2.2e-308, 2.2e-308, allow_subnormal=True))
+
+
+@st.composite
+def _subnormal_rows(draw):
+    d = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 5))
+    return np.array(draw(st.lists(_SUBNORMAL_ENTRY, min_size=n * d,
+                                  max_size=n * d))).reshape(n, d)
+
+
+@given(_subnormal_rows(), st.floats(1e-3, 0.999))
+@example(np.array([[0.0, 1.2e-309]]), 0.5)
+@example(np.array([[5e-324, 0.0, -5e-324], [-1e-310, 0.0, -0.0]]), 0.3)
+@settings(max_examples=150, deadline=None)
+def test_waterfill_of_a_tiny_row_is_that_of_the_row_scaled_up(A, frac):
+    # the argmax does not change when a row is scaled by a positive number;
+    # unscaled, t = w / css_k overflows on a row below about 1e-308
+    d = A.shape[1]
+    cs = ClippedSimplex(frac / d, d)
+    got = waterfill(A, cs.eta0)
+    assert cs.contains(got)
+    assert _same_bits(got, waterfill(A * 2.0 ** 600, cs.eta0))
+    # a row of ordinary size beside them keeps its bits
+    row = np.linspace(-1.0, 2.0, d)[None]
+    both = waterfill(np.vstack([A, row]), cs.eta0)
+    assert _same_bits(both, np.vstack([got, waterfill(row, cs.eta0)]))
+
+
+def test_waterfill_found_row_is_finite():
+    assert np.array_equal(waterfill([[0.0, 1.2e-309]], 0.25), [[0.25, 0.75]])
+
+
+@st.composite
+def _mean_arrays(draw):
+    n = draw(st.integers(1, 60))
+    shape = draw(st.sampled_from([(n,), (n, 1), (n // 2 + 1, 2), (n // 3 + 1, 3)]))
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(_ENTRY, min_size=size, max_size=size)),
+                    dtype=float).reshape(shape)
+
+
+@given(_mean_arrays())
+@example(np.array([-0.0]))
+@example(np.array([[-0.0, -0.0], [-0.0, -0.0]]))
+@example(np.array([1e300, 1e300, -1e300]))
+@settings(max_examples=150, deadline=None)
+def test_mean_has_numpys_bits(v):
+    # sums of 1e300 entries may overflow, and inf - inf is NaN, in both
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _mean(v), float(np.mean(v))
+    assert type(got) is float
+    assert _same_bits(got, want)
+
+
 @given(_rows(dims=(2, 10)), st.floats(1e-3, 0.999),
        st.sampled_from([1e-9, 0.0, 1e-3]))
 @example(np.empty((0, 2)), 0.5, 1e-9)
@@ -446,21 +504,37 @@ def _along_rows(call):
     return any(one(node) for node in axis)
 
 
-def _row_calls(tree):
-    """(enclosing function, name, line) of each row call in a module."""
+def _calls(tree, names, pick):
+    """(enclosing function, name, line) of each call of a method or numpy
+    function in names that pick(call) selects, in a module."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _ROW_CALLS and _along_rows(node)):
+                and node.func.attr in names and pick(node)):
             found.append((func, node.func.attr, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
     visit(tree, None)
     return found
+
+
+def _row_calls(tree):
+    """(enclosing function, name, line) of each row call in a module."""
+    return _calls(tree, _ROW_CALLS, _along_rows)
+
+
+def _whole_array(call):
+    """Whether a mean call passes no axis, or axis=None: np.mean(a) or
+    a.mean()."""
+    on_np = isinstance(call.func.value, ast.Name) and call.func.value.id == "np"
+    axis = [kw.value for kw in call.keywords if kw.arg == "axis"] or (
+        call.args[1:2] if on_np else call.args[:1])
+    return not axis or (isinstance(axis[0], ast.Constant)
+                        and axis[0].value is None)
 
 
 def test_src_reduces_rows_only_in_the_column_helpers_and_the_allowlist():
@@ -476,3 +550,15 @@ def test_src_reduces_rows_only_in_the_column_helpers_and_the_allowlist():
         "loop over the columns: " + "; ".join(outside)
     # an entry whose call is gone is removed with it
     assert seen == set(_ALLOWED_ROW_CALLS)
+
+
+def test_src_takes_whole_array_means_only_by_the_mean_helper():
+    # np.mean dispatches in Python for several times the cost of the sum
+    # and division it makes on a few hundred entries
+    outside = [f"{path.name}:{line} in {func}"
+               for path in sorted(_SRC.glob("*.py"))
+               for func, _, line in _calls(ast.parse(path.read_text()),
+                                           {"mean"}, _whole_array)
+               if (path.stem, func) != ("geometry", "_mean")]
+    assert not outside, "whole-array means; use geometry._mean: " \
+        + "; ".join(outside)

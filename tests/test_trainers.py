@@ -281,6 +281,17 @@ def test_linear_refuses_misshapen_inputs(X, Y):
         trainer.fit_predictor(X, Y)
 
 
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_augmented_design_is_the_stacked_ones_column(p):
+    X = np.random.default_rng(p).normal(size=(7, p))
+    X[0, :] = -0.0
+    Y = np.ones((7, 2))
+    Xa, Y2 = trainers._augmented(X, Y)
+    want = np.hstack([X, np.ones((7, 1))])
+    assert Xa.dtype == want.dtype and Xa.shape == want.shape
+    assert Xa.tobytes() == want.tobytes() and Y2 is Y
+
+
 def test_linear_predictor_refuses_wrong_width():
     rng = np.random.default_rng(5)
     loss = builtin_loss("squared_l2", 2)
