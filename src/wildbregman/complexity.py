@@ -19,11 +19,6 @@ from .errors import RejectedInputError, SolveError
 from .geometry import Box, CompactSet, _mean, _row_sum
 from .potentials import BregmanLoss, _bregman_projection
 
-# the dual's vanishing multiplier is at least the smallest normal float, and
-# the norm of a perturbation below _SMALL_Z is taken scaled by _SMALL_Z_SCALE
-_TINY = float(np.finfo(float).tiny)
-_SMALL_Z, _SMALL_Z_SCALE = 2.0 ** -500, 2.0 ** 600
-
 
 @dataclass(frozen=True)
 class RadiusReport:
@@ -101,6 +96,14 @@ def _walk_bisect(margin, lo, x, cap, rel):
     return lo, hi
 
 
+def _ldexp(x: float, k: int) -> float:
+    """x 2^k, and +-inf past the float range, where math.ldexp raises."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def _sup_box_sql2(cset, center, Z, r):
     """Exact supremum for squared_l2 over box-and-ball, in closed form.
 
@@ -114,28 +117,41 @@ def _sup_box_sql2(cset, center, Z, r):
     grows with k, and k is the last count for which it is within cap
     (sorted thresholds as in `_project_simplex`).  k = 0 is the
     Cauchy-Schwarz value r sqrt(2/n) ||Z||; k = all, the box corner.
+
+    The value is linear in r and the rooms together, so it is solved at
+    r 2^-m in [1/2, 1), rooms scaled alike, where 2 n r^2 cannot under- or
+    overflow; returns (v, m), the supremum being v 2^m.  A t whose square
+    underflows clips nowhere: k comes out no larger, which relaxes the box
+    on the entries in between, so the value still bounds the supremum.
     """
     n = center.shape[0]
+    r, m = math.frexp(r)
     cap = 2.0 * n * r * r
     nz = Z != 0
     a = np.abs(Z[nz])
-    e = np.where(Z > 0, center - cset.lo, cset.hi - center)[nz]
-    # a center already on that face gives inf: clipped at 0
-    t = np.divide(a, e, out=np.full_like(a, np.inf), where=e != 0)
-    z2 = a * a
-    total = float(np.sum(z2))
-    # no entry saturates before the unclipped multiplier: k = 0, no sort
-    if float(np.max(t)) <= math.sqrt(total / cap):
-        return math.sqrt(total * cap) / n
-    order = np.argsort(-t)
-    t, a, e, z2 = t[order], a[order], e[order], z2[order]
-    # index k: the first k entries clipped
-    e2 = np.concatenate(([0.0], np.cumsum(e * e)))
-    ez = np.concatenate(([0.0], np.cumsum(e * a)))
-    rest = np.concatenate((np.cumsum(z2[::-1])[::-1], [0.0]))
-    fits = e2[1:] + rest[1:] / (t * t) <= cap
-    k = t.size if fits[-1] else int(np.argmin(fits))
-    return (float(ez[k]) + math.sqrt(rest[k] * (cap - e2[k]))) / n
+    # a room past the float range is inf (t = 0), and one whose square is
+    # gives e2 = inf: either way its entry is never clipped
+    with np.errstate(over="ignore"):
+        e = np.ldexp(np.where(Z > 0, center - cset.lo, cset.hi - center)[nz],
+                     -m)
+        # a center already on that face gives inf: clipped at 0
+        t = np.divide(a, e, out=np.full_like(a, np.inf), where=e != 0)
+        z2 = a * a
+        total = float(np.sum(z2))
+        # no entry saturates before the unclipped multiplier: k = 0, no sort
+        if float(np.max(t)) <= math.sqrt(total / cap):
+            return math.sqrt(total * cap) / n, m
+        order = np.argsort(-t)
+        t, a, e, z2 = t[order], a[order], e[order], z2[order]
+        # index k: the first k entries clipped
+        e2 = np.concatenate(([0.0], np.cumsum(e * e)))
+        ez = np.concatenate(([0.0], np.cumsum(e * a)))
+        rest = np.concatenate((np.cumsum(z2[::-1])[::-1], [0.0]))
+        t2 = t * t
+        fits = e2[1:] + np.divide(rest[1:], t2, out=np.full_like(t2, np.inf),
+                                  where=t2 > 0) <= cap
+        k = t.size if fits[-1] else int(np.argmin(fits))
+        return (float(ez[k]) + math.sqrt(rest[k] * (cap - e2[k]))) / n, m
 
 
 def _pinned_rows(cset: Box, center: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -154,7 +170,7 @@ def _pinned_rows(cset: Box, center: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return pinned
 
 
-def _sup_dual(loss, cset, center, Z, r):
+def _sup_dual(loss, cset, center, Z, r, z_max):
     """Lagrangian dual of the ball supremum, with the gap it certifies.
 
     With B the ball value, every multiplier lam >= 0 gives the upper bound
@@ -163,7 +179,9 @@ def _sup_dual(loss, cset, center, Z, r):
     bound.  B(U(lam)) is non-increasing in lam, so `_walk_bisect` on the
     margin B(U(lam)) - r^2 brackets the smallest feasible lam, and q is
     taken at the bracket's feasible end.  Returns q, the info dict with the
-    gap q - f(U), and the primal point U.
+    gap q - f(U), and the primal point U.  z_max is max|Z|, which `ball_sup`
+    has put in [1/2, 1), so the vanishing multiplier 1e-150 z_max and the
+    squares in ||Z|| are normal floats.
 
     Up to terms free of u, the Lagrangian's row term is
     -lam D_phi(c - z / lam, u), so its argmax is the Bregman projection of
@@ -218,8 +236,7 @@ def _sup_dual(loss, cset, center, Z, r):
 
     # at a vanishing multiplier the argmax is the set's best point; the ball
     # may not bind at all
-    z_max = float(np.max(np.abs(Z)))
-    lam_lo = max(1e-150 * z_max, _TINY)
+    lam_lo = 1e-150 * z_max
     U_lo, B_lo = at(lam_lo)
     if B_lo <= r2:
         return result(lam_lo, U_lo, B_lo)
@@ -231,11 +248,8 @@ def _sup_dual(loss, cset, center, Z, r):
             hit[:] = U, B
         return B - r2
 
-    # double up from the squared_l2 multiplier ||Z|| / (sqrt(2n) r); the
-    # squares of a Z below 2^-500 underflow, so its norm is taken at Z 2^600
-    z_norm = (float(np.linalg.norm(Z)) if z_max >= _SMALL_Z else
-              float(np.linalg.norm(Z * _SMALL_Z_SCALE)) / _SMALL_Z_SCALE)
-    lam = z_norm / (math.sqrt(2.0 * n) * r)
+    # double up from the squared_l2 multiplier ||Z|| / (sqrt(2n) r)
+    lam = float(np.linalg.norm(Z)) / (math.sqrt(2.0 * n) * r)
     bracket = _walk_bisect(excess, lam_lo, lam, lam * 2.0 ** 200, 1e-13)
     if bracket is None:
         q = result(lam_lo, U_lo, B_lo)[0]
@@ -261,16 +275,21 @@ def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
     """sup over {U : rows in cset, L_n(center, U) <= r^2} of the averaged
     gradient-perturbation inner product (1/n) sum <gradphi(c_i)-gradphi(u_i), z_i>.
 
-    A center row outside the set, and a non-finite entry of Z, raise
-    RejectedInputError before any solve.  squared_l2 on
-    a box is solved in closed form; every other supported (potential, set)
-    pair by its Lagrangian dual, whose value is an upper bound and whose
-    `gap` in `full_output` bounds the distance to the supremum.  A pair with
-    no exact inner argmax, and a set with a vertex outside the loss domain,
-    raise RejectedInputError.
+    A radius that is negative or not finite, a center row outside the set,
+    and a non-finite entry of Z raise RejectedInputError before any solve.
+    squared_l2 on a box is solved in closed form; every other supported
+    (potential, set) pair by its Lagrangian dual, whose value is an upper
+    bound and whose `gap` in `full_output` bounds the distance to the
+    supremum.  A pair with no exact inner argmax, and a set with a vertex
+    outside the loss domain, raise RejectedInputError.
+
+    Both values are linear in Z, so either solver sees Z 2^-k, with max|Z|
+    in [1/2, 1), and its value and gap are scaled back by 2^k; a power of
+    two scales every step of both exactly, and a value past the float range
+    comes out as inf.
     """
-    if r < 0:
-        raise RejectedInputError("radius must be >= 0")
+    if not 0.0 <= r < math.inf:
+        raise RejectedInputError("radius must be finite and >= 0")
     _vertices(loss, cset)
     C = center.values
     if not cset.contains(C):
@@ -278,14 +297,24 @@ def ball_sup(loss: BregmanLoss, cset: CompactSet, center: PredictionMatrix,
     Z = np.asarray(Z, dtype=float)
     if Z.shape != C.shape:
         raise RejectedInputError(f"shape mismatch: {Z.shape} vs {C.shape}")
-    if not np.isfinite(Z).all():
+    # one pass: z_max is NaN or inf if an entry is
+    A = np.abs(Z)
+    z_max = float(np.max(A, initial=0.0))
+    if not z_max < math.inf:
         raise RejectedInputError("perturbation entries must be finite")
-    if r == 0.0 or not np.any(Z):
+    if r == 0.0 or z_max == 0.0:
         val, info = 0.0, {"method": "trivial"}
-    elif loss.kind == "squared_l2" and isinstance(cset, Box):
-        val, info = _sup_box_sql2(cset, C, Z, r), {"method": "closed_form"}
     else:
-        val, info, _ = _sup_dual(loss, cset, C, Z, r)
+        z_max, k = math.frexp(z_max)
+        # over |Z|, not read again: a fresh n x d array faults its pages in
+        # on every call
+        Z = np.ldexp(Z, -k, out=A)
+        if loss.kind == "squared_l2" and isinstance(cset, Box):
+            val, m = _sup_box_sql2(cset, C, Z, r)
+            val, info = _ldexp(val, k + m), {"method": "closed_form"}
+        else:
+            val, info, _ = _sup_dual(loss, cset, C, Z, r, z_max)
+            val, info["gap"] = _ldexp(val, k), _ldexp(info["gap"], k)
     return (val, info) if full_output else val
 
 

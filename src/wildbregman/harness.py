@@ -65,7 +65,7 @@ class OracleContext:
     fstar_preds: PredictionMatrix
     noise: np.ndarray
     w_inf: float
-    fstar_fn: object = None
+    fstar_fn: object
 
 
 def _draw_noise(rng, n, d, family, scale):

@@ -90,7 +90,8 @@ def test_criterion_02_wn_oracle_equivalence():
         exact = r * math.sqrt(2.0 / n) * float(np.linalg.norm(Z))
         # independent numerical path: the separable dual solver, not the
         # Cauchy-Schwarz formula
-        got = _sup_dual(loss, cset, C, Z, r)[0]
+        got = _sup_dual(loss, cset, C, Z, r,
+                        float(np.max(np.abs(Z))))[0]
         worst = max(worst, abs(got - exact) / exact)
     elapsed = time.time() - t0
     report(2, worst <= 1e-6 and elapsed < 60.0,

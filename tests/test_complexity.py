@@ -27,6 +27,11 @@ def closed_form(Z, r, n):
     return r * math.sqrt(2.0 / n) * float(np.linalg.norm(Z))
 
 
+def max_abs(Z):
+    """The max|Z| that `ball_sup` hands `_sup_dual`."""
+    return float(np.max(np.abs(Z)))
+
+
 def test_wn_zero_radius(rng):
     loss = builtin_loss("squared_l2", 2)
     F = PredictionMatrix(rng.uniform(-1, 1, size=(20, 2)))
@@ -116,7 +121,7 @@ def test_wn_box_closed_form_matches_dual_box(rng):
         got, info = ball_sup(loss, cset, PredictionMatrix(C), Z, r,
                              full_output=True)
         assert info["method"] == "closed_form"
-        want, dual_info, U = _sup_dual(loss, cset, C, Z, r)
+        want, dual_info, U = _sup_dual(loss, cset, C, Z, r, max_abs(Z))
         assert dual_info["method"] == "dual_box"
         assert got == pytest.approx(want, rel=1e-12)
         on_face = np.isclose(np.abs(C - U), np.where(Z > 0, C + b, b - C))
@@ -156,7 +161,7 @@ def test_dual_box_gap_certified_sqrt_bernoulli(rng, monkeypatch):
         Z = rng.normal(scale=0.3, size=(n, 2))
         for r in radii:
             projections.clear()
-            q, info, U = _sup_dual(loss, cset, C, Z, r)
+            q, info, U = _sup_dual(loss, cset, C, Z, r, max_abs(Z))
             assert info["method"] == "dual_box"
             assert cset.contains(U, tol=0.0)
             assert _ball_value(loss, C, U) <= r * r
@@ -243,7 +248,7 @@ def test_dual_box_live_rows_bit_identical(rng, kind, d):
             assert np.array_equal(pinned, want_pinned)
             assert not np.any(pinned & np.any((C < lo) | (C > hi), axis=1))
             pinned_seen += int(pinned.sum())
-            q, info, U = _sup_dual(loss, cset, C, Z, r)
+            q, info, U = _sup_dual(loss, cset, C, Z, r, max_abs(Z))
             q_ref, info_ref, U_ref = _sup_dual_all_rows(loss, cset, C, Z, r)
             assert q == q_ref and info == info_ref
             assert np.array_equal(U, U_ref)
@@ -256,7 +261,7 @@ def test_dual_box_live_rows_bit_identical(rng, kind, d):
     Z[:3, 0], Z[3:, -1], Z[1] = 0.4, -0.2, 0.0
     assert np.all(_pinned_rows(cset, C, Z))
     for r in (1e-3, 0.1):
-        q, info, U = _sup_dual(loss, cset, C, Z, r)
+        q, info, U = _sup_dual(loss, cset, C, Z, r, max_abs(Z))
         assert np.array_equal(U, C)
         assert (q, info) == _sup_dual_all_rows(loss, cset, C, Z, r)[:2]
 
@@ -284,7 +289,7 @@ def test_dual_box_projects_only_live_rows(monkeypatch):
     binding = 0
     for r in (0.02, 0.05, 0.1, 0.2, 0.4):
         rows.clear()
-        got = complexity._sup_dual(loss, cset, C, Z, r)
+        got = complexity._sup_dual(loss, cset, C, Z, r, max_abs(Z))
         ref_rows = []
         want = _sup_dual_all_rows(
             loss, cset, C, Z, r,
@@ -319,25 +324,101 @@ def test_ball_sup_refuses_non_finite_perturbation(monkeypatch):
                     ball_sup(loss, cset, F, Z, r)
 
 
-@pytest.mark.parametrize("kind, d", [("sqrt_bernoulli", 2),
-                                     ("clipped_simplex_kl", 3)])
+def _scale_instance(kind, d):
+    """n = 50 centres inside a set and a +-1 sign matrix Z (seed 0), for the
+    three methods: squared_l2 on Box(+-1)^2 with centres in +-0.5 (closed
+    form), sqrt_bernoulli on [0.25, 0.75]^2 with centres in [0.3, 0.7]
+    (dual_box), KL on ClippedSimplex(0.1, 3) (dual_simplex)."""
+    rng = np.random.default_rng(0)
+    n = 50
+    if kind == "squared_l2":
+        loss, cset = builtin_loss(kind, d), box(d, 1.0)
+        C = rng.uniform(-0.5, 0.5, size=(n, d))
+    elif kind == "sqrt_bernoulli":
+        loss = builtin_loss(kind, d, eps0=0.05)
+        cset = Box(np.full(d, 0.25), np.full(d, 0.75))
+        C = rng.uniform(0.3, 0.7, size=(n, d))
+    else:
+        loss, cset = builtin_loss(kind, d, eta0=0.1), ClippedSimplex(0.1, d)
+        C = cset.project(rng.dirichlet(np.ones(d), n))
+    Z = rng.integers(0, 2, size=(n, d)) * 2.0 - 1.0
+    return loss, cset, PredictionMatrix(C), Z
+
+
+_METHOD = {"squared_l2": "closed_form", "sqrt_bernoulli": "dual_box",
+           "clipped_simplex_kl": "dual_simplex"}
+_SCALE_KINDS = [("squared_l2", 2), ("sqrt_bernoulli", 2),
+                ("clipped_simplex_kl", 3)]
+
+
+@pytest.mark.parametrize("kind, d", _SCALE_KINDS)
 def test_dual_is_homogeneous_in_z_down_to_tiny_perturbations(kind, d):
-    # the supremum is linear in Z, and the dual keeps that below 1e-174,
-    # where 1e-150 max|Z| underflows: its vanishing multiplier stays a
-    # normal float and its starting multiplier does not lose ||Z|| to the
-    # squares underflowing
-    loss = builtin_loss(kind, d, **({"eps0": 0.05} if d == 2 else {}))
-    F = PredictionMatrix(np.full((4, d), 1.0 / d if d == 3 else 0.5))
-    Z = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0],
-                  [-1.0, -1.0, 1.0]])[:, :d]
-    for scale in (1.0, 1e-100):
-        val, info = ball_sup(loss, loss.domain, F, scale * Z, 0.1,
-                             full_output=True)
-        tiny, tiny_info = ball_sup(loss, loss.domain, F, 1e-100 * scale * Z,
-                                   0.1, full_output=True)
-        assert val > 0 and tiny_info["method"] == info["method"]
-        assert tiny == pytest.approx(1e-100 * val, rel=1e-12)
-        assert tiny_info["gap"] <= 1e-9 * tiny
+    # the supremum and the dual's bound are linear in Z, and ball_sup solves
+    # at max|Z| in [1/2, 1): the value at Z s is s times the value at Z from
+    # 1e-300 to 1e300, where the squares of Z, or 1e-150 max|Z|, under- or
+    # overflow, and the dual's gap is scaled by s too
+    loss, cset, F, Z = _scale_instance(kind, d)
+    val, info = ball_sup(loss, cset, F, Z, 0.1, full_output=True)
+    assert val > 0 and info["method"] == _METHOD[kind]
+    for s in (1e-300, 1e-200, 1e-170, 1e-160, 1e155, 1e200, 1e300):
+        got, got_info = ball_sup(loss, cset, F, s * Z, 0.1, full_output=True)
+        assert got_info["method"] == info["method"]
+        # abs=0: approx's default abs=1e-12 would pass any tiny value
+        assert got == pytest.approx(s * val, rel=1e-12, abs=0.0)
+        if "gap" in info:
+            assert got_info["gap"] == pytest.approx(s * info["gap"],
+                                                    abs=1e-12 * s * val)
+
+
+@pytest.mark.parametrize("r", [1e-160, 1e-170, 1e-300, 1e-305])
+def test_closed_form_is_cauchy_schwarz_at_a_radius_whose_square_underflows(r):
+    # no entry saturates on this instance, so the supremum is the
+    # Cauchy-Schwarz value r sqrt(2/n) ||Z||: 2 r, though 2 n r^2 underflows.
+    # On the loss domain, Box(+-1e6), the rooms scaled to r = 1e-305 pass
+    # the float range
+    loss, cset, F, Z = _scale_instance("squared_l2", 2)
+    for cset in (cset, loss.domain):
+        got, info = ball_sup(loss, cset, F, Z, r, full_output=True)
+        assert info["method"] == "closed_form"
+        assert got / r == pytest.approx(closed_form(Z, r, 50) / r, rel=1e-12)
+        assert got / r == pytest.approx(2.0, rel=1e-12)
+
+
+def test_closed_form_takes_a_multiplier_whose_square_underflows():
+    # an entry 1e-170 next to a saturating one: its t^2 underflows to 0 in
+    # the sorted search, which takes it as clipping nowhere
+    loss, cset = builtin_loss("squared_l2", 2), box(2, 1.0)
+    F = PredictionMatrix(np.array([[0.99, 0.0], [0.0, 0.0]]))
+    Z = np.array([[-1.0, 0.0], [1e-170, 0.0]])
+    for r in (0.01, 1.0):
+        # the first entry moves its room 0.01 to the face: 0.01 / n
+        assert ball_sup(loss, cset, F, Z, r) == pytest.approx(0.005,
+                                                              rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, d", _SCALE_KINDS)
+def test_ball_sup_is_trivial_for_zero_perturbation_or_no_rows(kind, d):
+    loss, cset, F, Z = _scale_instance(kind, d)
+    empty = PredictionMatrix(np.empty((0, d)))
+    for F, Z in ((F, np.zeros_like(Z)), (empty, np.empty((0, d)))):
+        for r in (0.0, 0.1):
+            assert ball_sup(loss, cset, F, Z, r, full_output=True) == \
+                (0.0, {"method": "trivial"})
+
+
+@pytest.mark.parametrize("kind, d", _SCALE_KINDS)
+def test_ball_sup_refuses_a_radius_that_is_not_finite(kind, d, monkeypatch):
+    from wildbregman import complexity
+
+    def no_solve(*args):
+        raise AssertionError("solved at a non-finite radius")
+    monkeypatch.setattr(complexity, "_sup_box_sql2", no_solve)
+    monkeypatch.setattr(complexity, "_sup_dual", no_solve)
+    loss, cset, F, Z = _scale_instance(kind, d)
+    for r in (math.nan, math.inf, -math.inf, -0.1):
+        with pytest.raises(RejectedInputError,
+                           match="radius must be finite and >= 0"):
+            ball_sup(loss, cset, F, Z, r)
 
 
 def _check_dual_against_grid(loss, cset, c, z, r, G, h):
@@ -347,7 +428,7 @@ def _check_dual_against_grid(loss, cset, c, z, r, G, h):
     bounded by Lipschitz constants: every feasible u has a grid point g with
     |g - u| <= h, so f(u) <= f(g) + Lf h and B(g) <= r^2 + LB h."""
     from wildbregman.complexity import _sup_dual
-    val, info, _ = _sup_dual(loss, cset, c, z, r)
+    val, info, _ = _sup_dual(loss, cset, c, z, r, max_abs(z))
     assert info["method"] == "dual_simplex"
     hmax = 1.0 / cset.eta0 if loss.kind == "clipped_simplex_kl" else 1.0
     g = loss.gradient
@@ -400,7 +481,7 @@ def test_dual_simplex_primal_feasible_and_tight(kind):
     C = cset.project(rng.dirichlet(np.ones(3), 200))
     Z = rng.normal(scale=0.2, size=(200, 3))
     for r in (0.02, 0.05, 0.2):
-        val, info, U = _sup_dual(loss, cset, C, Z, r)
+        val, info, U = _sup_dual(loss, cset, C, Z, r, max_abs(Z))
         assert info["method"] == "dual_simplex"
         assert cset.contains(U, tol=1e-12)
         assert _ball_value(loss, C, U) <= r * r
@@ -437,7 +518,7 @@ def test_dual_below_rounding_floor_still_bounds(kind, r):
     # divergence no longer cancels) it finds a feasible multiplier.
     from wildbregman.complexity import _ball_value, _sup_dual
     loss, cset, C, Z = _simplex_repro(kind)
-    q, info, U = _sup_dual(loss, cset, C, Z, r)
+    q, info, U = _sup_dual(loss, cset, C, Z, r, max_abs(Z))
     assert q >= 0.0
     assert math.isfinite(info["gap"]) and info["gap"] >= 0.0
     if r * r < _BALL_VALUE_FLOOR[kind]:
@@ -452,7 +533,7 @@ def test_dual_below_rounding_floor_still_bounds(kind, r):
     assert not np.array_equal(U, C)
     assert _ball_value(loss, C, U) <= r * r
     assert info["gap"] <= 1e-5 * q
-    q_ref = _sup_dual(loss, cset, C, Z, 1e-6)[0]
+    q_ref = _sup_dual(loss, cset, C, Z, 1e-6, max_abs(Z))[0]
     assert q / r == pytest.approx(q_ref / 1e-6, rel=1e-4)
 
 

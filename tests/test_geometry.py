@@ -491,8 +491,11 @@ _SRC = Path(__file__).resolve().parents[1] / "src" / "wildbregman"
 
 
 def _along_rows(call):
-    """Whether a call passes axis=1 or axis=-1, by keyword or, for
-    np.<name>(a, axis) and a.<name>(axis), by position."""
+    """Whether a method or numpy call passes axis=1 or axis=-1, by keyword
+    or, for np.<name>(a, axis) and a.<name>(axis), by position."""
+    if not isinstance(call.func, ast.Attribute):
+        return False
+
     def one(node):
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             return isinstance(node.operand, ast.Constant) and node.operand.value == 1
@@ -504,17 +507,18 @@ def _along_rows(call):
     return any(one(node) for node in axis)
 
 
-def _calls(tree, names, pick):
-    """(enclosing function, name, line) of each call of a method or numpy
-    function in names that pick(call) selects, in a module."""
+def _calls(tree, names, pick=lambda call: True):
+    """(enclosing function, name, line) of each call of a function, method or
+    numpy function in names that pick(call) selects, in a module."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in names and pick(node)):
-            found.append((func, node.func.attr, node.lineno))
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in names and pick(node):
+                found.append((func, name, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -530,6 +534,8 @@ def _row_calls(tree):
 def _whole_array(call):
     """Whether a mean call passes no axis, or axis=None: np.mean(a) or
     a.mean()."""
+    if not isinstance(call.func, ast.Attribute):
+        return False
     on_np = isinstance(call.func.value, ast.Name) and call.func.value.id == "np"
     axis = [kw.value for kw in call.keywords if kw.arg == "axis"] or (
         call.args[1:2] if on_np else call.args[:1])
@@ -550,6 +556,18 @@ def test_src_reduces_rows_only_in_the_column_helpers_and_the_allowlist():
         "loop over the columns: " + "; ".join(outside)
     # an entry whose call is gone is removed with it
     assert seen == set(_ALLOWED_ROW_CALLS)
+
+
+def test_src_solves_ball_suprema_only_through_ball_sup():
+    # both solvers take Z scaled to max|Z| in [1/2, 1), which ball_sup does;
+    # tests may still call them
+    outside = [f"{path.name}:{line} {name} in {func}"
+               for path in sorted(_SRC.glob("*.py"))
+               for func, name, line in _calls(ast.parse(path.read_text()),
+                                              {"_sup_box_sql2", "_sup_dual"})
+               if func != "ball_sup"]
+    assert not outside, "ball suprema solved outside ball_sup: " \
+        + "; ".join(outside)
 
 
 def test_src_takes_whole_array_means_only_by_the_mean_helper():
