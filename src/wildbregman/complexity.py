@@ -49,12 +49,13 @@ def _ball_value(loss: BregmanLoss, center: np.ndarray, U: np.ndarray,
     return _mean(v if scatter is None else scatter(v))
 
 
-def _walk_bisect(margin, lo, x, cap, rel):
+def _walk_bisect(margin, lo, m_lo, x, cap, rel):
     """Walk x, 2x, 4x, ... and at last cap itself (never a point past cap or
     an infinite one) until the monotone margin is ok (margin <= 0), then
     close the bracket from the last failing point (lo at the start, where ok
-    fails) to relative width rel.  Returns (lo, hi) with ok false at lo and
-    true at hi and hi - lo <= rel hi, or None if ok fails on the whole walk.
+    fails and the margin is m_lo, NaN if the caller has none) to relative
+    width rel.  Returns (lo, hi) with ok false at lo and true at hi and
+    hi - lo <= rel hi, or None if ok fails on the whole walk.
 
     The bracket closes by Illinois false position (Dowell & Jarratt, 1971):
     step k evaluates the root of the chord through the two ends' margins,
@@ -63,10 +64,11 @@ def _walk_bisect(margin, lo, x, cap, rel):
     is followed by one just past it.  It is also kept within t = w 2^(-k/2)
     of either end, w the width the walk left, so that k steps leave at most
     the width of k/2 bisections whichever end they replace (the projection
-    of Oliveira & Takahashi, 2020).  While lo's margin is unknown (the
-    walk's first point is ok) or a margin is not finite, the step bisects.
+    of Oliveira & Takahashi, 2020).  While lo's margin is unknown (m_lo is
+    NaN and the walk's first point is ok) or a margin is not finite, the
+    step bisects.
     """
-    m_lo, x = math.nan, min(x, cap)
+    x = min(x, cap)
     while lo < x < math.inf:
         m_hi = margin(x)
         if m_hi <= 0:
@@ -250,7 +252,8 @@ def _sup_dual(loss, cset, center, Z, r, z_max):
 
     # double up from the squared_l2 multiplier ||Z|| / (sqrt(2n) r)
     lam = float(np.linalg.norm(Z)) / (math.sqrt(2.0 * n) * r)
-    bracket = _walk_bisect(excess, lam_lo, lam, lam * 2.0 ** 200, 1e-13)
+    bracket = _walk_bisect(excess, lam_lo, B_lo - r2, lam, lam * 2.0 ** 200,
+                           1e-13)
     if bracket is None:
         q = result(lam_lo, U_lo, B_lo)[0]
         return q, {"method": method, "gap": q}, center
@@ -364,13 +367,13 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
     """Smallest r with r^2 >= W_n((2 + 1/log(1/delta)) r).
 
     Tries the floor log(1/delta)/sqrt(n); past it, `_walk_bisect` doubles up
-    to r_max, inclusive, on the margin (W - r^2) / (sqrt(W) + r), W the
-    process at (2 + 1/log(1/delta)) r.  Its sign is that of W - r^2, so it
-    takes every ok/fail decision W - r^2 would and the returned end keeps
-    r^2 >= W; but it equals sqrt(W) - r, which is linear in r where W has
-    saturated (the ball no longer binds), and false position closes on it
-    there in fewer evaluations.  A floor above r_max raises SolveError before W_n is
-    evaluated.
+    to r_max, inclusive, starting from the floor's margin, on the margin
+    (W - r^2) / (sqrt(W) + r), W the process at (2 + 1/log(1/delta)) r.
+    Its sign is that of W - r^2, so it takes every ok/fail decision W - r^2
+    would and the returned end keeps r^2 >= W; but it equals sqrt(W) - r,
+    which is linear in r where W has saturated (the ball no longer binds),
+    and false position closes on it there in fewer evaluations.  A floor
+    above r_max raises SolveError before W_n is evaluated.
     """
     if not 0 < delta <= math.exp(-9.0):  # refuses NaN too
         raise RejectedInputError("requires 0 < delta <= e^-9")
@@ -390,9 +393,11 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
         m = (w - r * r) / (math.sqrt(w) + r) if 0 <= w < math.inf else w
         return min(m, 0.0) if ok else max(m, math.ulp(0.0))
 
-    if excess(r_min) <= 0:
+    m_min = excess(r_min)
+    if m_min <= 0:
         return r_min
-    bracket = _walk_bisect(excess, r_min, 2.0 * r_min, r_max, _REFINE_REL)
+    bracket = _walk_bisect(excess, r_min, m_min, 2.0 * r_min, r_max,
+                           _REFINE_REL)
     if bracket is None:
         raise SolveError("no radius below r_max satisfies the fixed-point "
                          "condition", trace=trace)
@@ -411,16 +416,17 @@ def _require_closing(loss, w_inf, d, log_inv):
             f"[0, 1)")
 
 
-def _thm_6_1_rhs(loss, wn_at, pilot_at, r, delta, n, w_inf, d):
-    """Right-hand side of Theorem 6.1's self-bounding inequality at r,
-      max(log(1/delta)^2/n, W_n(c r)) + kappa r^2 + pilot(c r),
-    c = 2 + 1/log(1/delta), with W_n and the pilot functions of the radius.
-    A pilot value that is negative or not finite raises RejectedInputError."""
+def _thm_6_1_rhs(loss, wn_at, pilot_at, s, delta, n, w_inf, d):
+    """Right-hand side of Theorem 6.1's self-bounding inequality at r = s / c,
+      max(log(1/delta)^2/n, W_n(s)) + kappa r^2 + pilot(s),
+    c = 2 + 1/log(1/delta), with W_n and the pilot functions of the radius,
+    evaluated at the inflated radius s itself.  A pilot value that is
+    negative or not finite raises RejectedInputError."""
     log_inv = math.log(1.0 / delta)
-    s = (2.0 + 1.0 / log_inv) * r
     pilot = pilot_at(s)
     if not (math.isfinite(pilot) and pilot >= 0):
         raise RejectedInputError(f"pilot {pilot!r} must be finite and >= 0")
+    r = s / (2.0 + 1.0 / log_inv)
     return (max(log_inv ** 2 / n, wn_at(s))
             + _stability_term(loss, r, w_inf, d, log_inv) + pilot)
 
@@ -429,45 +435,31 @@ def rhat_bound_convex(wn_evaluator, pilot_evaluator, delta: float, n: int,
                       w_inf: float, d: int, loss: BregmanLoss, *,
                       r_max: float) -> float:
     """Upper bound on the noiseless radius r-hat of a convex class: the
-    first r, closed from above to relative width 1e-4, at which Theorem
-    6.1's inequality r^2 <= `_thm_6_1_rhs`(r) fails.  The evaluators give
-    W_n and the pilot supremum, or upper bounds on them, at a radius.
+    smallest r with r^2 >= rhs(r), rhs Theorem 6.1's right-hand side
+    `_thm_6_1_rhs`, found by `fixed_point_radius` run on rhs in place of
+    W_n.  The evaluators give W_n and the pilot supremum, or upper bounds on
+    them, at a radius.
 
-    On the theorem's event r-hat satisfies the exact inequality.  On a
-    `Box` for every built-in potential, and for squared_l2 on the clipped
-    simplex, the ball is convex in mirror coordinates m = grad phi(u) and
-    holds the centre, and the objective is linear in m, so the supremum is
-    concave in s^2 and W(s)/s^2, like the pilot's ratio, does not increase
-    in s.  With kappa < 1 the exact inequality then holds on an interval
-    [0, R] containing r-hat; wherever it fails with upper bounds in place of
-    W_n and the pilot the exact one fails too, so the returned r exceeds R.
-    KL on the clipped simplex is not convex in m, and kappa >= 1 closes no
-    bound: both are refused.  The saturated fit's class (every prediction
-    in the set) is convex; the projected linear fit's is not yet.
-
-    The inequality holds at the floor log(1/delta)/sqrt(n); `_walk_bisect`
-    doubles up from it to r_max, inclusive, on rhs - r^2 moved up one ulp
-    (so that equality holds).  Holding still at r_max raises SolveError.
+    On the theorem's event r-hat satisfies r^2 <= rhs(r).  On a `Box` for
+    every built-in potential, and for squared_l2 on the clipped simplex, the
+    ball is convex in mirror coordinates m = grad phi(u) and holds the
+    centre, and the objective is linear in m, so the supremum is concave in
+    s^2 and W(s)/s^2, like the pilot's ratio, does not increase in s.  With
+    kappa < 1, rhs(r)/r^2 does not increase either, so the inequality holds
+    on an interval [0, R] and the smallest r with r^2 >= rhs(r) is R (short
+    of it only where the ratio is 1 on a whole stretch), which bounds r-hat;
+    upper bounds in place of W_n and the pilot raise rhs, and so the r
+    returned.  KL on the clipped simplex is not convex in m, and kappa >= 1
+    closes no bound: both are refused.  The saturated fit's class (every
+    prediction in the set) is convex; the projected linear fit's is not yet.
     """
     if not 0 < delta <= math.exp(-9.0):  # refuses NaN too
         raise RejectedInputError("requires 0 < delta <= e^-9")
     if loss.kind == "clipped_simplex_kl":
         raise RejectedInputError("KL on the clipped simplex has no ball "
                                  "convex in mirror coordinates")
-    log_inv = math.log(1.0 / delta)
-    _require_closing(loss, w_inf, d, log_inv)
-    trace = []
-
-    def slack(r):
-        m = _thm_6_1_rhs(loss, wn_evaluator, pilot_evaluator, r, delta, n,
-                         w_inf, d) - r * r
-        trace.append((r, m >= 0))
-        # the walk's ok is "violated", m < 0; equality holds, so 0 maps above 0
-        return math.nextafter(m, math.inf)
-
-    r_min = log_inv / math.sqrt(n)
-    bracket = _walk_bisect(slack, r_min, 2.0 * r_min, r_max, _REFINE_REL)
-    if bracket is None:
-        raise SolveError(f"Theorem 6.1's inequality still holds at r_max = "
-                         f"{r_max:.6g}", trace=trace)
-    return bracket[1]
+    _require_closing(loss, w_inf, d, math.log(1.0 / delta))
+    return fixed_point_radius(
+        lambda s: _thm_6_1_rhs(loss, wn_evaluator, pilot_evaluator, s, delta,
+                               n, w_inf, d),
+        delta, n, r_max=r_max)

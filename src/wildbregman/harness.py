@@ -17,12 +17,12 @@ import numpy as np
 
 from .certify import (_FIXED_BUDGET, _RANDOM_BUDGET, fixed_design_certificate,
                       random_design_certificate)
-from .complexity import (RadiusReport, _require_closing, _thm_6_1_rhs,
-                         pilot_sup, wn)
+from .complexity import (RadiusReport, _objective, _require_closing,
+                         _thm_6_1_rhs, pilot_sup, wn)
 from .design import (FixedDesignDataset, PredictionMatrix,
                      empirical_discrepancy, sample_sign_matrix)
 from .errors import RejectedInputError
-from .geometry import Box, CompactSet, _mean, _row_sum
+from .geometry import Box, CompactSet, _mean
 from .potentials import BregmanLoss
 from .trainers import LinearTrainer, build_model
 from .wildfit import _refit_stage, calibrate_rho, wild_optimism, wild_refit
@@ -222,13 +222,6 @@ def _check_lemma_5_1(ctx: _RepContext):
     return lhs, wild_optimism(ctx.loss, result)
 
 
-def _true_optimism(loss: BregmanLoss, fhat: PredictionMatrix,
-                   fstar_preds: PredictionMatrix, W: np.ndarray) -> float:
-    """(1/n) sum <gradphi(fstar_i) - gradphi(fhat_i), w_i>."""
-    g = loss.gradient
-    return _mean(_row_sum((g(fstar_preds.values) - g(fhat.values)) * W))
-
-
 def _check_thm_5_1(ctx: _RepContext, which: str):
     """Theorem 5.1 in fixed design, either half.
 
@@ -247,8 +240,9 @@ def _check_thm_5_1(ctx: _RepContext, which: str):
     """
     cert, fhat = _fixed_design_pipeline(ctx)
     if which == "optimism":
-        return (abs(_true_optimism(ctx.loss, fhat, ctx.oracle.fstar_preds,
-                                   ctx.oracle.noise)),
+        # the true optimism (1/n) sum <gradphi(fstar_i) - gradphi(fhat_i), w_i>
+        return (abs(_objective(ctx.loss, ctx.oracle.fstar_preds.values,
+                               fhat.values, ctx.oracle.noise)),
                 cert.wild_optimism_abs + cert.pilot + cert.deviation)
     return (empirical_discrepancy(ctx.loss, ctx.oracle.fstar_preds, fhat),
             cert.total)
@@ -256,8 +250,9 @@ def _check_thm_5_1(ctx: _RepContext, which: str):
 
 def _check_thm_6_1(ctx: _RepContext):
     """Theorem 6.1 at the noiseless radius: r-hat^2 against
-    `complexity._thm_6_1_rhs` at r-hat, with the fit's wild process and the
-    oracle pilot and w_inf."""
+    `complexity._thm_6_1_rhs` at r-hat, that is at the inflated radius
+    (2 + 1/log(1/delta)) r-hat, with the fit's wild process and the oracle
+    pilot and w_inf."""
     loss, cset, data = ctx.loss, ctx.cset, ctx.data
     fhat = _refit_stage(ctx.trainer, data.inputs, data.responses,
                         "initial fit")
@@ -267,7 +262,8 @@ def _check_thm_6_1(ctx: _RepContext):
     return r_hat ** 2, _thm_6_1_rhs(
         loss, lambda s: wn(loss, cset, fhat, Z, s),
         lambda s: pilot_sup(loss, cset, fhat, ctx.oracle.fstar_preds, eps, s),
-        r_hat, ctx.delta, data.n, ctx.oracle.w_inf, data.d)
+        (2.0 + 1.0 / math.log(1.0 / ctx.delta)) * r_hat, ctx.delta, data.n,
+        ctx.oracle.w_inf, data.d)
 
 
 def _check_thm_5_2(ctx: _RepContext):

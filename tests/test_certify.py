@@ -6,13 +6,12 @@ import pytest
 from wildbregman.certify import (fixed_design_certificate,
                                  random_design_certificate, random_design_tail,
                                  stability_constants)
-from wildbregman.complexity import (RadiusReport, deviation_term,
+from wildbregman.complexity import (RadiusReport, _objective, deviation_term,
                                     fixed_point_radius, pilot_sup, wn)
 from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
                                 empirical_discrepancy)
 from wildbregman.errors import RejectedInputError
 from wildbregman.geometry import Box, ClippedSimplex
-from wildbregman.harness import _true_optimism
 from wildbregman.potentials import builtin_loss
 from wildbregman.trainers import SaturatedTrainer
 from wildbregman.wildfit import calibrate_rho, wild_refit
@@ -30,7 +29,9 @@ def test_true_optimism_closed_form(rng):
     G = PredictionMatrix(rng.uniform(-1, 1, size=(20, 2)))
     W = rng.uniform(-0.5, 0.5, size=(20, 2))
     expect = float(np.mean(np.sum((G.values - F.values) * W, axis=1)))
-    assert _true_optimism(loss, F, G, W) == pytest.approx(expect, rel=1e-12)
+    # the true optimism, for fhat = F and fstar = G
+    assert _objective(loss, G.values, F.values, W) == pytest.approx(expect,
+                                                                   rel=1e-12)
 
 
 def test_oracle_excess_decomposition_matches_direct(rng):
@@ -45,7 +46,7 @@ def test_oracle_excess_decomposition_matches_direct(rng):
     direct = (float(np.mean(loss.divergence_rows(Y, fhat.values)))
               - float(np.mean(loss.divergence_rows(Y, Fstar))))
     decomposed = (empirical_discrepancy(loss, PredictionMatrix(Fstar), fhat)
-                  + _true_optimism(loss, fhat, PredictionMatrix(Fstar), W))
+                  + _objective(loss, Fstar, fhat.values, W))
     assert decomposed == pytest.approx(direct, abs=1e-9)
 
 
@@ -304,6 +305,8 @@ def test_random_certificate_adds_tail(rng):
     assert rand.total == pytest.approx(fixed.total + tail, rel=1e-12)
     assert rand.failure_budget == pytest.approx(11 * delta)
     assert rand.provenance["iid_assumption"] == "declared, unverified"
+    with pytest.raises(RejectedInputError, match="fixed-design"):
+        random_design_certificate(rand, loss, cset, data.n, delta)
 
 
 def test_random_certificate_delta_range(rng):

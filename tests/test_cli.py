@@ -128,8 +128,9 @@ def test_validate_unknown_config_key(tmp_path):
     # keys of no experiment field, of a deleted field (the slack, the
     # lemma's rho cycle and the held-out size are constants), or set by a flag,
     # trainer descriptors with a key other than kind (max_iters and tol are
-    # constants), values of the wrong type, a spec that is not an object, and
-    # a spec refused once at construction rather than inside every rep
+    # constants), values of the wrong type, a spec that is not an object, a
+    # config that is not an object, and a spec refused once at construction
+    # rather than inside every rep
     cfg = tmp_path / "cfg.json"
     for config in ({"bogus": 1}, {"radius_policy": "oracle"},
                    {"spec": {"design": "random"}}, {"spec": {"bogus": 1}},
@@ -145,7 +146,7 @@ def test_validate_unknown_config_key(tmp_path):
                    {"cset_bound": "x"}, {"potential_params": [1]},
                    {"spec": {"n": 0}}, {"spec": {"n": "x"}},
                    {"spec": {"fstar_family": "cubic"}},
-                   {"spec": {"noise_family": "gaussian"}}):
+                   {"spec": {"noise_family": "gaussian"}}, [{"reps": 5}]):
         cfg.write_text(json.dumps(config))
         code = run(["validate", "--theorem", "lemma_5_1", "--reps", 5,
                     "--delta", 0.05, "--config", cfg, "--out", tmp_path / "x"])
@@ -465,6 +466,18 @@ def test_certify_refuses_zero_and_nan_radius(certify, tmp_path, capsys,
     if math.isnan(r_certified):  # a well-formed file, named with its value
         assert err == (f"error: RejectedInputError: {radius}: r_certified "
                        f"must be finite and >= 0\n"), err
+
+
+def test_certify_refuses_an_unknown_radius_method(certify, tmp_path, capsys):
+    radius = tmp_path / "radius.json"
+    radius.write_text(json.dumps(json.loads(radius.read_text())
+                                 | {"method": "guess"}))
+    capsys.readouterr()
+    assert run(certify) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: RejectedInputError: {radius}: unknown radius "
+                   f"method 'guess'\n"), err
+    assert not (tmp_path / "cert.json").exists()
 
 
 # a noise scale or target radius that is not finite and > 0 is refused by

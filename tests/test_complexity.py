@@ -58,6 +58,26 @@ def test_ball_sup_rejects_center_outside_box():
         ball_sup(loss, box(2, 0.5), F, np.ones((2, 2)), 0.1)
 
 
+def test_ball_sup_refuses_a_shape_mismatch():
+    loss = builtin_loss("squared_l2", 2)
+    F = PredictionMatrix(np.zeros((4, 2)))
+    for Z in (np.ones((4, 1)), np.ones((3, 2)), np.ones(8)):
+        with pytest.raises(RejectedInputError, match="shape mismatch"):
+            ball_sup(loss, box(2, 0.5), F, Z, 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_ball_sup_past_the_float_range_is_inf():
+    # Z = +-1e308 on 50 rows of Box(+-1e6)^2 at r = 1: the ball binds before
+    # the box, and the Cauchy-Schwarz value 2e308 is past the float range
+    loss = builtin_loss("squared_l2", 2)
+    rng = np.random.default_rng(0)
+    F = PredictionMatrix(rng.uniform(-0.5, 0.5, size=(50, 2)))
+    Z = 1e308 * sample_sign_matrix(50, 2, 0)
+    assert ball_sup(loss, box(2, 1e6), F, Z, 1.0) == math.inf
+    assert ball_sup(loss, box(2, 1e6), F, 1e-10 * Z, 1.0) < math.inf
+
+
 @pytest.mark.filterwarnings("error")
 def test_ball_sup_rejects_set_outside_domain(rng):
     # the box +-10 leaves sqrt_bernoulli's domain (0.05, 0.95)^2, where its
@@ -202,7 +222,8 @@ def _sup_dual_all_rows(loss, cset, center, Z, r, project=_bregman_projection):
         return B - r2
 
     lam = float(np.linalg.norm(Z)) / (math.sqrt(2.0 * n) * r)
-    bracket = _walk_bisect(excess, lam_lo, lam, lam * 2.0 ** 200, 1e-13)
+    bracket = _walk_bisect(excess, lam_lo, B_lo - r2, lam, lam * 2.0 ** 200,
+                           1e-13)
     if bracket is None:
         q = result(lam_lo, U_lo, B_lo)[0]
         return q, {"method": method, "gap": q}, center
@@ -682,12 +703,14 @@ def test_fixed_point_radius_unbounded():
 def test_rhat_bound_zero_process_floor():
     loss = builtin_loss("squared_l2", 1)
     delta, n = math.exp(-9.0), 100
-    r = rhat_bound_convex(lambda s: 0.0, lambda s: 0.0, delta, n, 0.0, 1, loss,
+    ev, calls = _counted(lambda s: 0.0)
+    r = rhat_bound_convex(ev, lambda s: 0.0, delta, n, 0.0, 1, loss,
                           r_max=10.0)
     # with W == 0, w_inf = 0, pilot = 0 the inequality r^2 <= log(1/delta)^2/n
-    # holds up to the floor log(1/delta)/sqrt(n) and fails past it
-    floor = 9.0 / math.sqrt(n)
-    assert floor < r <= floor * (1.0 + 1e-4)
+    # holds up to the floor log(1/delta)/sqrt(n), with equality there, and
+    # fails past it: the floor itself is the smallest r with r^2 >= rhs(r)
+    assert r == 9.0 / math.sqrt(n)
+    assert len(calls) == 1
 
 
 def _counted(W):
@@ -711,38 +734,45 @@ def test_radius_solver_values_and_wn_calls_pinned():
     assert r == pytest.approx(1.0500525022639544, rel=1e-12)
     assert len(calls) == 9
     # a process that saturates, W(s) = min(s / 2, 0.3): r* = sqrt(0.3), where
-    # the margin (W - r^2) / (sqrt(W) + r) is sqrt(0.3) - r, linear in r
-    # (the margin W - r^2 took 10 calls)
+    # the margin (W - r^2) / (sqrt(W) + r) is sqrt(0.3) - r, linear in r, and
+    # the walk's first point 1.0 is already ok, so the first closing step is
+    # false position from the floor's margin (the margin W - r^2 took 10
+    # calls, and bisecting that first step 8)
     ev, calls = _counted(lambda s: min(0.5 * s, 0.3))
     r = fixed_point_radius(ev, math.exp(-10.0), 400, r_max=10.0)
     assert math.sqrt(0.3) <= r <= math.sqrt(0.3) * (1.0 + 1e-4)
-    assert r == pytest.approx(0.5477506825051661, rel=1e-12)
-    assert len(calls) == 8
+    assert r == pytest.approx(0.5477548798356364, rel=1e-12)
+    assert len(calls) == 5
     ev, calls = _counted(lambda s: 100.0 + s)
     with pytest.raises(SolveError):
         fixed_point_radius(ev, math.exp(-9.0), 100, r_max=5.0)
     assert len(calls) == 4
     # convex class, W(s) = k s, w_inf = 0, pilot p: at delta = e^-9 and
-    # n = 10000 the first failing r solves r^2 = max(0.0081, k c r) + p,
-    # c = 2 + 1/9, closed from above; the walk starts at 2 * 0.09
+    # n = 10000 the smallest r with r^2 >= rhs(r) = max(0.0081, k c r) + p,
+    # c = 2 + 1/9, closed from above; the floor 0.09 is tried first, then the
+    # walk starts at 2 * 0.09
+    log_inv = math.log(1.0 / math.exp(-9.0))
     for k, p, r_star, want, n_calls in (
-            (0.03, 0.03, 0.20774272346536313, 0.2077530737602374, 8),
-            (0.5, 0.0, 19.0 / 18.0, 1.05561943545926, 10),
-            (0.0, 0.5, math.sqrt(0.5081), 0.7128468293487089, 8)):
+            (0.03, 0.03, 0.20774272346536313, 0.2077542854155039, 7),
+            (0.5, 0.0, 19.0 / 18.0, 1.05560852684791, 10),
+            (0.0, 0.5, math.sqrt(0.5081), 0.7128113354878695, 7)):
         ev, calls = _counted(lambda s: k * s)
         r = rhat_bound_convex(ev, lambda s: p, math.exp(-9.0), 10000, 0.0, 1,
                               loss, r_max=10.0)
-        assert r_star < r <= r_star * (1.0 + 1e-4)
+        assert r_star <= r <= r_star * (1.0 + 1e-4)
+        assert r * r >= max(log_inv ** 2 / 10000,
+                            k * (2.0 + 1.0 / log_inv) * r) + p
         assert r == pytest.approx(want, rel=1e-12)
         assert len(calls) == n_calls
-    # a pilot above r_max^2: the inequality holds at every point of the walk
-    # 0.18, 0.36, ..., 5.76 and at r_max itself
+    # a pilot above r_max^2: r^2 >= rhs(r) fails at the floor 0.09, at every
+    # point of the walk 0.18, 0.36, ..., 5.76 and at r_max itself
     ev, calls = _counted(lambda s: 0.03 * s)
     with pytest.raises(SolveError, match="r_max") as err:
         rhat_bound_convex(ev, lambda s: 1e6, math.exp(-9.0), 10000, 0.0, 1,
                           loss, r_max=10.0)
-    assert len(calls) == 7 and calls[-1] == pytest.approx(10.0 * (2 + 1 / 9))
-    assert len(err.value.trace) == 7 and all(ok for _, ok in err.value.trace)
+    assert len(calls) == 8 and calls[-1] == pytest.approx(10.0 * (2 + 1 / 9))
+    assert len(err.value.trace) == 8
+    assert not any(ok for _, ok in err.value.trace)
 
 
 # a monotone process: values at increasing breakpoints, linear between them
@@ -817,7 +847,7 @@ def _check_walk(margin, lo, x, cap, rel):
     def counted(v):
         calls.append(v)
         return margin(v)
-    out = _walk_bisect(counted, lo, x, cap, rel)
+    out = _walk_bisect(counted, lo, math.nan, x, cap, rel)
     walk, x = [], min(x, cap)
     while lo < x:
         walk.append(x)

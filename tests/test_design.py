@@ -29,6 +29,12 @@ def test_dataset_rejects_nonfinite():
         FixedDesignDataset(None, np.array([[np.nan]]))
 
 
+def test_dataset_rejects_misshapen_responses():
+    for Y in (np.ones(5), np.ones((0, 2)), np.ones((5, 0)), np.ones((5, 2, 1))):
+        with pytest.raises(RejectedInputError, match="n x d matrix"):
+            FixedDesignDataset(None, Y)
+
+
 def test_dataset_rejects_mismatched_inputs():
     with pytest.raises(RejectedInputError):
         FixedDesignDataset(np.zeros((4, 2)), np.zeros((5, 1)))

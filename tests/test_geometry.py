@@ -43,6 +43,10 @@ def test_box_diameter_and_center():
 def test_box_rejects_bad_bounds():
     with pytest.raises(RejectedInputError):
         Box(np.array([1.0]), np.array([0.0]))
+    # bounds of different lengths, or not 1-d
+    for lo, hi in ((np.zeros(2), np.ones(3)), (np.zeros((2, 2)), np.ones((2, 2)))):
+        with pytest.raises(RejectedInputError, match="1-d arrays"):
+            Box(lo, hi)
 
 
 def test_box_compares_and_hashes_by_identity():
@@ -107,6 +111,8 @@ def test_waterfill_matches_brute_force_2d():
 def test_simplex_rejects_infeasible_floor():
     with pytest.raises(RejectedInputError):
         ClippedSimplex(eta0=0.6, dim=2)
+    with pytest.raises(RejectedInputError, match="dim >= 2"):
+        ClippedSimplex(eta0=0.1, dim=1)
 
 
 @given(st.lists(st.floats(-5, 5), min_size=3, max_size=3))
@@ -211,6 +217,16 @@ def test_contains_edge_cases(name):
         Z = np.tile(inside, (4, 1))
         Z[2, d - 1] = bad
         assert not cset.contains(Z)
+
+
+@pytest.mark.parametrize("name", sorted(_SETS))
+def test_project_refuses_non_finite_input(name):
+    cset = _SETS[name]
+    for bad in (np.nan, np.inf, -np.inf):
+        Z = np.tile(cset.center(), (3, 1))
+        Z[1, 0] = bad
+        with pytest.raises(RejectedInputError, match="non-finite"):
+            cset.project(Z)
 
 
 @pytest.mark.parametrize("name", sorted(_SETS))
@@ -568,6 +584,17 @@ def test_src_solves_ball_suprema_only_through_ball_sup():
                if func != "ball_sup"]
     assert not outside, "ball suprema solved outside ball_sup: " \
         + "; ".join(outside)
+
+
+def test_src_walks_brackets_only_in_the_dual_and_the_fixed_point():
+    # the dual's multiplier and the fixed-point radius are the two searches;
+    # the convex-class bound is the fixed point run on another process
+    callers = {(path.stem, func)
+               for path in sorted(_SRC.glob("*.py"))
+               for func, _, _ in _calls(ast.parse(path.read_text()),
+                                        {"_walk_bisect"})}
+    assert callers == {("complexity", "_sup_dual"),
+                       ("complexity", "fixed_point_radius")}, callers
 
 
 def test_src_takes_whole_array_means_only_by_the_mean_helper():

@@ -83,6 +83,13 @@ def test_run_coverage_rejects_zero_reps():
         run_coverage(exp)
 
 
+def test_run_coverage_rejects_unknown_theorem():
+    exp = CoverageExperiment(theorem="thm_9_9", reps=100, delta=0.05,
+                             spec=SyntheticSpec(n=10, d=1))
+    with pytest.raises(RejectedInputError, match="unknown theorem"):
+        run_coverage(exp)
+
+
 def test_run_coverage_rejects_few_probabilistic_reps():
     exp = CoverageExperiment(theorem="thm_5_1_excess", reps=10, delta=0.05,
                              spec=SyntheticSpec(n=10, d=1))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -43,6 +44,22 @@ def test_missing_params_take_defaults():
         assert (default.alpha, default.beta) == (explicit.alpha, explicit.beta)
         assert np.array_equal(default.domain.center(), explicit.domain.center())
         assert default.domain.diameter() == explicit.domain.diameter()
+
+
+def test_bad_dimension_and_parameter_values_rejected():
+    with pytest.raises(RejectedInputError, match="dim"):
+        builtin_loss("squared_l2", 0)
+    for eps0 in (0.0, 0.5, -0.1, math.nan):
+        with pytest.raises(RejectedInputError, match="eps0"):
+            builtin_loss("sqrt_bernoulli", 2, eps0=eps0)
+
+
+def test_loss_refuses_alpha_above_beta():
+    loss = builtin_loss("squared_l2", 2)
+    with pytest.raises(RejectedInputError, match="alpha <= beta"):
+        dataclasses.replace(loss, alpha=2.0, beta=1.0)
+    with pytest.raises(RejectedInputError, match="alpha <= beta"):
+        dataclasses.replace(loss, alpha=0.0)
 
 
 def test_params_of_another_kind_rejected():

@@ -257,6 +257,60 @@ def test_linear_kl_wild_responses_on_the_floor_exit_quickly(monkeypatch):
     assert np.linalg.norm(_gradient(loss, Xa, Y_wild, theta)) <= 1e-8
 
 
+def _clamped_family(kind, params, d, seed, scale, shift):
+    """Responses projected from 10 N(0, 1) + shift onto the loss domain, so
+    that rows sit on its faces and vertices, on 20 inputs scale U(+-1)^3."""
+    loss = builtin_loss(kind, d, **params)
+    rng = np.random.default_rng(seed)
+    X = scale * rng.uniform(-1.0, 1.0, (20, 3))
+    return loss, X, loss.domain.project(10.0 * rng.normal(size=(20, d)) + shift)
+
+
+def test_linear_fit_halves_a_step_and_converges(monkeypatch):
+    # sqrt_bernoulli responses on the faces of its domain: some full
+    # Gauss-Newton steps raise the objective and are halved until it falls,
+    # and the fit still returns, stopped by its decrement below its start
+    loss, X, Y = _clamped_family("sqrt_bernoulli", {"eps0": 0.05}, 2, 1, 1.0,
+                                 0.5)
+    counts = {"tried": 0, "steps": 0}
+    project, jacobian = Box.project, trainers._residue_jacobian
+
+    def counted_project(self, z):  # one per objective evaluation
+        counts["tried"] += 1
+        return project(self, z)
+
+    def counted_jacobian(*args):  # one per Gauss-Newton iteration
+        counts["steps"] += 1
+        return jacobian(*args)
+    monkeypatch.setattr(Box, "project", counted_project)
+    monkeypatch.setattr(trainers, "_residue_jacobian", counted_jacobian)
+    Xa, Y = trainers._augmented(X, Y)
+    theta = LinearTrainer(loss, loss.domain)._coefficients(Xa, Y)
+    # one evaluation at the start and one per candidate step, and every
+    # iteration but the last accepts a candidate: more means a halving
+    assert counts["tried"] > counts["steps"]
+    monkeypatch.undo()
+
+    def objective(theta):
+        return np.mean(loss.divergence_rows(Y, loss.domain.project(Xa @ theta)))
+    start = np.zeros_like(theta)
+    start[-1] = loss.domain.center()
+    assert objective(theta) < objective(start)
+
+
+def test_linear_fit_raises_when_no_step_decreases():
+    # KL responses on the vertices and faces of ClippedSimplex(0.1, 3), at
+    # inputs of scale 1e-3: the objective stalls near 0.344 with a gradient
+    # of about 1e-2, and 50 halvings of the next step never lower it
+    loss, X, Y = _clamped_family("clipped_simplex_kl", {"eta0": 0.1}, 3, 4,
+                                 1e-3, 0.0)
+    with pytest.raises(SolveError, match="no step decreases") as err:
+        LinearTrainer(loss, loss.domain).fit(X, Y)
+    assert err.value.trace
+    assert all(0 < obj < math.inf and 0 <= g < math.inf
+               for obj, g in err.value.trace)
+
+
 def test_linear_step_cap_raises_with_trace(monkeypatch):
     loss, X, Y = _kl_family(100)
     monkeypatch.setattr(trainers, "_MAX_ITERS", 1)
