@@ -9,14 +9,13 @@ import math
 
 import numpy as np
 
-from wildbregman.certify import (fixed_design_certificate,
-                                 random_design_certificate)
+from wildbregman.certify import certify_dataset, random_design_certificate
 from wildbregman.complexity import RadiusReport, pilot_sup
+from wildbregman.design import PredictionMatrix, empirical_discrepancy
 from wildbregman.geometry import Box
 from wildbregman.harness import SyntheticSpec, generate_synthetic
 from wildbregman.potentials import builtin_loss
 from wildbregman.trainers import LinearTrainer
-from wildbregman.wildfit import calibrate_rho, wild_refit
 
 
 def main():
@@ -33,23 +32,22 @@ def main():
     cset = Box(np.full(args.d, -1.0), np.full(args.d, 1.0))
     trainer = LinearTrainer(loss, cset)
 
-    start = wild_refit(loss, cset, trainer, data, 1.0, seed=args.seed)
-    fhat = start.fhat
-    fdagger = trainer.fit(data.inputs, oracle.fstar_preds.values)
-    r_hat = math.sqrt(float(np.mean(loss.divergence_rows(fdagger,
-                                                         fhat.values))))
-    cal = calibrate_rho(loss, trainer, data, start, 3.0 * loss.c0 * r_hat)
-    result = cal["result"]
-    print(f"fit-vs-noiseless-fit radius  {r_hat:.6f}")
-    print(f"calibrated rho               {cal['rho']:.6f}")
-    print(f"achieved wild radius         {cal['achieved_radius']:.6f}")
+    fdagger = PredictionMatrix(trainer.fit(data.inputs,
+                                           oracle.fstar_preds.values))
 
-    pilot = pilot_sup(loss, cset, fhat, oracle.fstar_preds, result.signs,
-                      3.0 * loss.c0 * r_hat)
-    report = RadiusReport(r_certified=r_hat, method="oracle")
-    fixed = fixed_design_certificate(loss, result, report, args.delta, pilot,
-                                     0.0, oracle.w_inf,
-                                     responses=data.responses)
+    def oracle_radius(start):  # r-hat between the fit and the noiseless fit
+        return RadiusReport(math.sqrt(empirical_discrepancy(
+            loss, fdagger, start.fhat)), "oracle")
+
+    fixed, result = certify_dataset(
+        loss, cset, trainer, data, args.delta, seed=args.seed,
+        radius=oracle_radius, pilot=lambda refit, R: pilot_sup(
+            loss, cset, refit.fhat, oracle.fstar_preds, refit.signs, R),
+        misspec=0.0, w_inf=oracle.w_inf)
+    r_hat = oracle_radius(result).r_certified
+    print(f"fit-vs-noiseless-fit radius  {r_hat:.6f}")
+    print(f"calibrated rho               {result.rho:.6f}")
+    print(f"achieved wild radius         {result.radius:.6f}")
     print(f"\nfixed design  (budget {fixed.failure_budget:.3f}):")
     print(f"  training error   {fixed.training_error:.6f}")
     print(f"  wild optimism    {fixed.wild_optimism_abs:.6f}")

@@ -5,7 +5,7 @@ and noise-scale calibration, and high-probability excess-risk certificates
 in fixed and random design, plus a synthetic-oracle validation harness.
 """
 
-from .certify import (RiskCertificate, StabilityConstants,
+from .certify import (RiskCertificate, StabilityConstants, certify_dataset,
                       fixed_design_certificate, random_design_certificate,
                       random_design_tail, stability_constants)
 from .complexity import (RadiusReport, ball_sup, deviation_term,
@@ -26,14 +26,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Box", "BregmanLoss", "ClippedSimplex", "CoverageExperiment",
-    "CoverageReport", "FixedDesignDataset", "LinearPredictor",
-    "LinearTrainer", "PredictionMatrix", "RadiusReport", "RejectedInputError",
+    "CoverageReport", "FixedDesignDataset", "LinearPredictor", "LinearTrainer",
+    "PredictionMatrix", "RadiusReport", "RejectedInputError",
     "RiskCertificate", "SaturatedTrainer", "SolveError", "StabilityConstants",
     "SyntheticSpec", "WildRefitResult", "ball_sup", "build_model",
-    "builtin_loss", "calibrate_rho", "deviation_term", "empirical_discrepancy",
-    "fixed_design_certificate", "fixed_point_radius", "generate_synthetic",
-    "load_dataset", "pilot_sup", "random_design_certificate",
-    "random_design_tail", "rhat_bound_convex", "run_coverage",
-    "sample_sign_matrix", "save_dataset", "stability_constants",
-    "wild_optimism", "wild_refit", "wn",
+    "builtin_loss", "calibrate_rho", "certify_dataset", "deviation_term",
+    "empirical_discrepancy", "fixed_design_certificate", "fixed_point_radius",
+    "generate_synthetic", "load_dataset", "pilot_sup",
+    "random_design_certificate", "random_design_tail", "rhat_bound_convex",
+    "run_coverage", "sample_sign_matrix", "save_dataset",
+    "stability_constants", "wild_optimism", "wild_refit", "wn",
 ]

@@ -8,10 +8,12 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .complexity import RadiusReport, _vertices, deviation_term
+from .design import FixedDesignDataset
 from .errors import RejectedInputError
 from .geometry import Box, CompactSet, _mean
 from .potentials import BregmanLoss
-from .wildfit import WildRefitResult, _require_same_data, wild_optimism
+from .wildfit import (WildRefitResult, _require_same_data, calibrate_rho,
+                      wild_optimism, wild_refit)
 
 # failure budgets b of the two certificates: each holds with probability
 # 1 - b delta, so delta must lie below 1/b
@@ -73,6 +75,22 @@ def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
                            total=total, delta=delta,
                            failure_budget=_FIXED_BUDGET * delta,
                            mode="fixed_design", provenance=prov)
+
+
+def certify_dataset(loss: BregmanLoss, cset: CompactSet, trainer,
+                    data: FixedDesignDataset, delta: float, *, seed: int,
+                    radius, pilot, misspec: float, w_inf: float):
+    """(fixed-design certificate, calibrated refit) of one dataset: a wild
+    refit at rho = 1 with the signs of seed, report = radius(that refit),
+    rho calibrated to the wild radius R = 3 sqrt(beta/alpha) r_certified,
+    and pilot(calibrated refit, R) bounding the pilot supremum at R."""
+    start = wild_refit(loss, cset, trainer, data, 1.0, seed=seed)
+    report = radius(start)
+    R = 3.0 * loss.c0 * report.r_certified
+    result = calibrate_rho(loss, trainer, data, start, R)["result"]
+    return fixed_design_certificate(loss, result, report, delta,
+                                    pilot(result, R), misspec, w_inf,
+                                    responses=data.responses), result
 
 
 def stability_constants(loss: BregmanLoss,

@@ -161,10 +161,10 @@ def _read_json(path, parse=lambda payload: payload):
 def save_dataset(path, dataset: FixedDesignDataset, *, seed: int | None = None,
                  potential_kind: str | None = None):
     """Write <path>.csv with x_*/y_* columns and a <path>.json manifest."""
-    csv_path = Path(path).with_suffix(".csv")
+    csv_path = Path(f"{path}.csv")  # a dotted prefix keeps its dots
     X = np.empty((dataset.n, 0)) if dataset.inputs is None else dataset.inputs
     _write_table(csv_path, [("x", X), ("y", dataset.responses)])
-    _write_json(csv_path.with_suffix(".json"),
+    _write_json(Path(f"{path}.json"),
                 {"n": dataset.n, "d": dataset.d, "p": X.shape[1], "seed": seed,
                  "potential_kind": potential_kind})
     return csv_path

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .certify import (_FIXED_BUDGET, _RANDOM_BUDGET, fixed_design_certificate,
+from .certify import (_FIXED_BUDGET, _RANDOM_BUDGET, certify_dataset,
                       random_design_certificate)
 from .complexity import (RadiusReport, _objective, _require_closing,
                          _thm_6_1_rhs, pilot_sup, wn)
@@ -25,7 +25,7 @@ from .errors import RejectedInputError
 from .geometry import Box, CompactSet, _mean
 from .potentials import BregmanLoss
 from .trainers import LinearTrainer, build_model
-from .wildfit import _refit_stage, calibrate_rho, wild_optimism, wild_refit
+from .wildfit import _refit_stage, wild_optimism, wild_refit
 
 
 _FSTAR_FAMILIES = ("constant", "linear", "nonlinear")
@@ -187,30 +187,23 @@ class _RepContext:
     rep: int
 
 
-def _noiseless_radius(ctx: _RepContext, fhat: PredictionMatrix):
-    """The noiseless fit, and the radius r-hat between it and fhat."""
-    fdagger = _refit_stage(ctx.trainer, ctx.data.inputs,
-                           ctx.oracle.fstar_preds.values, "noiseless fit")
-    return fdagger, math.sqrt(empirical_discrepancy(ctx.loss, fdagger, fhat))
+def _oracle_certificate(ctx: _RepContext):
+    """`certify_dataset` given the oracle's radius r-hat (at least 1e-8),
+    pilot, misspecification and w_inf."""
+    loss, cset, fstar = ctx.loss, ctx.cset, ctx.oracle.fstar_preds
+    fdagger = _refit_stage(ctx.trainer, ctx.data.inputs, fstar.values,
+                           "noiseless fit")
 
+    def radius(start):
+        r_hat = math.sqrt(empirical_discrepancy(loss, fdagger, start.fhat))
+        return RadiusReport(max(r_hat, 1e-8), "oracle")
 
-def _fixed_design_pipeline(ctx: _RepContext):
-    """Shared wild refit -> noiseless fit -> calibration -> certificate;
-    returns (certificate, fhat)."""
-    loss, cset, trainer, data = ctx.loss, ctx.cset, ctx.trainer, ctx.data
-    start = wild_refit(loss, cset, trainer, data, 1.0, seed=ctx.sign_seed)
-    fdagger, r_hat = _noiseless_radius(ctx, start.fhat)
-    r_cert = max(r_hat, 1e-8)
-    result = calibrate_rho(loss, trainer, data, start,
-                           3.0 * loss.c0 * r_cert)["result"]
-    pilot = pilot_sup(loss, cset, result.fhat, ctx.oracle.fstar_preds,
-                      result.signs, 3.0 * loss.c0 * r_cert)
-    misspec = math.sqrt(empirical_discrepancy(loss, ctx.oracle.fstar_preds,
-                                              fdagger))
-    cert = fixed_design_certificate(
-        loss, result, RadiusReport(r_cert, "oracle"), ctx.delta, pilot,
-        misspec, ctx.oracle.w_inf, responses=data.responses)
-    return cert, result.fhat
+    return certify_dataset(
+        loss, cset, ctx.trainer, ctx.data, ctx.delta, seed=ctx.sign_seed,
+        radius=radius, pilot=lambda result, R: pilot_sup(
+            loss, cset, result.fhat, fstar, result.signs, R),
+        misspec=math.sqrt(empirical_discrepancy(loss, fstar, fdagger)),
+        w_inf=ctx.oracle.w_inf)
 
 
 def _check_lemma_5_1(ctx: _RepContext):
@@ -238,14 +231,14 @@ def _check_thm_5_1(ctx: _RepContext, which: str):
     L_n(Y, fhat) - L_n(Y, fstar) is no test: it is at most the training
     error, which the total contains.)
     """
-    cert, fhat = _fixed_design_pipeline(ctx)
+    cert, result = _oracle_certificate(ctx)
     if which == "optimism":
         # the true optimism (1/n) sum <gradphi(fstar_i) - gradphi(fhat_i), w_i>
         return (abs(_objective(ctx.loss, ctx.oracle.fstar_preds.values,
-                               fhat.values, ctx.oracle.noise)),
+                               result.fhat.values, ctx.oracle.noise)),
                 cert.wild_optimism_abs + cert.pilot + cert.deviation)
-    return (empirical_discrepancy(ctx.loss, ctx.oracle.fstar_preds, fhat),
-            cert.total)
+    return (empirical_discrepancy(ctx.loss, ctx.oracle.fstar_preds,
+                                  result.fhat), cert.total)
 
 
 def _check_thm_6_1(ctx: _RepContext):
@@ -256,7 +249,9 @@ def _check_thm_6_1(ctx: _RepContext):
     loss, cset, data = ctx.loss, ctx.cset, ctx.data
     fhat = _refit_stage(ctx.trainer, data.inputs, data.responses,
                         "initial fit")
-    _, r_hat = _noiseless_radius(ctx, fhat)
+    fdagger = _refit_stage(ctx.trainer, data.inputs,
+                           ctx.oracle.fstar_preds.values, "noiseless fit")
+    r_hat = math.sqrt(empirical_discrepancy(loss, fdagger, fhat))
     eps = sample_sign_matrix(data.n, data.d, ctx.sign_seed)
     Z = eps * (data.responses - fhat.values)
     return r_hat ** 2, _thm_6_1_rhs(
@@ -273,19 +268,21 @@ def _check_thm_5_2(ctx: _RepContext):
     has mean zero given x), so it is taken as the mean of D(fstar, fhat)
     over a held-out sample of x alone: no noise is drawn."""
     loss, data = ctx.loss, ctx.data
-    predictors = []  # one per pipeline fit; wild_refit's first fit is fhat
+    fhat = []  # the predictor of the one fit on the responses
 
     def fit(X, Y):
-        predictors.append(ctx.trainer.fit_predictor(X, Y))
-        return predictors[-1].predict(X)
+        predictor = ctx.trainer.fit_predictor(X, Y)
+        if Y is data.responses:
+            fhat.append(predictor)
+        return predictor.predict(X)
 
-    fixed, _ = _fixed_design_pipeline(
+    fixed, _ = _oracle_certificate(
         replace(ctx, trainer=SimpleNamespace(fit=fit)))
     cert = random_design_certificate(fixed, loss, ctx.cset, data.n, ctx.delta)
     Xh = np.random.default_rng(ctx.heldout_seed).uniform(
         -1.0, 1.0, size=(_HELDOUT_M, ctx.exp.spec.p))
     Fh = ctx.oracle.fstar_fn(Xh)
-    lhs = _mean(loss.divergence_rows(Fh, predictors[0].predict(Xh)))
+    lhs = _mean(loss.divergence_rows(Fh, fhat[0].predict(Xh)))
     return lhs, cert.total
 
 

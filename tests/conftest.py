@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wildbregman.geometry import Box
 from wildbregman.potentials import builtin_loss
 
 # the three built-in losses at small dimension, with samplers for their domains
@@ -29,6 +30,11 @@ def sample_domain(loss, rng, size):
         return rng.uniform(eps0, 1.0 - eps0, size=(size, dom.dim))
     raw = rng.uniform(0.0, 1.0, size=(size, dom.dim))
     return dom.project(raw)
+
+
+def box(d, b):
+    """The box [-b, b]^d."""
+    return Box(np.full(d, -b), np.full(d, b))
 
 
 def simplex_grid(eta0, d, N):

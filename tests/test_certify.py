@@ -1,26 +1,25 @@
+import json
 import math
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wildbregman.certify import (fixed_design_certificate,
+from wildbregman.certify import (certify_dataset, fixed_design_certificate,
                                  random_design_certificate, random_design_tail,
                                  stability_constants)
 from wildbregman.complexity import (RadiusReport, _objective, deviation_term,
                                     fixed_point_radius, pilot_sup, wn)
+from wildbregman.cli import main
 from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
-                                empirical_discrepancy)
+                                empirical_discrepancy, load_dataset)
 from wildbregman.errors import RejectedInputError
 from wildbregman.geometry import Box, ClippedSimplex
 from wildbregman.potentials import builtin_loss
-from wildbregman.trainers import SaturatedTrainer
-from wildbregman.wildfit import calibrate_rho, wild_refit
+from wildbregman.trainers import SaturatedTrainer, build_model
 
-from conftest import simplex_grid
-
-
-def box(d, b):
-    return Box(np.full(d, -b), np.full(d, b))
+from conftest import box, simplex_grid
 
 
 def test_true_optimism_closed_form(rng):
@@ -50,61 +49,57 @@ def test_oracle_excess_decomposition_matches_direct(rng):
     assert decomposed == pytest.approx(direct, abs=1e-9)
 
 
-def _calibrated_setup(rng, n=60, d=2, b=0.4, delta=0.05):
-    loss = builtin_loss("squared_l2", d)
-    cset = box(d, b)
+def _calibrated_setup(rng):
+    """(loss, cset, data, calibrated refit, radius report, certificate) of
+    the chain at delta = 0.05 with the oracle radius and pilot."""
+    loss, cset = builtin_loss("squared_l2", 2), box(2, 0.4)
     trainer = SaturatedTrainer(loss, cset)
-    Fstar = rng.uniform(-2 * b, 2 * b, size=(n, d))
-    W = rng.uniform(-0.3, 0.3, size=(n, d))
-    data = FixedDesignDataset(None, Fstar + W)
-    start = wild_refit(loss, cset, trainer, data, 1.0, seed=5)
-    fhat = start.fhat
-    fdagger = trainer.fit(None, Fstar)
-    r_hat = math.sqrt(float(np.mean(loss.divergence_rows(fdagger,
-                                                         fhat.values))))
-    cal = calibrate_rho(loss, trainer, data, start, 3.0 * loss.c0 * r_hat)
-    result = cal["result"]
-    pilot = pilot_sup(loss, cset, fhat, PredictionMatrix(Fstar), result.signs,
-                      3.0 * loss.c0 * r_hat)
-    misspec = 0.0
-    w_inf = float(np.max(np.abs(W)))
-    report = RadiusReport(r_certified=r_hat, method="oracle")
-    return loss, cset, data, result, report, pilot, misspec, w_inf, delta
+    Fstar = PredictionMatrix(rng.uniform(-0.8, 0.8, size=(60, 2)))
+    W = rng.uniform(-0.3, 0.3, size=(60, 2))
+    data = FixedDesignDataset(None, Fstar.values + W)
+    fdagger = PredictionMatrix(trainer.fit(None, Fstar.values))
+
+    def radius(start):
+        return RadiusReport(math.sqrt(empirical_discrepancy(
+            loss, fdagger, start.fhat)), "oracle")
+
+    cert, result = certify_dataset(
+        loss, cset, trainer, data, 0.05, seed=5, radius=radius,
+        pilot=lambda refit, R: pilot_sup(loss, cset, refit.fhat, Fstar,
+                                         refit.signs, R),
+        misspec=0.0, w_inf=float(np.max(np.abs(W))))
+    return loss, cset, data, result, radius(result), cert
 
 
 def test_fixed_certificate_assembly(rng):
-    (loss, cset, data, result, report, pilot, misspec, w_inf,
-     delta) = _calibrated_setup(rng)
-    cert = fixed_design_certificate(loss, result, report, delta, pilot,
-                                    misspec, w_inf, responses=data.responses)
+    loss, _, data, result, report, cert = _calibrated_setup(rng)
     training = float(np.mean(loss.divergence_rows(data.responses,
                                                   result.fhat.values)))
-    dev = deviation_term(loss, misspec, report.r_certified, w_inf, data.n,
-                         data.d, delta)
-    expect = training + 2.0 * (cert.wild_optimism_abs + pilot + dev)
+    dev = deviation_term(loss, 0.0, report.r_certified,
+                         cert.provenance["w_inf"], data.n, data.d, 0.05)
+    expect = training + 2.0 * (cert.wild_optimism_abs + cert.pilot + dev)
     assert cert.total == pytest.approx(expect, rel=1e-12)
-    assert cert.failure_budget == pytest.approx(8 * delta)
+    assert cert.failure_budget == pytest.approx(8 * 0.05)
     assert cert.mode == "fixed_design"
     assert cert.provenance["radius_method"] == "oracle"
+    assert result.radius == pytest.approx(3.0 * report.r_certified, rel=5e-3)
 
 
 def test_fixed_certificate_rejects_uncalibrated(rng):
-    (loss, cset, data, result, report, pilot, misspec, w_inf,
-     delta) = _calibrated_setup(rng)
+    loss, _, data, result, report, cert = _calibrated_setup(rng)
     bad = RadiusReport(r_certified=report.r_certified * 3.0, method="oracle")
     with pytest.raises(RejectedInputError):
-        fixed_design_certificate(loss, result, bad, delta, pilot, misspec,
-                                 w_inf, responses=data.responses)
+        fixed_design_certificate(loss, result, bad, 0.05, cert.pilot, 0.0,
+                                 1.0, responses=data.responses)
 
 
 def test_fixed_certificate_rejects_responses_of_other_data(rng):
     # fhat's own values as responses would give a training error of 0
-    (loss, cset, data, result, report, pilot, misspec, w_inf,
-     delta) = _calibrated_setup(rng)
+    loss, _, data, result, report, cert = _calibrated_setup(rng)
     for responses in (result.fhat.values, data.responses[:-1]):
         with pytest.raises(RejectedInputError, match="not the data"):
-            fixed_design_certificate(loss, result, report, delta, pilot,
-                                     misspec, w_inf, responses=responses)
+            fixed_design_certificate(loss, result, report, 0.05, cert.pilot,
+                                     0.0, 1.0, responses=responses)
 
 
 class _NumpyRidge:
@@ -116,6 +111,14 @@ class _NumpyRidge:
         return Xa @ theta
 
 
+def _fixed_point_report(loss, cset, delta):
+    """`certify_dataset`'s radius, solved as `radius --mode fixed-point`
+    solves it: on the refit's wild process, up to max(10 diameter, 1)."""
+    return lambda start: RadiusReport(fixed_point_radius(
+        lambda s: wn(loss, cset, start.fhat, start.symmetrized, s), delta,
+        start.fhat.n, r_max=max(10.0 * cset.diameter(), 1.0)), "fixed_point")
+
+
 def test_numpy_trainer_certifies_end_to_end(rng):
     # any object with fit(X, Y) -> (n, d) array is a trainer: the wild refit,
     # the fixed-point radius, calibration and the certificate take it as is
@@ -124,29 +127,54 @@ def test_numpy_trainer_certifies_end_to_end(rng):
     X = rng.uniform(-1, 1, size=(200, 3))
     Y = X @ rng.uniform(-0.3, 0.3, size=(3, 2)) \
         + rng.uniform(-0.25, 0.25, size=(200, 2))
-    data = FixedDesignDataset(X, Y)
-    start = wild_refit(loss, cset, trainer, data, 1.0, seed=3)
-    r = fixed_point_radius(
-        lambda s: wn(loss, cset, start.fhat, start.symmetrized, s), delta,
-        data.n, r_max=max(10.0 * cset.diameter(), 1.0))
-    result = calibrate_rho(loss, trainer, data, start,
-                           3.0 * loss.c0 * r)["result"]
-    cert = fixed_design_certificate(
-        loss, result, RadiusReport(r_certified=r, method="fixed_point"), delta,
-        0.0, 0.0, float(np.max(np.abs(result.residues))),
-        responses=data.responses)
+    cert, result = certify_dataset(
+        loss, cset, trainer, FixedDesignDataset(X, Y), delta, seed=3,
+        radius=_fixed_point_report(loss, cset, delta),
+        pilot=lambda refit, R: 0.0, misspec=0.0,
+        w_inf=float(np.max(np.abs(Y - trainer.fit(X, Y)))))
     assert np.array_equal(result.fhat.values, trainer.fit(X, Y))
     assert cert.training_error == pytest.approx(
         np.mean(loss.divergence_rows(Y, trainer.fit(X, Y))), rel=1e-12)
     assert math.isfinite(cert.total) and cert.total > cert.training_error
 
 
+def test_library_chain_gives_the_cli_chains_certificate(tmp_path,
+                                                        monkeypatch):
+    # simulate -> refit -> radius -> refit to 3 c0 r -> certify through the
+    # CLI, and certify_dataset with the same data, seeds and radius solver:
+    # every field of cert.json is the library certificate's
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0
+
+    monkeypatch.chdir(tmp_path)
+    loss, cset, trainer = build_model(2, "squared_l2", {}, 2.5,
+                                      {"kind": "linear"})
+    model = ("--trainer", "linear", "--cset-bound", 2.5, "--seed", 9,
+             "--data", "data.csv")
+    run("simulate", "--n", 400, "--seed", 5, "--out", "data")
+    run("refit", "--rho", 1, *model, "--out", "start.json")
+    run("radius", "--mode", "fixed-point", "--delta", 1e-4,
+        "--refit-result", "start.json", "--out", "radius.json")
+    r = json.loads(Path("radius.json").read_text())["r_certified"]
+    run("refit", "--target-radius", 3.0 * loss.c0 * r, *model,
+        "--out", "refit.json")
+    run("certify", "--mode", "fixed", "--delta", 1e-4, "--pilot", 0,
+        "--misspec", 0, "--refit-result", "refit.json",
+        "--radius-report", "radius.json", "--out", "cert.json")
+    data = load_dataset("data.csv")
+    cert, _ = certify_dataset(
+        loss, cset, trainer, data, 1e-4, seed=9,
+        radius=_fixed_point_report(loss, cset, 1e-4),
+        pilot=lambda refit, R: 0.0, misspec=0.0, w_inf=float(np.max(np.abs(
+            data.responses - trainer.fit(data.inputs, data.responses)))))
+    assert json.loads(Path("cert.json").read_text()) == asdict(cert)
+
+
 def test_fixed_certificate_delta_range(rng):
-    (loss, cset, data, result, report, pilot, misspec, w_inf,
-     _) = _calibrated_setup(rng)
+    loss, _, data, result, report, cert = _calibrated_setup(rng)
     with pytest.raises(RejectedInputError):
-        fixed_design_certificate(loss, result, report, 0.2, pilot, misspec,
-                                 w_inf, responses=data.responses)
+        fixed_design_certificate(loss, result, report, 0.2, cert.pilot, 0.0,
+                                 1.0, responses=data.responses)
 
 
 def test_stability_constants_analytic_squared_l2():
@@ -295,10 +323,8 @@ def test_random_design_tail_formula():
 
 
 def test_random_certificate_adds_tail(rng):
-    (loss, cset, data, result, report, pilot, misspec, w_inf,
-     delta) = _calibrated_setup(rng, delta=0.05)
-    fixed = fixed_design_certificate(loss, result, report, delta, pilot,
-                                     misspec, w_inf, responses=data.responses)
+    loss, cset, data, _, _, fixed = _calibrated_setup(rng)
+    delta = 0.05
     rand = random_design_certificate(fixed, loss, cset, data.n, delta)
     consts = stability_constants(loss, cset)
     tail = random_design_tail(consts, loss.alpha, data.n, delta)
@@ -310,9 +336,6 @@ def test_random_certificate_adds_tail(rng):
 
 
 def test_random_certificate_delta_range(rng):
-    (loss, cset, data, result, report, pilot, misspec, w_inf,
-     _) = _calibrated_setup(rng)
-    fixed = fixed_design_certificate(loss, result, report, 0.05, pilot,
-                                     misspec, w_inf, responses=data.responses)
+    loss, cset, data, _, _, fixed = _calibrated_setup(rng)
     with pytest.raises(RejectedInputError, match="1/11"):
         random_design_certificate(fixed, loss, cset, data.n, 0.5)

@@ -20,6 +20,17 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def _refusal(capsys, argv, code=2):
+    """The one stderr line of a run of argv that must exit with code: 2 for
+    a RejectedInputError, 3 for a SolveError."""
+    capsys.readouterr()
+    assert run(argv) == code, argv
+    err = capsys.readouterr().err
+    kind = "RejectedInputError" if code == 2 else "SolveError"
+    assert err.startswith(f"error: {kind}") and err.count("\n") == 1, err
+    return err
+
+
 @pytest.fixture
 def dataset(tmp_path):
     prefix = tmp_path / "data"
@@ -35,6 +46,28 @@ def test_simulate_outputs(dataset, tmp_path):
     oracle = json.loads((tmp_path / "data_oracle.json").read_text())
     assert oracle["w_inf"] > 0
     assert (tmp_path / "data_oracle.csv").exists()
+
+
+def test_simulate_writes_the_files_it_names_under_a_dotted_prefix(tmp_path,
+                                                                  capsys):
+    prefix = tmp_path / "run.v2"
+    assert run(["simulate", "--n", 20, "--seed", 1, "--out", prefix]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "run.v2.csv", "run.v2.json", "run.v2_oracle.csv", "run.v2_oracle.json"]
+    assert capsys.readouterr().out == (f"wrote {prefix}.csv, {prefix}.json, "
+                                       f"{prefix}_oracle.csv\n")
+    assert load_dataset(tmp_path / "run.v2.csv").n == 20
+
+
+def test_simulate_prefixes_that_differ_after_a_dot_keep_apart(tmp_path):
+    for seed in (1, 2):
+        assert run(["simulate", "--n", 20, "--seed", seed,
+                    "--out", tmp_path / f"exp.{seed}"]) == 0
+    one, two = (load_dataset(tmp_path / f"exp.{seed}.csv") for seed in (1, 2))
+    assert not np.array_equal(one.responses, two.responses)
+    for seed in (1, 2):
+        manifest = json.loads((tmp_path / f"exp.{seed}.json").read_text())
+        assert manifest["seed"] == seed
 
 
 def test_refit_radius_certify_pipeline(dataset, tmp_path):
@@ -159,7 +192,6 @@ def test_flags_that_change_nothing_exit_2(dataset, tmp_path, capsys):
     refit = tmp_path / "refit.json"
     assert run(["refit", "--rho", 1.0, "--seed", 1, "--data", dataset,
                 "--out", refit]) == 0
-    capsys.readouterr()
     out = tmp_path / "out"
     for flag, argv in (
             ("pilot", ["radius", "--mode", "fixed-point", "--delta", 1e-4,
@@ -171,10 +203,7 @@ def test_flags_that_change_nothing_exit_2(dataset, tmp_path, capsys):
             ("eps0", ["refit", "--rho", 1.0, "--potential",
                       "clipped_simplex_kl", "--eps0", 0.05,
                       "--data", dataset])):
-        assert run(argv + ["--out", out]) == 2, argv
-        err = capsys.readouterr().err
-        assert err.startswith("error: RejectedInputError"), err
-        assert flag in err and err.count("\n") == 1
+        assert flag in _refusal(capsys, argv + ["--out", out])
     assert list(tmp_path.glob("out*")) == []
     # only the flags given are passed on: `builtin_loss` holds the defaults
     parse = build_parser().parse_args
@@ -210,9 +239,8 @@ def test_validate_thm52_saturated_rejected_before_reps(tmp_path, capsys,
     # the thm_5_* checks calibrate rho, which the default saturated trainer
     # cannot reach: refused before the first rep
     out = tmp_path / "run"
-    assert run(["validate", "--theorem", theorem, "--reps", 100,
-                "--delta", 0.01, "--out", out]) == 2
-    assert capsys.readouterr().err.startswith("error: RejectedInputError")
+    _refusal(capsys, ["validate", "--theorem", theorem, "--reps", 100,
+                      "--delta", 0.01, "--out", out])
     assert not out.exists()
 
 
@@ -227,13 +255,9 @@ def test_unbounded_radius_exits_3_with_one_line(tmp_path, capsys):
     assert run(["refit", "--rho", 1, "--trainer", "linear", "--cset-bound",
                 2.5, "--seed", 5, "--data", prefix.with_suffix(".csv"),
                 "--out", refit]) == 0
-    capsys.readouterr()
-    assert run(["radius", "--mode", "convex-class", "--delta", 0.0001234,
-                "--pilot", 1e6, "--refit-result", refit,
-                "--out", tmp_path / "r.json"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: SolveError") and "r_max" in err
-    assert err.count("\n") == 1
+    assert "r_max" in _refusal(capsys, [
+        "radius", "--mode", "convex-class", "--delta", 0.0001234, "--pilot",
+        1e6, "--refit-result", refit, "--out", tmp_path / "r.json"], 3)
     assert not (tmp_path / "r.json").exists()
 
 
@@ -255,12 +279,9 @@ def test_convex_class_refusals_exit_2_before_any_wn_call(tmp_path, capsys,
     calls = []
     wn = cli.wn
     monkeypatch.setattr(cli, "wn", lambda *a: calls.append(1) or wn(*a))
-    capsys.readouterr()
-    assert run(["radius", "--mode", "convex-class", "--delta", 1e-4,
-                "--refit-result", refit, "--out", tmp_path / "r.json"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: RejectedInputError") and case in err
-    assert err.count("\n") == 1
+    assert case in _refusal(capsys, ["radius", "--mode", "convex-class",
+                                     "--delta", 1e-4, "--refit-result", refit,
+                                     "--out", tmp_path / "r.json"])
     assert calls == [] and not (tmp_path / "r.json").exists()
 
 
@@ -273,12 +294,9 @@ def test_radius_floor_above_r_max_exits_3(tmp_path, capsys):
                 "--out", prefix]) == 0
     assert run(["refit", "--rho", 1, "--cset-bound", 0.03, "--seed", 5,
                 "--data", prefix.with_suffix(".csv"), "--out", refit]) == 0
-    capsys.readouterr()
-    assert run(["radius", "--mode", "fixed-point", "--delta", 1e-4,
-                "--refit-result", refit, "--out", tmp_path / "r.json"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: SolveError") and "r_max" in err
-    assert err.count("\n") == 1
+    assert "r_max" in _refusal(capsys, [
+        "radius", "--mode", "fixed-point", "--delta", 1e-4, "--refit-result",
+        refit, "--out", tmp_path / "r.json"], 3)
     assert not (tmp_path / "r.json").exists()
 
 
@@ -290,13 +308,9 @@ def test_radius_refuses_delta_outside_the_range(dataset, tmp_path, capsys,
     refit = tmp_path / "refit.json"
     assert run(["refit", "--rho", 1.0, "--seed", 1, "--cset-bound", 0.3,
                 "--data", dataset, "--out", refit]) == 0
-    capsys.readouterr()
     out = tmp_path / "radius.json"
-    assert run(["radius", "--mode", mode, "--delta", delta,
-                "--refit-result", refit, "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: RejectedInputError"), err
-    assert err.count("\n") == 1
+    _refusal(capsys, ["radius", "--mode", mode, "--delta", delta,
+                      "--refit-result", refit, "--out", out])
     assert not out.exists()
 
 
@@ -309,12 +323,9 @@ def test_radius_refuses_delta_outside_the_range(dataset, tmp_path, capsys,
 def test_validate_refuses_delta_without_a_target(tmp_path, capsys, theorem,
                                                  reps, delta):
     out = tmp_path / "run"
-    assert run(["validate", "--theorem", theorem, "--reps", reps,
-                "--delta", delta, "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: RejectedInputError"), err
-    assert "delta" in err
-    assert err.count("\n") == 1
+    assert "delta" in _refusal(capsys, ["validate", "--theorem", theorem,
+                                        "--reps", reps, "--delta", delta,
+                                        "--out", out])
     assert not out.exists()
 
 
@@ -378,11 +389,7 @@ def test_unreadable_input_exits_2_with_one_line(dataset, tmp_path, capsys,
         "validate": ["validate", "--theorem", "lemma_5_1", "--reps", 5,
                      "--delta", 0.05, "--config", files["--config"]],
     }[case.split("_")[0]]
-    capsys.readouterr()
-    assert run(argv + ["--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: RejectedInputError"), err
-    assert err.count("\n") == 1
+    _refusal(capsys, argv + ["--out", out])
     assert not out.exists()
 
 
@@ -409,10 +416,7 @@ def test_certify_refuses_dataset_changed_after_refit(certify, tmp_path, capsys):
     assert run(certify) == 0
     assert run(["simulate", "--n", 60, "--d", 2, "--seed", 6,
                 "--out", tmp_path / "data"]) == 0
-    capsys.readouterr()
-    assert run(certify) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: RejectedInputError") and "data.csv" in err
+    assert "data.csv" in _refusal(capsys, certify)
 
 
 def test_certify_refuses_refit_file_with_edited_fdiamond(certify, tmp_path,
@@ -423,11 +427,7 @@ def test_certify_refuses_refit_file_with_edited_fdiamond(certify, tmp_path,
     payload = json.loads(refit.read_text())
     payload["fdiamond"] = (0.5 * np.asarray(payload["fdiamond"])).tolist()
     refit.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert run(certify) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: RejectedInputError"), err
-    assert "calibration mismatch" in err
+    assert "calibration mismatch" in _refusal(capsys, certify)
     assert not (tmp_path / "cert.json").exists()
 
 
@@ -441,11 +441,7 @@ def test_certify_refuses_refit_file_with_edited_fdiamond(certify, tmp_path,
     ("--delta", 1e-3)])
 def test_certify_refuses_input_that_is_no_upper_bound(certify, tmp_path,
                                                       capsys, flag, value):
-    capsys.readouterr()
-    assert run(certify + [flag, value]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: RejectedInputError"), err
-    assert err.count("\n") == 1
+    _refusal(capsys, certify + [flag, value])
     assert not (tmp_path / "cert.json").exists()
 
 
@@ -457,11 +453,7 @@ def test_certify_refuses_zero_and_nan_radius(certify, tmp_path, capsys,
     radius = tmp_path / "radius.json"
     radius.write_text(json.dumps(json.loads(radius.read_text())
                                  | {"r_certified": r_certified}))
-    capsys.readouterr()
-    assert run(certify) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: RejectedInputError"), err
-    assert err.count("\n") == 1
+    err = _refusal(capsys, certify)
     assert not (tmp_path / "cert.json").exists()
     if math.isnan(r_certified):  # a well-formed file, named with its value
         assert err == (f"error: RejectedInputError: {radius}: r_certified "
@@ -472,11 +464,8 @@ def test_certify_refuses_an_unknown_radius_method(certify, tmp_path, capsys):
     radius = tmp_path / "radius.json"
     radius.write_text(json.dumps(json.loads(radius.read_text())
                                  | {"method": "guess"}))
-    capsys.readouterr()
-    assert run(certify) == 2
-    err = capsys.readouterr().err
-    assert err == (f"error: RejectedInputError: {radius}: unknown radius "
-                   f"method 'guess'\n"), err
+    assert _refusal(capsys, certify) == (f"error: RejectedInputError: {radius}"
+                                         f": unknown radius method 'guess'\n")
     assert not (tmp_path / "cert.json").exists()
 
 
@@ -497,12 +486,7 @@ def test_rho_and_target_radius_refused_unless_finite_and_positive(
         refit.write_text(json.dumps(json.loads(refit.read_text())
                                     | {case: value}))
         argv, out = certify, tmp_path / "cert.json"
-    capsys.readouterr()
-    assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: RejectedInputError"), err
-    assert err.count("\n") == 1
-    assert case.strip("-").replace("-", "_") in err
+    assert case.strip("-").replace("-", "_") in _refusal(capsys, argv)
     assert not out.exists()
 
 
@@ -531,10 +515,8 @@ def test_responses_outside_the_loss_domain_refused_before_any_fit(
         monkeypatch.setattr(cls, "fit", lambda self, X, Y, fit=cls.fit:
                             fits.append(1) or fit(self, X, Y))
     out = tmp_path / "refit.json"
-    assert run(["refit", "--rho", 1, "--potential", potential, "--trainer",
-                trainer, "--data", dataset, "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: RejectedInputError"), err
+    _refusal(capsys, ["refit", "--rho", 1, "--potential", potential,
+                      "--trainer", trainer, "--data", dataset, "--out", out])
     assert fits == [] and not out.exists()
 
 
@@ -572,10 +554,7 @@ def test_spec_fields_refused_exit_2(tmp_path, capsys, argv):
         cfg.write_text(json.dumps({"spec": argv}))
         argv = ["validate", "--theorem", "lemma_5_1", "--reps", 5,
                 "--delta", 0.05, "--config", cfg]
-    assert run(argv + ["--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: RejectedInputError"), err
-    assert err.count("\n") == 1
+    _refusal(capsys, argv + ["--out", out])
     assert list(tmp_path.glob("out*")) == []
 
 

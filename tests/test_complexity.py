@@ -16,11 +16,7 @@ from wildbregman.harness import CoverageExperiment, SyntheticSpec, run_coverage
 from wildbregman.potentials import _bregman_projection, builtin_loss
 from wildbregman.trainers import SaturatedTrainer
 
-from conftest import simplex_grid
-
-
-def box(d, b):
-    return Box(np.full(d, -b), np.full(d, b))
+from conftest import box, simplex_grid
 
 
 def closed_form(Z, r, n):

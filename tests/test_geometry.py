@@ -607,3 +607,20 @@ def test_src_takes_whole_array_means_only_by_the_mean_helper():
                if (path.stem, func) != ("geometry", "_mean")]
     assert not outside, "whole-array means; use geometry._mean: " \
         + "; ".join(outside)
+
+
+def test_src_and_scripts_calibrate_and_read_c0_only_in_the_chain():
+    # the wild radius a certificate needs, 3 c0 r, is written in certify
+    # alone; certify_dataset and `refit --target-radius` calibrate rho
+    paths = sorted(_SRC.glob("*.py")) + sorted(
+        (_SRC.parents[1] / "scripts").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    c0 = [f"{path.name}:{node.lineno}" for path, tree in trees.items()
+          for node in ast.walk(tree)
+          if isinstance(node, ast.Attribute) and node.attr == "c0"
+          and path != _SRC / "certify.py"]
+    assert not c0, "c0 read outside certify: " + "; ".join(c0)
+    callers = {(path.stem, func) for path, tree in trees.items()
+               for func, _, _ in _calls(tree, {"calibrate_rho"})}
+    assert callers == {("certify", "certify_dataset"),
+                       ("cli", "_cmd_refit")}, callers

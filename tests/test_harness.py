@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wildbregman import harness
+from wildbregman import certify, harness
 from wildbregman.certify import fixed_design_certificate
 from wildbregman.errors import RejectedInputError
 from wildbregman.harness import (CoverageExperiment, SyntheticSpec,
@@ -182,7 +182,7 @@ def test_run_coverage_isolates_errors(monkeypatch):
     assert report.errors == 100
     assert report.replications == 0
     assert not report.passed
-    assert all(r["error"].startswith("RejectedInputError: [initial fit]")
+    assert all(r["error"].startswith("RejectedInputError: [noiseless fit]")
                for r in report.per_replication)
 
 
@@ -199,8 +199,8 @@ def test_run_coverage_thm51_passes_small():
 def test_thm51_excess_fails_on_a_zero_certificate(monkeypatch):
     # the excess check must be able to fail: a certificate of 0 is below
     # L_n(fstar, fhat) > 0 in every rep
-    certificate = harness.fixed_design_certificate
-    monkeypatch.setattr(harness, "fixed_design_certificate",
+    certificate = certify.fixed_design_certificate
+    monkeypatch.setattr(certify, "fixed_design_certificate",
                         lambda *a, **kw: dataclasses.replace(
                             certificate(*a, **kw), total=0.0))
     exp = CoverageExperiment(theorem="thm_5_1_excess", reps=100, delta=0.05,
@@ -282,7 +282,7 @@ def test_optimism_check_reads_the_certificate(monkeypatch):
         return dataclasses.replace(cert, wild_optimism_abs=0.0, pilot=0.0,
                                    deviation=0.0, total=0.0)
 
-    monkeypatch.setattr(harness, "fixed_design_certificate", zeroed)
+    monkeypatch.setattr(certify, "fixed_design_certificate", zeroed)
     report = run_coverage(CoverageExperiment(
         theorem="thm_5_1_optimism", reps=100, delta=0.01,
         spec=SyntheticSpec(n=60, d=2, seed=3), trainer={"kind": "linear"}))

@@ -11,11 +11,7 @@ from wildbregman.geometry import Box, ClippedSimplex
 from wildbregman.potentials import builtin_loss
 from wildbregman.trainers import LinearTrainer, SaturatedTrainer, build_model
 
-from conftest import simplex_grid
-
-
-def box(d, b):
-    return Box(np.full(d, -b), np.full(d, b))
+from conftest import box, simplex_grid
 
 
 def test_saturated_interior_returns_responses():

@@ -11,9 +11,7 @@ from wildbregman.trainers import LinearTrainer, SaturatedTrainer
 from wildbregman.wildfit import (WildRefitResult, calibrate_rho,
                                  wild_optimism, wild_refit)
 
-
-def box(d, b):
-    return Box(np.full(d, -b), np.full(d, b))
+from conftest import box
 
 
 def clamped_instance(rng, n=40, d=2, b=0.4):
@@ -243,6 +241,19 @@ def test_calibrate_clipped_maps_hit_target(rng, rho_star):
         assert len(out["trace"]) <= 10
         _assert_same_result(out["result"],
                             wild_refit(loss, cset, trainer, data, out["rho"], seed=2))
+
+
+def test_calibrate_step_cap_raises_with_trace(rng, monkeypatch):
+    # the clamped saturated map takes 8 or 9 radius evaluations to reach a
+    # target at rho = 40: with a budget of 4 the search stops after the 4th
+    loss, cset, trainer, data = clamped_instance(rng, n=60)
+    target = wild_refit(loss, cset, trainer, data, 40.0, seed=2).radius
+    start = wild_refit(loss, cset, trainer, data, 1.0, seed=2)
+    monkeypatch.setattr(wildfit, "_MAX_STEPS", 4)
+    with pytest.raises(SolveError, match="tolerance in 4 steps") as err:
+        calibrate_rho(loss, trainer, data, start, target)
+    assert len(err.value.trace) == 4
+    assert err.value.trace[0] == (1.0, start.radius)
 
 
 class _JumpTrainer:
