@@ -5,15 +5,12 @@ Usage: python3 scripts/certificate_demo.py [--n 200] [--delta 0.05] [--seed 0]
 """
 
 import argparse
-import math
 
 import numpy as np
 
 from wildbregman.certify import certify_dataset, random_design_certificate
-from wildbregman.complexity import RadiusReport, pilot_sup
-from wildbregman.design import PredictionMatrix, empirical_discrepancy
 from wildbregman.geometry import Box
-from wildbregman.harness import SyntheticSpec, generate_synthetic
+from wildbregman.harness import SyntheticSpec, generate_synthetic, oracle_inputs
 from wildbregman.potentials import builtin_loss
 from wildbregman.trainers import LinearTrainer
 
@@ -32,19 +29,10 @@ def main():
     cset = Box(np.full(args.d, -1.0), np.full(args.d, 1.0))
     trainer = LinearTrainer(loss, cset)
 
-    fdagger = PredictionMatrix(trainer.fit(data.inputs,
-                                           oracle.fstar_preds.values))
-
-    def oracle_radius(start):  # r-hat between the fit and the noiseless fit
-        return RadiusReport(math.sqrt(empirical_discrepancy(
-            loss, fdagger, start.fhat)), "oracle")
-
-    fixed, result = certify_dataset(
-        loss, cset, trainer, data, args.delta, seed=args.seed,
-        radius=oracle_radius, pilot=lambda refit, R: pilot_sup(
-            loss, cset, refit.fhat, oracle.fstar_preds, refit.signs, R),
-        misspec=0.0, w_inf=oracle.w_inf)
-    r_hat = oracle_radius(result).r_certified
+    oracle_in = oracle_inputs(loss, cset, trainer, data, oracle)
+    fixed, result = certify_dataset(loss, cset, trainer, data, args.delta,
+                                    seed=args.seed, **oracle_in)
+    r_hat = oracle_in["radius"](result).r_certified
     print(f"fit-vs-noiseless-fit radius  {r_hat:.6f}")
     print(f"calibrated rho               {result.rho:.6f}")
     print(f"achieved wild radius         {result.radius:.6f}")

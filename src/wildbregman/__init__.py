@@ -9,7 +9,8 @@ from .certify import (RiskCertificate, StabilityConstants, certify_dataset,
                       fixed_design_certificate, random_design_certificate,
                       random_design_tail, stability_constants)
 from .complexity import (RadiusReport, ball_sup, deviation_term,
-                         fixed_point_radius, pilot_sup, rhat_bound_convex, wn)
+                         fixed_point_radius, fixed_point_report, pilot_sup,
+                         rhat_bound_convex, wn)
 from .design import (FixedDesignDataset, PredictionMatrix,
                      empirical_discrepancy, load_dataset, sample_sign_matrix,
                      save_dataset)
@@ -32,7 +33,7 @@ __all__ = [
     "SyntheticSpec", "WildRefitResult", "ball_sup", "build_model",
     "builtin_loss", "calibrate_rho", "certify_dataset", "deviation_term",
     "empirical_discrepancy", "fixed_design_certificate", "fixed_point_radius",
-    "generate_synthetic", "load_dataset", "pilot_sup",
+    "fixed_point_report", "generate_synthetic", "load_dataset", "pilot_sup",
     "random_design_certificate", "random_design_tail", "rhat_bound_convex",
     "run_coverage", "sample_sign_matrix", "save_dataset",
     "stability_constants", "wild_optimism", "wild_refit", "wn",

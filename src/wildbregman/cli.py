@@ -7,21 +7,22 @@ import dataclasses
 import functools
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .certify import fixed_design_certificate, random_design_certificate
-from .complexity import (RadiusReport, fixed_point_radius, rhat_bound_convex,
-                         wn)
+from .complexity import (RadiusReport, _radius_floor, _refit_process,
+                         fixed_point_report, rhat_bound_convex)
 from .design import (PredictionMatrix, _read_json, _write_json, _write_table,
-                     empirical_discrepancy, load_dataset, save_dataset)
+                     load_dataset, save_dataset)
 from .errors import RejectedInputError, SolveError
 from .harness import (_FSTAR_FAMILIES, _NOISE_FAMILIES, THEOREMS,
                       CoverageExperiment, SyntheticSpec, generate_synthetic,
                       run_coverage)
 from .potentials import _BUILTINS, builtin_loss
 from .trainers import _TRAINERS, build_model
-from .wildfit import (WildRefitResult, _require_positive, _wild_responses,
+from .wildfit import (WildRefitResult, _require_positive, _wild_result,
                       calibrate_rho, wild_optimism, wild_refit)
 
 
@@ -105,9 +106,9 @@ def _cmd_refit(args) -> int:
 
 def _as_refit(payload):
     """(data path, loss, set, result) of a refit file; rebuilds the wild
-    responses and L_n(fhat, fdiamond) from the file's arrays, so that
-    `certify` checks the calibration against them.  The one place signs
-    arrive from outside the program, so they are checked to be +/-1 here."""
+    responses and L_n(fhat, fdiamond) from its arrays, its fdiamond as the
+    refit, so that `certify` checks the calibration against them.  The one
+    place signs arrive from outside the program, so checked to be +/-1."""
     cfg = payload["config"]
     fhat, fdiamond, residues, signs = np.asarray(  # one shape, or ValueError
         [payload[key] for key in ("fhat", "fdiamond", "residues", "signs")],
@@ -118,37 +119,23 @@ def _as_refit(payload):
     loss, cset, _ = build_model(fhat.d, cfg["potential"],
                                 cfg["potential_params"], cfg["cset_bound"],
                                 {"kind": cfg["trainer"]})
-    rho = float(payload["rho"])
-    wild, clip_count = _wild_responses(loss, fhat, residues, signs, rho)
-    fdiamond = PredictionMatrix(fdiamond)
-    return cfg["data"], loss, cset, WildRefitResult(
-        fhat=fhat, fdiamond=fdiamond, wild_responses=wild, residues=residues,
-        signs=signs, rho=rho,
-        discrepancy=empirical_discrepancy(loss, fhat, fdiamond),
-        clip_count=clip_count)
+    return cfg["data"], loss, cset, _wild_result(
+        loss, SimpleNamespace(fit=lambda X, Y: fdiamond), None, fhat,
+        residues, signs, float(payload["rho"]))
 
 
 def _cmd_radius(args) -> int:
     _, loss, cset, result = _read_json(args.refit_result, _as_refit)
-    Z = result.symmetrized
-    n = result.fhat.n
-
-    def evaluator(r):
-        return wn(loss, cset, result.fhat, Z, r)
-
-    r_max = max(10.0 * cset.diameter(), 1.0)
     if args.mode == "fixed-point":
         if args.pilot is not None:
             raise RejectedInputError("--pilot applies to --mode convex-class only")
-        r = fixed_point_radius(evaluator, args.delta, n, r_max=r_max)
-        method = "fixed_point"
+        report = fixed_point_report(loss, cset, result, args.delta)
     else:  # --pilot bounds the pilot supremum at every radius tried
+        wn_at, r_max = _refit_process(loss, cset, result)
         w_inf = float(np.max(np.abs(result.residues)))
-        r = rhat_bound_convex(evaluator, lambda s: args.pilot or 0.0,
-                              args.delta, n, w_inf, result.fhat.d, loss,
-                              r_max=r_max)
-        method = "convex_class_bound"
-    report = RadiusReport(r_certified=r, method=method)
+        report = RadiusReport(rhat_bound_convex(
+            wn_at, lambda s: args.pilot or 0.0, args.delta, result.fhat.n,
+            w_inf, result.fhat.d, loss, r_max=r_max), "convex_class_bound")
     _write_json(args.out, dataclasses.asdict(report) | {"delta": args.delta})
     print(f"wrote {args.out}")
     return 0
@@ -163,6 +150,14 @@ def _cmd_certify(args) -> int:
     if report_delta != args.delta:  # a report without delta is unreadable
         raise RejectedInputError(f"the radius report was solved at delta = "
                                  f"{report_delta!r}, not --delta {args.delta!r}")
+    # a file's report is a solver's: "oracle" is the harness's, and both
+    # solvers start at the floor, at a delta they take
+    if report.method == "oracle" or report.r_certified < _radius_floor(
+            args.delta, result.fhat.n):
+        raise RejectedInputError(
+            f"{report.method} radius {report.r_certified!r}: a report read "
+            f"from a file must be fixed_point or convex_class_bound, and at "
+            f"least log(1/delta)/sqrt(n)")
     data = load_dataset(data_path)
     w_inf = (float(np.max(np.abs(result.residues))) if args.w_inf is None
              else args.w_inf)

@@ -362,6 +362,13 @@ def _stability_term(loss, r, w_inf, d, log_inv):
             / (loss.alpha * math.sqrt(log_inv)))
 
 
+def _radius_floor(delta: float, n: int) -> float:
+    """log(1/delta)/sqrt(n), where both solvers start; 0 < delta <= e^-9."""
+    if not 0 < delta <= math.exp(-9.0):  # refuses NaN too
+        raise RejectedInputError("requires 0 < delta <= e^-9")
+    return math.log(1.0 / delta) / math.sqrt(n)
+
+
 def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
                        r_max: float) -> float:
     """Smallest r with r^2 >= W_n((2 + 1/log(1/delta)) r).
@@ -375,11 +382,9 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
     and false position closes on it there in fewer evaluations.  A floor
     above r_max raises SolveError before W_n is evaluated.
     """
-    if not 0 < delta <= math.exp(-9.0):  # refuses NaN too
-        raise RejectedInputError("requires 0 < delta <= e^-9")
+    r_min = _radius_floor(delta, n)
     log_inv = math.log(1.0 / delta)
     factor = 2.0 + 1.0 / log_inv
-    r_min = log_inv / math.sqrt(n)
     if r_min > r_max:
         raise SolveError(f"the radius floor log(1/delta)/sqrt(n) = {r_min:.6g} "
                          f"lies above r_max = {r_max:.6g}")
@@ -402,6 +407,22 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
         raise SolveError("no radius below r_max satisfies the fixed-point "
                          "condition", trace=trace)
     return bracket[1]
+
+
+def _refit_process(loss: BregmanLoss, cset: CompactSet, refit):
+    """(W_n at a radius, r_max = max(10 diameter, 1)) of a refit's process."""
+    Z = refit.symmetrized
+    return (lambda r: wn(loss, cset, refit.fhat, Z, r),
+            max(10.0 * cset.diameter(), 1.0))
+
+
+def fixed_point_report(loss: BregmanLoss, cset: CompactSet, refit,
+                       delta: float) -> RadiusReport:
+    """The deployable radius of a wild refit, as `radius --mode
+    fixed-point` solves it: `fixed_point_radius` on `_refit_process`."""
+    wn_at, r_max = _refit_process(loss, cset, refit)
+    return RadiusReport(fixed_point_radius(wn_at, delta, refit.fhat.n,
+                                           r_max=r_max), "fixed_point")
 
 
 def _require_closing(loss, w_inf, d, log_inv):

@@ -17,10 +17,9 @@ import numpy as np
 
 from .certify import (_FIXED_BUDGET, _RANDOM_BUDGET, certify_dataset,
                       random_design_certificate)
-from .complexity import (RadiusReport, _objective, _require_closing,
-                         _thm_6_1_rhs, pilot_sup, wn)
-from .design import (FixedDesignDataset, PredictionMatrix,
-                     empirical_discrepancy, sample_sign_matrix)
+from .complexity import (RadiusReport, _objective, _refit_process,
+                         _require_closing, _thm_6_1_rhs, pilot_sup, wn)
+from .design import FixedDesignDataset, PredictionMatrix, empirical_discrepancy
 from .errors import RejectedInputError
 from .geometry import Box, CompactSet, _mean
 from .potentials import BregmanLoss
@@ -187,23 +186,30 @@ class _RepContext:
     rep: int
 
 
-def _oracle_certificate(ctx: _RepContext):
-    """`certify_dataset` given the oracle's radius r-hat (at least 1e-8),
-    pilot, misspecification and w_inf."""
-    loss, cset, fstar = ctx.loss, ctx.cset, ctx.oracle.fstar_preds
-    fdagger = _refit_stage(ctx.trainer, ctx.data.inputs, fstar.values,
-                           "noiseless fit")
+def oracle_inputs(loss: BregmanLoss, cset: CompactSet, trainer,
+                  data: FixedDesignDataset, oracle: OracleContext) -> dict:
+    """`certify_dataset`'s four inputs from the oracle: r-hat = sqrt
+    L_n(f-dagger, fhat) (at least `floor`), the pilot supremum at fstar,
+    sqrt L_n(fstar, f-dagger) and w_inf; f-dagger, the noiseless fit, is
+    made here alone."""
+    fstar = oracle.fstar_preds
+    fdagger = _refit_stage(trainer, data.inputs, fstar.values, "noiseless fit")
 
-    def radius(start):
+    def radius(start, floor=1e-8):
         r_hat = math.sqrt(empirical_discrepancy(loss, fdagger, start.fhat))
-        return RadiusReport(max(r_hat, 1e-8), "oracle")
+        return RadiusReport(max(r_hat, floor), "oracle")
 
-    return certify_dataset(
-        loss, cset, ctx.trainer, ctx.data, ctx.delta, seed=ctx.sign_seed,
-        radius=radius, pilot=lambda result, R: pilot_sup(
-            loss, cset, result.fhat, fstar, result.signs, R),
-        misspec=math.sqrt(empirical_discrepancy(loss, fstar, fdagger)),
-        w_inf=ctx.oracle.w_inf)
+    return {"radius": radius,
+            "pilot": lambda refit, R: pilot_sup(loss, cset, refit.fhat, fstar,
+                                                refit.signs, R),
+            "misspec": math.sqrt(empirical_discrepancy(loss, fstar, fdagger)),
+            "w_inf": oracle.w_inf}
+
+
+def _oracle_certificate(ctx: _RepContext):
+    model = ctx.loss, ctx.cset, ctx.trainer, ctx.data
+    return certify_dataset(*model, ctx.delta, seed=ctx.sign_seed,
+                           **oracle_inputs(*model, ctx.oracle))
 
 
 def _check_lemma_5_1(ctx: _RepContext):
@@ -242,23 +248,19 @@ def _check_thm_5_1(ctx: _RepContext, which: str):
 
 
 def _check_thm_6_1(ctx: _RepContext):
-    """Theorem 6.1 at the noiseless radius: r-hat^2 against
-    `complexity._thm_6_1_rhs` at r-hat, that is at the inflated radius
-    (2 + 1/log(1/delta)) r-hat, with the fit's wild process and the oracle
-    pilot and w_inf."""
+    """Theorem 6.1 at the noiseless radius r-hat, unfloored (zero noise
+    gives 0): r-hat^2 against `complexity._thm_6_1_rhs` at the inflated
+    radius (2 + 1/log(1/delta)) r-hat, with the process of the chain's
+    rho = 1 refit and the oracle pilot and w_inf."""
     loss, cset, data = ctx.loss, ctx.cset, ctx.data
-    fhat = _refit_stage(ctx.trainer, data.inputs, data.responses,
-                        "initial fit")
-    fdagger = _refit_stage(ctx.trainer, data.inputs,
-                           ctx.oracle.fstar_preds.values, "noiseless fit")
-    r_hat = math.sqrt(empirical_discrepancy(loss, fdagger, fhat))
-    eps = sample_sign_matrix(data.n, data.d, ctx.sign_seed)
-    Z = eps * (data.responses - fhat.values)
+    oracle = oracle_inputs(loss, cset, ctx.trainer, data, ctx.oracle)
+    start = wild_refit(loss, cset, ctx.trainer, data, 1.0, seed=ctx.sign_seed)
+    r_hat = oracle["radius"](start, floor=0.0).r_certified
     return r_hat ** 2, _thm_6_1_rhs(
-        loss, lambda s: wn(loss, cset, fhat, Z, s),
-        lambda s: pilot_sup(loss, cset, fhat, ctx.oracle.fstar_preds, eps, s),
+        loss, _refit_process(loss, cset, start)[0],
+        lambda s: oracle["pilot"](start, s),
         (2.0 + 1.0 / math.log(1.0 / ctx.delta)) * r_hat, ctx.delta, data.n,
-        ctx.oracle.w_inf, data.d)
+        oracle["w_inf"], data.d)
 
 
 def _check_thm_5_2(ctx: _RepContext):

@@ -80,11 +80,10 @@ def _wild_responses(loss, fhat, residues, signs, rho):
     return projected, int(np.count_nonzero(_row_sum(projected != Y_wild)))
 
 
-def _wild_result(loss, trainer, data, fhat, signs, rho) -> WildRefitResult:
+def _wild_result(loss, trainer, X, fhat, residues, signs, rho) -> WildRefitResult:
     """Build the wild responses at noise scale rho and refit on them."""
-    residues = data.responses - fhat.values
     Y_wild, clip_count = _wild_responses(loss, fhat, residues, signs, rho)
-    fdiamond = _refit_stage(trainer, data.inputs, Y_wild, "refit")
+    fdiamond = _refit_stage(trainer, X, Y_wild, "refit")
     return WildRefitResult(fhat=fhat, fdiamond=fdiamond, wild_responses=Y_wild,
                            residues=residues, signs=signs, rho=float(rho),
                            discrepancy=empirical_discrepancy(loss, fhat, fdiamond),
@@ -100,7 +99,8 @@ def wild_refit(loss: BregmanLoss, cset: CompactSet, trainer,
     signs = sample_sign_matrix(data.n, data.d, seed)
     loss._check_domain(data.responses)
     fhat = _refit_stage(trainer, data.inputs, data.responses, "initial fit")
-    return _wild_result(loss, trainer, data, fhat, signs, rho)
+    return _wild_result(loss, trainer, data.inputs, fhat,
+                        data.responses - fhat.values, signs, rho)
 
 
 def wild_optimism(loss: BregmanLoss, result: WildRefitResult) -> float:
@@ -147,7 +147,8 @@ def calibrate_rho(loss: BregmanLoss, trainer, data: FixedDesignDataset,
     prev = bracket = None  # last point (t, g); far end once g changed sign
     while len(trace) < _MAX_STEPS:
         if trace:
-            result = _wild_result(loss, trainer, data, start.fhat, start.signs,
+            result = _wild_result(loss, trainer, data.inputs, start.fhat,
+                                  start.residues, start.signs,
                                   min(max(math.exp(t), _RHO_LO), _RHO_HI))
         r = result.radius
         trace.append((result.rho, r))

@@ -10,7 +10,7 @@ from wildbregman.certify import (certify_dataset, fixed_design_certificate,
                                  random_design_certificate, random_design_tail,
                                  stability_constants)
 from wildbregman.complexity import (RadiusReport, _objective, deviation_term,
-                                    fixed_point_radius, pilot_sup, wn)
+                                    fixed_point_report, pilot_sup)
 from wildbregman.cli import main
 from wildbregman.design import (FixedDesignDataset, PredictionMatrix,
                                 empirical_discrepancy, load_dataset)
@@ -111,14 +111,6 @@ class _NumpyRidge:
         return Xa @ theta
 
 
-def _fixed_point_report(loss, cset, delta):
-    """`certify_dataset`'s radius, solved as `radius --mode fixed-point`
-    solves it: on the refit's wild process, up to max(10 diameter, 1)."""
-    return lambda start: RadiusReport(fixed_point_radius(
-        lambda s: wn(loss, cset, start.fhat, start.symmetrized, s), delta,
-        start.fhat.n, r_max=max(10.0 * cset.diameter(), 1.0)), "fixed_point")
-
-
 def test_numpy_trainer_certifies_end_to_end(rng):
     # any object with fit(X, Y) -> (n, d) array is a trainer: the wild refit,
     # the fixed-point radius, calibration and the certificate take it as is
@@ -129,7 +121,7 @@ def test_numpy_trainer_certifies_end_to_end(rng):
         + rng.uniform(-0.25, 0.25, size=(200, 2))
     cert, result = certify_dataset(
         loss, cset, trainer, FixedDesignDataset(X, Y), delta, seed=3,
-        radius=_fixed_point_report(loss, cset, delta),
+        radius=lambda start: fixed_point_report(loss, cset, start, delta),
         pilot=lambda refit, R: 0.0, misspec=0.0,
         w_inf=float(np.max(np.abs(Y - trainer.fit(X, Y)))))
     assert np.array_equal(result.fhat.values, trainer.fit(X, Y))
@@ -164,7 +156,7 @@ def test_library_chain_gives_the_cli_chains_certificate(tmp_path,
     data = load_dataset("data.csv")
     cert, _ = certify_dataset(
         loss, cset, trainer, data, 1e-4, seed=9,
-        radius=_fixed_point_report(loss, cset, 1e-4),
+        radius=lambda start: fixed_point_report(loss, cset, start, 1e-4),
         pilot=lambda refit, R: 0.0, misspec=0.0, w_inf=float(np.max(np.abs(
             data.responses - trainer.fit(data.inputs, data.responses)))))
     assert json.loads(Path("cert.json").read_text()) == asdict(cert)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wildbregman import cli
+from wildbregman import cli, complexity
 from wildbregman.cli import _as_refit, _potential_params, build_parser, main
 from wildbregman.design import (FixedDesignDataset, _read_json, load_dataset,
                                 save_dataset)
@@ -70,38 +70,35 @@ def test_simulate_prefixes_that_differ_after_a_dot_keep_apart(tmp_path):
         assert manifest["seed"] == seed
 
 
+def _honest_chain(dataset, tmp_path):
+    """The chain's files on a dataset with the linear trainer: a refit at
+    rho = 1 (start.json), its fixed-point radius r at delta = 1e-4
+    (radius.json), and a refit calibrated to the wild radius 3r
+    (refit.json)."""
+    start, radius, refit = (tmp_path / f"{name}.json"
+                            for name in ("start", "radius", "refit"))
+    model = ["--trainer", "linear", "--seed", 3, "--data", dataset]
+    assert run(["refit", "--rho", 1.0, *model, "--out", start]) == 0
+    assert run(["radius", "--delta", 1e-4, "--mode", "fixed-point",
+                "--refit-result", start, "--out", radius]) == 0
+    r = json.loads(radius.read_text())["r_certified"]
+    assert run(["refit", "--target-radius", 3.0 * r, *model,
+                "--out", refit]) == 0
+    return start, radius, refit
+
+
 def test_refit_radius_certify_pipeline(dataset, tmp_path):
-    refit1 = tmp_path / "refit1.json"
-    assert run(["refit", "--rho", 1.0, "--seed", 3, "--cset-bound", 0.3,
-                "--data", dataset, "--out", refit1]) == 0
-    payload = json.loads(refit1.read_text())
+    start, radius, refit = _honest_chain(dataset, tmp_path)
+    payload = json.loads(start.read_text())
     assert payload["rho"] == 1.0
     assert payload["achieved_radius"] > 0
-
-    fp_radius = tmp_path / "fp_radius.json"
-    assert run(["radius", "--delta", 1e-4, "--mode", "fixed-point",
-                "--refit-result", refit1, "--out", fp_radius]) == 0
-    fp = json.loads(fp_radius.read_text())
+    fp = json.loads(radius.read_text())
     assert fp["method"] == "fixed_point"
     assert fp["r_certified"] > 0
 
-    # certify against a radius report matched to an achievable calibration
-    # target (the fixed-point floor log(1/delta)/sqrt(n) is out of reach of
-    # the clamped trainer at this sample size)
-    r_cert = payload["achieved_radius"] / 3.0
-    radius = tmp_path / "radius.json"
-    radius.write_text(json.dumps({"r_hat_n": r_cert, "r_diamond_rho":
-                                  payload["achieved_radius"],
-                                  "r_certified": r_cert, "method": "oracle",
-                                  "delta": 1e-4}))
-    target = 3.0 * r_cert
-    refit2 = tmp_path / "refit2.json"
-    assert run(["refit", "--target-radius", target, "--seed", 3,
-                "--cset-bound", 0.3, "--data", dataset, "--out", refit2]) == 0
-
     cert = tmp_path / "cert.json"
     assert run(["certify", "--mode", "fixed", "--delta", 1e-4,
-                "--refit-result", refit2, "--radius-report", radius,
+                "--refit-result", refit, "--radius-report", radius,
                 "--pilot", 0.0, "--misspec", 0.0, "--out", cert]) == 0
     out = json.loads(cert.read_text())
     assert out["mode"] == "fixed_design"
@@ -110,7 +107,7 @@ def test_refit_radius_certify_pipeline(dataset, tmp_path):
 
     cert_r = tmp_path / "cert_random.json"
     assert run(["certify", "--mode", "random", "--delta", 1e-4,
-                "--refit-result", refit2, "--radius-report", radius,
+                "--refit-result", refit, "--radius-report", radius,
                 "--pilot", 0.0, "--misspec", 0.0, "--out", cert_r]) == 0
     out_r = json.loads(cert_r.read_text())
     assert out_r["mode"] == "random_design"
@@ -277,8 +274,8 @@ def test_convex_class_refusals_exit_2_before_any_wn_call(tmp_path, capsys,
                 "--data", _kl_dataset(tmp_path / "kl")]
     assert run(["refit", "--rho", 1, *argv, "--out", refit]) == 0
     calls = []
-    wn = cli.wn
-    monkeypatch.setattr(cli, "wn", lambda *a: calls.append(1) or wn(*a))
+    wn = complexity.wn
+    monkeypatch.setattr(complexity, "wn", lambda *a: calls.append(1) or wn(*a))
     assert case in _refusal(capsys, ["radius", "--mode", "convex-class",
                                      "--delta", 1e-4, "--refit-result", refit,
                                      "--out", tmp_path / "r.json"])
@@ -395,19 +392,45 @@ def test_unreadable_input_exits_2_with_one_line(dataset, tmp_path, capsys,
 
 @pytest.fixture
 def certify(dataset, tmp_path):
-    """A fixed-design `certify` command on the seed-5 dataset, with a refit
-    and a radius report it is calibrated to, as in the pipeline test."""
-    refit = tmp_path / "refit.json"
-    assert run(["refit", "--rho", 1.0, "--seed", 3, "--cset-bound", 0.3,
-                "--data", dataset, "--out", refit]) == 0
-    r_dia = json.loads(refit.read_text())["achieved_radius"]
-    radius = tmp_path / "radius.json"
-    radius.write_text(json.dumps({"r_hat_n": r_dia / 3.0, "r_diamond_rho": r_dia,
-                                  "r_certified": r_dia / 3.0,
-                                  "method": "oracle", "delta": 1e-4}))
+    """A fixed-design `certify` command on the seed-5 dataset, with the
+    honest chain's calibrated refit and radius report."""
+    _, radius, refit = _honest_chain(dataset, tmp_path)
     return ["certify", "--mode", "fixed", "--delta", 1e-4,
             "--refit-result", refit, "--radius-report", radius,
             "--pilot", 0.0, "--misspec", 0.0, "--out", tmp_path / "cert.json"]
+
+
+@pytest.mark.parametrize("method", ["oracle", "fixed_point",
+                                    "convex_class_bound"])
+def test_certify_refuses_a_radius_below_the_solvers_floor(certify, dataset,
+                                                          tmp_path, capsys,
+                                                          method):
+    # r/20 written into the report and a refit calibrated to 3 (r/20): the
+    # calibration holds, and certified a total 34 times too small.  Both
+    # solvers start at log(1/delta)/sqrt(n), and "oracle" is the harness's
+    radius = tmp_path / "radius.json"
+    report = json.loads(radius.read_text())
+    r = report["r_certified"] / 20.0
+    radius.write_text(json.dumps(report | {"r_certified": r,
+                                           "method": method}))
+    assert run(["refit", "--target-radius", 3.0 * r, "--trainer", "linear",
+                "--seed", 3, "--data", dataset,
+                "--out", tmp_path / "refit.json"]) == 0
+    assert "fixed_point or convex_class_bound" in _refusal(capsys, certify)
+    assert not (tmp_path / "cert.json").exists()
+
+
+def test_certify_refuses_a_report_at_a_delta_no_solver_takes(certify,
+                                                             tmp_path, capsys):
+    # the honest r passes the floor at delta = 0.05, and the certificate
+    # takes delta < 1/8; but neither solver takes a delta above e^-9
+    radius = tmp_path / "radius.json"
+    radius.write_text(json.dumps(json.loads(radius.read_text())
+                                 | {"delta": 0.05}))
+    argv = list(certify)
+    argv[argv.index("--delta") + 1] = 0.05
+    assert "e^-9" in _refusal(capsys, argv)
+    assert not (tmp_path / "cert.json").exists()
 
 
 def test_certify_refuses_dataset_changed_after_refit(certify, tmp_path, capsys):
@@ -518,6 +541,18 @@ def test_responses_outside_the_loss_domain_refused_before_any_fit(
     _refusal(capsys, ["refit", "--rho", 1, "--potential", potential,
                       "--trainer", trainer, "--data", dataset, "--out", out])
     assert fits == [] and not out.exists()
+
+
+def test_linear_refit_refuses_a_dataset_without_inputs(tmp_path, capsys):
+    # a dataset with no x columns loads with inputs None: only the saturated
+    # class, fit point by point, can take it
+    data = save_dataset(tmp_path / "y_only",
+                        FixedDesignDataset(None, np.zeros((10, 2))))
+    out = tmp_path / "refit.json"
+    assert "linear trainer needs feature inputs" in _refusal(capsys, [
+        "refit", "--rho", 1, "--trainer", "linear", "--data", data,
+        "--out", out])
+    assert not out.exists()
 
 
 def test_sqrt_bernoulli_linear_refit_then_fixed_point_radius(tmp_path):

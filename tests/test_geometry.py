@@ -624,3 +624,25 @@ def test_src_and_scripts_calibrate_and_read_c0_only_in_the_chain():
                for func, _, _ in _calls(tree, {"calibrate_rho"})}
     assert callers == {("certify", "certify_dataset"),
                        ("cli", "_cmd_refit")}, callers
+
+
+# where each may be called: the fixed point in complexity, the radius cap
+# max(10 diameter, 1) in `_refit_process`, and the trainer (through
+# `_refit_stage`) in wildfit and for the harness's noiseless fit
+_HOMES = {
+    "fixed_point_radius": lambda stem, func: stem == "complexity",
+    "diameter": lambda stem, func: (stem, func) == ("complexity",
+                                                    "_refit_process"),
+    "_refit_stage": lambda stem, func: stem == "wildfit" or (
+        stem, func) == ("harness", "oracle_inputs"),
+}
+
+
+def test_src_and_scripts_solve_radii_and_fit_only_in_their_homes():
+    paths = sorted(_SRC.glob("*.py")) + sorted(
+        (_SRC.parents[1] / "scripts").glob("*.py"))
+    outside = [f"{path.name}:{line} {name} in {func}" for path in paths
+               for func, name, line in _calls(ast.parse(path.read_text()),
+                                              set(_HOMES))
+               if not _HOMES[name](path.stem, func)]
+    assert not outside, "called outside its home: " + "; ".join(outside)
