@@ -6,13 +6,9 @@ Usage: python3 scripts/certificate_demo.py [--n 200] [--delta 0.05] [--seed 0]
 
 import argparse
 
-import numpy as np
-
 from wildbregman.certify import certify_dataset, random_design_certificate
-from wildbregman.geometry import Box
 from wildbregman.harness import SyntheticSpec, generate_synthetic, oracle_inputs
-from wildbregman.potentials import builtin_loss
-from wildbregman.trainers import LinearTrainer
+from wildbregman.trainers import build_model
 
 
 def main():
@@ -23,11 +19,10 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    spec = SyntheticSpec(n=args.n, d=args.d, seed=args.seed)
-    loss = builtin_loss("squared_l2", args.d)
-    data, oracle = generate_synthetic(spec, loss)
-    cset = Box(np.full(args.d, -1.0), np.full(args.d, 1.0))
-    trainer = LinearTrainer(loss, cset)
+    loss, cset, trainer = build_model(args.d, "squared_l2", {}, 1.0,
+                                      {"kind": "linear"})
+    data, oracle = generate_synthetic(
+        SyntheticSpec(n=args.n, d=args.d, seed=args.seed), loss)
 
     oracle_in = oracle_inputs(loss, cset, trainer, data, oracle)
     fixed, result = certify_dataset(loss, cset, trainer, data, args.delta,

@@ -7,7 +7,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .complexity import RadiusReport, _vertices, deviation_term
+from .complexity import (RadiusReport, _inflation, _radius_floor, _vertices,
+                         deviation_term, wn)
 from .design import FixedDesignDataset
 from .errors import RejectedInputError
 from .geometry import Box, CompactSet, _mean
@@ -41,32 +42,44 @@ class StabilityConstants:
     L: float  # sup of the potential gradient norm over the set
 
 
-def fixed_design_certificate(loss: BregmanLoss, refit: WildRefitResult,
-                             radius: RadiusReport, delta: float, pilot: float,
-                             misspec: float, w_inf: float, *,
-                             responses: np.ndarray,
+def fixed_design_certificate(loss: BregmanLoss, cset: CompactSet,
+                             refit: WildRefitResult, radius: RadiusReport,
+                             delta: float, pilot: float, misspec: float,
+                             w_inf: float, *, responses: np.ndarray,
                              calibration_tol: float = 5e-3) -> RiskCertificate:
     """Fixed-design certificate: training error + 2 (|wild optimism| + pilot
     + deviation), valid with probability 1 - 8 delta when calibrated.
     pilot, misspec, w_inf and calibration_tol must be finite and >= 0, and
-    responses the data refit was fit on (responses - fhat = residues)."""
+    responses the data refit was fit on (responses - fhat = residues).  A
+    solver's report (not oracle) must be solved at delta, reach the floor
+    log(1/delta)/sqrt(n) and, if fixed_point, pass its solver's test."""
     Y = np.asarray(responses, dtype=float)
     _require_same_data(refit, Y)
     if not 0 < delta < 1.0 / _FIXED_BUDGET:
         raise RejectedInputError("fixed design requires 0 < delta < 1/8")
+    r, n = radius.r_certified, refit.fhat.n
+    if radius.delta is not None:
+        if radius.delta != delta:
+            raise RejectedInputError(f"the radius report was solved at delta "
+                                     f"= {radius.delta!r}, not {delta!r}")
+        if r < _radius_floor(delta, n) or radius.method == "fixed_point" and (
+                r * r < wn(loss, cset, refit.fhat, refit.symmetrized,
+                           _inflation(delta) * r)):
+            raise RejectedInputError(
+                f"{radius.method} radius {r!r}: a fixed_point or "
+                f"convex_class_bound radius is at least log(1/delta)/sqrt(n),"
+                f" and a fixed_point one a fixed point of the refit's process")
     if not all(math.isfinite(v) and v >= 0 for v in (pilot, calibration_tol)):
         raise RejectedInputError("pilot and calibration_tol must be finite and >= 0")
     achieved = refit.radius
-    target = 3.0 * loss.c0 * radius.r_certified
+    target = 3.0 * loss.c0 * r
     if not abs(achieved - target) <= calibration_tol * target:  # NaN too
         raise RejectedInputError(
             f"calibration mismatch: achieved wild radius {achieved:.6g} vs "
             f"required 3 sqrt(beta/alpha) r = {target:.6g}")
-    n = refit.fhat.n
     training = _mean(loss.divergence_rows(Y, refit.fhat.values))
     opt_abs = abs(wild_optimism(loss, refit))
-    dev = deviation_term(loss, misspec, radius.r_certified, w_inf, n,
-                         refit.fhat.d, delta)
+    dev = deviation_term(loss, misspec, r, w_inf, n, refit.fhat.d, delta)
     total = training + 2.0 * (opt_abs + pilot + dev)
     prov = {"radius_method": radius.method, "misspec": misspec, "w_inf": w_inf,
             "t_substitution": "t = sqrt(log(1/delta))"}
@@ -88,7 +101,7 @@ def certify_dataset(loss: BregmanLoss, cset: CompactSet, trainer,
     report = radius(start)
     R = 3.0 * loss.c0 * report.r_certified
     result = calibrate_rho(loss, trainer, data, start, R)["result"]
-    return fixed_design_certificate(loss, result, report, delta,
+    return fixed_design_certificate(loss, cset, result, report, delta,
                                     pilot(result, R), misspec, w_inf,
                                     responses=data.responses), result
 

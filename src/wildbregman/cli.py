@@ -12,8 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .certify import fixed_design_certificate, random_design_certificate
-from .complexity import (RadiusReport, _radius_floor, _refit_process,
-                         fixed_point_report, rhat_bound_convex)
+from .complexity import (RadiusReport, _refit_process, fixed_point_report,
+                         rhat_bound_convex)
 from .design import (PredictionMatrix, _read_json, _write_json, _write_table,
                      load_dataset, save_dataset)
 from .errors import RejectedInputError, SolveError
@@ -135,38 +135,30 @@ def _cmd_radius(args) -> int:
         w_inf = float(np.max(np.abs(result.residues)))
         report = RadiusReport(rhat_bound_convex(
             wn_at, lambda s: args.pilot or 0.0, args.delta, result.fhat.n,
-            w_inf, result.fhat.d, loss, r_max=r_max), "convex_class_bound")
-    _write_json(args.out, dataclasses.asdict(report) | {"delta": args.delta})
+            w_inf, result.fhat.d, loss, r_max=r_max), "convex_class_bound",
+            args.delta)
+    _write_json(args.out, dataclasses.asdict(report))
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_certify(args) -> int:
     data_path, loss, cset, result = _read_json(args.refit_result, _as_refit)
-    report, report_delta = _read_json(args.radius_report, lambda rep: (
-        RadiusReport(**{f.name: rep[f.name]
-                        for f in dataclasses.fields(RadiusReport)}),
-        rep["delta"]))
-    if report_delta != args.delta:  # a report without delta is unreadable
-        raise RejectedInputError(f"the radius report was solved at delta = "
-                                 f"{report_delta!r}, not --delta {args.delta!r}")
-    # a file's report is a solver's: "oracle" is the harness's, and both
-    # solvers start at the floor, at a delta they take
-    if report.method == "oracle" or report.r_certified < _radius_floor(
-            args.delta, result.fhat.n):
-        raise RejectedInputError(
-            f"{report.method} radius {report.r_certified!r}: a report read "
-            f"from a file must be fixed_point or convex_class_bound, and at "
-            f"least log(1/delta)/sqrt(n)")
+    # a report without a delta key is unreadable
+    report = _read_json(args.radius_report, lambda rep: RadiusReport(
+        **{f.name: rep[f.name] for f in dataclasses.fields(RadiusReport)}))
+    if report.delta is None:  # the harness's oracle: no solver wrote it
+        raise RejectedInputError("a radius report read from a file must be "
+                                 "fixed_point or convex_class_bound")
     data = load_dataset(data_path)
     w_inf = (float(np.max(np.abs(result.residues))) if args.w_inf is None
              else args.w_inf)
     try:
-        cert = fixed_design_certificate(loss, result, report, args.delta,
+        cert = fixed_design_certificate(loss, cset, result, report, args.delta,
                                         args.pilot, args.misspec, w_inf,
                                         responses=data.responses,
                                         calibration_tol=args.calibration_tol)
-    except RejectedInputError as err:  # name the file the responses are from
+    except RejectedInputError as err:  # name the dataset it was checked on
         raise RejectedInputError(f"certifying on {data_path}: {err}") from None
     if args.mode == "random":
         cert = random_design_certificate(cert, loss, cset, data.n, args.delta)

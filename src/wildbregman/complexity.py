@@ -24,12 +24,17 @@ from .potentials import BregmanLoss, _bregman_projection
 class RadiusReport:
     r_certified: float
     method: str  # oracle | fixed_point | convex_class_bound
+    delta: float | None  # the delta a solver solved at; None for oracle
 
     def __post_init__(self):
         if not (math.isfinite(self.r_certified) and self.r_certified >= 0):
             raise RejectedInputError("r_certified must be finite and >= 0")
         if self.method not in ("oracle", "fixed_point", "convex_class_bound"):
             raise RejectedInputError(f"unknown radius method {self.method!r}")
+        if (self.delta is None) != (self.method == "oracle"):
+            raise RejectedInputError(
+                f"{self.method} report, delta {self.delta!r}: fixed_point or "
+                f"convex_class_bound reports have a delta, oracle ones none")
 
 
 def _objective(loss: BregmanLoss, center: np.ndarray, U: np.ndarray,
@@ -362,6 +367,11 @@ def _stability_term(loss, r, w_inf, d, log_inv):
             / (loss.alpha * math.sqrt(log_inv)))
 
 
+def _inflation(delta: float) -> float:
+    """c = 2 + 1/log(1/delta): a radius r reads W_n at c r."""
+    return 2.0 + 1.0 / math.log(1.0 / delta)
+
+
 def _radius_floor(delta: float, n: int) -> float:
     """log(1/delta)/sqrt(n), where both solvers start; 0 < delta <= e^-9."""
     if not 0 < delta <= math.exp(-9.0):  # refuses NaN too
@@ -383,8 +393,7 @@ def fixed_point_radius(wn_evaluator, delta: float, n: int, *,
     above r_max raises SolveError before W_n is evaluated.
     """
     r_min = _radius_floor(delta, n)
-    log_inv = math.log(1.0 / delta)
-    factor = 2.0 + 1.0 / log_inv
+    factor = _inflation(delta)
     if r_min > r_max:
         raise SolveError(f"the radius floor log(1/delta)/sqrt(n) = {r_min:.6g} "
                          f"lies above r_max = {r_max:.6g}")
@@ -422,7 +431,7 @@ def fixed_point_report(loss: BregmanLoss, cset: CompactSet, refit,
     fixed-point` solves it: `fixed_point_radius` on `_refit_process`."""
     wn_at, r_max = _refit_process(loss, cset, refit)
     return RadiusReport(fixed_point_radius(wn_at, delta, refit.fhat.n,
-                                           r_max=r_max), "fixed_point")
+                                           r_max=r_max), "fixed_point", delta)
 
 
 def _require_closing(loss, w_inf, d, log_inv):
@@ -447,7 +456,7 @@ def _thm_6_1_rhs(loss, wn_at, pilot_at, s, delta, n, w_inf, d):
     pilot = pilot_at(s)
     if not (math.isfinite(pilot) and pilot >= 0):
         raise RejectedInputError(f"pilot {pilot!r} must be finite and >= 0")
-    r = s / (2.0 + 1.0 / log_inv)
+    r = s / _inflation(delta)
     return (max(log_inv ** 2 / n, wn_at(s))
             + _stability_term(loss, r, w_inf, d, log_inv) + pilot)
 
@@ -474,8 +483,7 @@ def rhat_bound_convex(wn_evaluator, pilot_evaluator, delta: float, n: int,
     closes no bound: both are refused.  The saturated fit's class (every
     prediction in the set) is convex; the projected linear fit's is not yet.
     """
-    if not 0 < delta <= math.exp(-9.0):  # refuses NaN too
-        raise RejectedInputError("requires 0 < delta <= e^-9")
+    _radius_floor(delta, n)  # refuses a delta outside (0, e^-9]
     if loss.kind == "clipped_simplex_kl":
         raise RejectedInputError("KL on the clipped simplex has no ball "
                                  "convex in mirror coordinates")

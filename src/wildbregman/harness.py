@@ -17,8 +17,9 @@ import numpy as np
 
 from .certify import (_FIXED_BUDGET, _RANDOM_BUDGET, certify_dataset,
                       random_design_certificate)
-from .complexity import (RadiusReport, _objective, _refit_process,
-                         _require_closing, _thm_6_1_rhs, pilot_sup, wn)
+from .complexity import (RadiusReport, _inflation, _objective,
+                         _refit_process, _require_closing, _thm_6_1_rhs,
+                         pilot_sup, wn)
 from .design import FixedDesignDataset, PredictionMatrix, empirical_discrepancy
 from .errors import RejectedInputError
 from .geometry import Box, CompactSet, _mean
@@ -90,10 +91,9 @@ def _make_fstar(spec: SyntheticSpec, rng):
     return lambda X: spec.fstar_scale * np.tanh(X @ theta)
 
 
-def generate_synthetic(spec: SyntheticSpec,
-                       loss: BregmanLoss | None = None):
+def generate_synthetic(spec: SyntheticSpec, loss: BregmanLoss):
     """Draw (dataset, oracle context) deterministically from the scenario seed."""
-    if loss is not None and not isinstance(loss.domain, Box):
+    if not isinstance(loss.domain, Box):
         raise RejectedInputError(
             "synthetic generation supports box-domain losses only")
     rng = np.random.default_rng(spec.seed)
@@ -102,11 +102,9 @@ def generate_synthetic(spec: SyntheticSpec,
     F = fstar_fn(X)
     W = _draw_noise(rng, spec.n, spec.d, spec.noise_family, spec.noise_scale)
     Y = F + W
-    if loss is not None:
-        dom = loss.domain
-        if not (dom.contains(F) and dom.contains(Y)):
-            raise RejectedInputError(
-                "rejected configuration: fstar +- noise exits the loss domain")
+    if not (loss.domain.contains(F) and loss.domain.contains(Y)):
+        raise RejectedInputError(
+            "rejected configuration: fstar +- noise exits the loss domain")
     dataset = FixedDesignDataset(inputs=X, responses=Y)
     oracle = OracleContext(fstar_preds=PredictionMatrix(F), noise=W,
                            w_inf=float(np.max(np.abs(W))), fstar_fn=fstar_fn)
@@ -197,7 +195,7 @@ def oracle_inputs(loss: BregmanLoss, cset: CompactSet, trainer,
 
     def radius(start, floor=1e-8):
         r_hat = math.sqrt(empirical_discrepancy(loss, fdagger, start.fhat))
-        return RadiusReport(max(r_hat, floor), "oracle")
+        return RadiusReport(max(r_hat, floor), "oracle", None)
 
     return {"radius": radius,
             "pilot": lambda refit, R: pilot_sup(loss, cset, refit.fhat, fstar,
@@ -258,9 +256,8 @@ def _check_thm_6_1(ctx: _RepContext):
     r_hat = oracle["radius"](start, floor=0.0).r_certified
     return r_hat ** 2, _thm_6_1_rhs(
         loss, _refit_process(loss, cset, start)[0],
-        lambda s: oracle["pilot"](start, s),
-        (2.0 + 1.0 / math.log(1.0 / ctx.delta)) * r_hat, ctx.delta, data.n,
-        oracle["w_inf"], data.d)
+        lambda s: oracle["pilot"](start, s), _inflation(ctx.delta) * r_hat,
+        ctx.delta, data.n, oracle["w_inf"], data.d)
 
 
 def _check_thm_5_2(ctx: _RepContext):

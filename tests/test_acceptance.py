@@ -250,7 +250,7 @@ def test_criterion_09_conditional_mean():
     for family in ("uniform", "scaled_rademacher"):
         spec = SyntheticSpec(n=100_000, d=2, noise_family=family,
                              noise_scale=a, seed=909)
-        data, oracle = generate_synthetic(spec)
+        data, oracle = generate_synthetic(spec, builtin_loss("squared_l2", 2))
         mean = np.mean(data.responses - oracle.fstar_preds.values, axis=0)
         ok &= bool(np.all(np.abs(mean) <= 4.0 * a / math.sqrt(100_000)))
     elapsed = time.time() - t0

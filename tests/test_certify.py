@@ -61,7 +61,7 @@ def _calibrated_setup(rng):
 
     def radius(start):
         return RadiusReport(math.sqrt(empirical_discrepancy(
-            loss, fdagger, start.fhat)), "oracle")
+            loss, fdagger, start.fhat)), "oracle", None)
 
     cert, result = certify_dataset(
         loss, cset, trainer, data, 0.05, seed=5, radius=radius,
@@ -86,20 +86,21 @@ def test_fixed_certificate_assembly(rng):
 
 
 def test_fixed_certificate_rejects_uncalibrated(rng):
-    loss, _, data, result, report, cert = _calibrated_setup(rng)
-    bad = RadiusReport(r_certified=report.r_certified * 3.0, method="oracle")
+    loss, cset, data, result, report, cert = _calibrated_setup(rng)
+    bad = RadiusReport(r_certified=report.r_certified * 3.0, method="oracle",
+                       delta=None)
     with pytest.raises(RejectedInputError):
-        fixed_design_certificate(loss, result, bad, 0.05, cert.pilot, 0.0,
-                                 1.0, responses=data.responses)
+        fixed_design_certificate(loss, cset, result, bad, 0.05, cert.pilot,
+                                 0.0, 1.0, responses=data.responses)
 
 
 def test_fixed_certificate_rejects_responses_of_other_data(rng):
     # fhat's own values as responses would give a training error of 0
-    loss, _, data, result, report, cert = _calibrated_setup(rng)
+    loss, cset, data, result, report, cert = _calibrated_setup(rng)
     for responses in (result.fhat.values, data.responses[:-1]):
         with pytest.raises(RejectedInputError, match="not the data"):
-            fixed_design_certificate(loss, result, report, 0.05, cert.pilot,
-                                     0.0, 1.0, responses=responses)
+            fixed_design_certificate(loss, cset, result, report, 0.05,
+                                     cert.pilot, 0.0, 1.0, responses=responses)
 
 
 class _NumpyRidge:
@@ -162,11 +163,34 @@ def test_library_chain_gives_the_cli_chains_certificate(tmp_path,
     assert json.loads(Path("cert.json").read_text()) == asdict(cert)
 
 
+def test_library_chain_refuses_a_report_solved_at_another_delta(rng):
+    # the certificate's failure budget is 8 delta; a radius solved at 1e-4
+    # is no radius at 0.05
+    loss, cset = builtin_loss("squared_l2", 2), box(2, 10.0)
+    X = rng.uniform(-1, 1, size=(200, 3))
+    Y = X @ rng.uniform(-0.3, 0.3, size=(3, 2)) \
+        + rng.uniform(-0.25, 0.25, size=(200, 2))
+    with pytest.raises(RejectedInputError, match="solved at delta = 0.0001"):
+        certify_dataset(
+            loss, cset, _NumpyRidge(), FixedDesignDataset(X, Y), 0.05, seed=3,
+            radius=lambda start: fixed_point_report(loss, cset, start, 1e-4),
+            pilot=lambda refit, R: 0.0, misspec=0.0, w_inf=1.0)
+
+
+@pytest.mark.parametrize("method, delta", [
+    ("oracle", 1e-4), ("fixed_point", None), ("convex_class_bound", None)])
+def test_radius_report_has_a_delta_exactly_when_a_solver_wrote_it(method,
+                                                                   delta):
+    with pytest.raises(RejectedInputError,
+                       match="fixed_point or convex_class_bound"):
+        RadiusReport(0.5, method, delta)
+
+
 def test_fixed_certificate_delta_range(rng):
-    loss, _, data, result, report, cert = _calibrated_setup(rng)
+    loss, cset, data, result, report, cert = _calibrated_setup(rng)
     with pytest.raises(RejectedInputError):
-        fixed_design_certificate(loss, result, report, 0.2, cert.pilot, 0.0,
-                                 1.0, responses=data.responses)
+        fixed_design_certificate(loss, cset, result, report, 0.2, cert.pilot,
+                                 0.0, 1.0, responses=data.responses)
 
 
 def test_stability_constants_analytic_squared_l2():

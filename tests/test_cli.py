@@ -433,6 +433,33 @@ def test_certify_refuses_a_report_at_a_delta_no_solver_takes(certify,
     assert not (tmp_path / "cert.json").exists()
 
 
+def test_certify_refuses_a_fixed_point_report_that_is_no_fixed_point(
+        tmp_path, capsys, monkeypatch):
+    # on this data the honest radius is 0.605, above the floor 0.206; a
+    # fixed_point report of 0.25 and a refit calibrated to 0.75 certified a
+    # total of 4.28 against the honest 14.96
+    monkeypatch.chdir(tmp_path)
+    model = ["--trainer", "linear", "--cset-bound", 2.5, "--seed", 1,
+             "--data", "data.csv"]
+    assert run(["simulate", "--n", 2000, "--seed", 4, "--out", "data"]) == 0
+    assert run(["refit", "--rho", 1, *model, "--out", "start.json"]) == 0
+    assert run(["radius", "--mode", "fixed-point", "--delta", 1e-4,
+                "--refit-result", "start.json", "--out", "radius.json"]) == 0
+    report = json.loads(Path("radius.json").read_text())
+    Path("forged.json").write_text(json.dumps(report | {"r_certified": 0.25}))
+    for r, name in ((report["r_certified"], "radius"), (0.25, "forged")):
+        assert run(["refit", "--target-radius", 3.0 * r, *model,
+                    "--out", f"{name}_refit.json"]) == 0
+    certify = ["certify", "--mode", "fixed", "--delta", 1e-4, "--pilot", 0,
+               "--misspec", 0, "--out", "cert.json"]
+    assert "fixed point" in _refusal(capsys, certify + [
+        "--refit-result", "forged_refit.json", "--radius-report",
+        "forged.json"])
+    assert not Path("cert.json").exists()
+    assert run(certify + ["--refit-result", "radius_refit.json",
+                          "--radius-report", "radius.json"]) == 0
+
+
 def test_certify_refuses_dataset_changed_after_refit(certify, tmp_path, capsys):
     # the refit was fit on the seed-5 responses; certifying it against the
     # seed-6 dataset written to the same path would mix two datasets

@@ -150,7 +150,8 @@ def test_json_arrays_refuse_non_finite_entries(tmp_path, bad):
 def test_oracle_file_format_frozen(tmp_path, n):
     assert main(["simulate", "--n", str(n), "--d", "2", "--seed", "4",
                  "--out", str(tmp_path / "data")]) == 0
-    _, oracle = generate_synthetic(SyntheticSpec(n=n, d=2, seed=4))
+    _, oracle = generate_synthetic(SyntheticSpec(n=n, d=2, seed=4),
+                                   builtin_loss("squared_l2", 2))
     _reference_csv(tmp_path / "ref.csv", [("fstar", oracle.fstar_preds.values),
                                           ("w", oracle.noise)])
     assert ((tmp_path / "data_oracle.csv").read_bytes()

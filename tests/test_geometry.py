@@ -627,14 +627,24 @@ def test_src_and_scripts_calibrate_and_read_c0_only_in_the_chain():
 
 
 # where each may be called: the fixed point in complexity, the radius cap
-# max(10 diameter, 1) in `_refit_process`, and the trainer (through
-# `_refit_stage`) in wildfit and for the harness's noiseless fit
+# max(10 diameter, 1) in `_refit_process`, the trainer (through
+# `_refit_stage`) in wildfit and for the harness's noiseless fit, the radius
+# floor in the two solvers and the certificate that checks their reports,
+# and the inflation c = 2 + 1/log(1/delta) where W_n is read at c r
 _HOMES = {
     "fixed_point_radius": lambda stem, func: stem == "complexity",
     "diameter": lambda stem, func: (stem, func) == ("complexity",
                                                     "_refit_process"),
     "_refit_stage": lambda stem, func: stem == "wildfit" or (
         stem, func) == ("harness", "oracle_inputs"),
+    "_radius_floor": lambda stem, func: (stem, func) in {
+        ("complexity", "fixed_point_radius"),
+        ("complexity", "rhat_bound_convex"),
+        ("certify", "fixed_design_certificate")},
+    "_inflation": lambda stem, func: (stem, func) in {
+        ("complexity", "fixed_point_radius"), ("complexity", "_thm_6_1_rhs"),
+        ("certify", "fixed_design_certificate"),
+        ("harness", "_check_thm_6_1")},
 }
 
 

@@ -14,8 +14,8 @@ from wildbregman.trainers import LinearTrainer
 
 def test_generate_deterministic():
     spec = SyntheticSpec(n=30, d=2, seed=11)
-    d1, o1 = generate_synthetic(spec)
-    d2, o2 = generate_synthetic(spec)
+    d1, o1 = generate_synthetic(spec, builtin_loss("squared_l2", spec.d))
+    d2, o2 = generate_synthetic(spec, builtin_loss("squared_l2", spec.d))
     assert np.array_equal(d1.responses, d2.responses)
     assert np.array_equal(o1.noise, o2.noise)
 
@@ -23,7 +23,7 @@ def test_generate_deterministic():
 @pytest.mark.parametrize("family", harness._FSTAR_FAMILIES)
 def test_responses_reconstruct_exactly(family):
     spec = SyntheticSpec(n=25, d=3, fstar_family=family, seed=2)
-    data, oracle = generate_synthetic(spec)
+    data, oracle = generate_synthetic(spec, builtin_loss("squared_l2", spec.d))
     assert np.array_equal(data.responses,
                           oracle.fstar_preds.values + oracle.noise)
     if family == "constant":
@@ -33,7 +33,7 @@ def test_responses_reconstruct_exactly(family):
 
 def test_zero_noise_amplitude():
     spec = SyntheticSpec(n=10, d=1, noise_scale=0.0, seed=0)
-    data, oracle = generate_synthetic(spec)
+    data, oracle = generate_synthetic(spec, builtin_loss("squared_l2", spec.d))
     assert oracle.w_inf == 0.0
     assert np.array_equal(data.responses, oracle.fstar_preds.values)
 
@@ -41,7 +41,7 @@ def test_zero_noise_amplitude():
 def test_scaled_rademacher_amplitude():
     spec = SyntheticSpec(n=50, d=2, noise_family="scaled_rademacher",
                          noise_scale=0.3, seed=1)
-    _, oracle = generate_synthetic(spec)
+    _, oracle = generate_synthetic(spec, builtin_loss("squared_l2", spec.d))
     assert np.all(np.abs(oracle.noise) == pytest.approx(0.3))
     assert oracle.w_inf == pytest.approx(0.3)
 
@@ -49,7 +49,7 @@ def test_scaled_rademacher_amplitude():
 def test_heteroskedastic_amplitudes_differ():
     spec = SyntheticSpec(n=5000, d=3, noise_family="heteroskedastic",
                          noise_scale=0.5, seed=4)
-    _, oracle = generate_synthetic(spec)
+    _, oracle = generate_synthetic(spec, builtin_loss("squared_l2", spec.d))
     maxes = np.max(np.abs(oracle.noise), axis=0)
     assert maxes[0] < maxes[1] < maxes[2]
 
@@ -71,7 +71,7 @@ def test_conditional_mean_empirical(rng):
     # empirical mean of Y - F* within the CLT band 4a/sqrt(N) per coordinate
     a = 0.25
     spec = SyntheticSpec(n=100_000, d=2, noise_scale=a, seed=9)
-    data, oracle = generate_synthetic(spec)
+    data, oracle = generate_synthetic(spec, builtin_loss("squared_l2", spec.d))
     mean = np.mean(data.responses - oracle.fstar_preds.values, axis=0)
     assert np.all(np.abs(mean) <= 4.0 * a / np.sqrt(100_000))
 
